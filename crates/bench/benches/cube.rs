@@ -1,14 +1,11 @@
 //! Cube-and-conquer BMC benchmarks: deep unrolls solved monolithically vs.
-//! split into cubes, sequential vs. fanned out over the `diam-par` pool.
+//! split into reproducible cubes, sequential vs. fanned out over the
+//! `diam-par` pool.
 //!
-//! The headline comparison is `cube/bmc_unroll`: the same counter hit — a
-//! deep obligation per depth — under (a) the monolithic solver, (b)
-//! reproducible cubes on one worker (split overhead, no parallelism), and
-//! (c) fast cubes at 4 workers (sharing + sibling cancellation). On a
-//! multi-core host (c) is the ≥1.5× target tracked in EXPERIMENTS.md; on a
-//! single-core runner it degenerates to (b) plus scheduling noise — the
-//! numbers are recorded either way so `diam-trace diff-baseline` can
-//! compare like with like.
+//! `cube/bmc_unroll` times the same counter hit — a deep obligation per
+//! depth — under (a) the monolithic solver, (b) cubes on one worker (split
+//! overhead, no parallelism), and (c) cubes at 4 workers. On a single-core
+//! runner (c) degenerates to (b) plus scheduling noise.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use diam_bmc::{check, BmcOptions, BmcOutcome, CubeMode, CubeOptions};
@@ -57,8 +54,8 @@ fn bench_cube_unroll(c: &mut Criterion) {
                 opts(depth, CubeMode::Reproducible, Parallelism::Sequential),
             ),
             (
-                "fast_j4",
-                opts(depth, CubeMode::Fast, Parallelism::Threads(4)),
+                "repro_j4",
+                opts(depth, CubeMode::Reproducible, Parallelism::Threads(4)),
             ),
         ];
         for (name, o) in &configs {
@@ -73,37 +70,5 @@ fn bench_cube_unroll(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_portfolio_sweep(c: &mut Criterion) {
-    use diam_gen::archetypes::register_file;
-    use diam_transform::com::{sweep, SweepOptions};
-    let mut group = c.benchmark_group("cube/portfolio_sweep");
-    group.sample_size(10);
-    // The COM sweep's many small solves: portfolio seeds shuffle restart
-    // pacing and phases without changing any verdict.
-    let mut n = Netlist::new();
-    let m = register_file(&mut n, "m", 3, 3);
-    let cells: Vec<Lit> = m.all_cells().iter().map(|r| r.lit()).collect();
-    let t = n.and_many(cells);
-    n.add_target(t, "t");
-    for portfolio in [0u64, 0xFACE] {
-        group.bench_with_input(
-            BenchmarkId::new("seed", portfolio),
-            &portfolio,
-            |b, &portfolio| {
-                b.iter(|| {
-                    sweep(
-                        &n,
-                        &SweepOptions {
-                            portfolio,
-                            ..SweepOptions::default()
-                        },
-                    )
-                })
-            },
-        );
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench_cube_unroll, bench_portfolio_sweep);
+criterion_group!(benches, bench_cube_unroll);
 criterion_main!(benches);

@@ -159,7 +159,7 @@ fn check_live_event(line: &str) -> String {
         .to_string();
     let cubes_ok = |val: &diam_obs::json::JsonValue| {
         let c = val.get("cubes").expect("cubes object");
-        for key in ["refuted", "total", "share_dropped"] {
+        for key in ["refuted", "total"] {
             assert!(c.get(key).and_then(|x| x.as_u64()).is_some(), "{line}");
         }
     };

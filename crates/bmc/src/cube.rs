@@ -11,33 +11,25 @@
 //! * any cube SAT ⇒ a counterexample (its model extends to a full witness);
 //! * any cube `Unknown` (conflict budget) without a SAT ⇒ `Unknown`.
 //!
-//! Cubes are farmed as [`diam_par`] jobs. Each worker **clones** the base
-//! incremental solver — clones share the variable numbering, which is what
-//! makes learnt-clause exchange sound: a clause learnt by one cube worker
-//! is implied by the shared formula (assumptions enter conflict analysis as
-//! decisions, never as axioms), so any sibling may
-//! [`import_clause`](Solver::import_clause) it.
+//! Cubes are farmed as [`diam_par`] jobs under the caller's cancellation
+//! token. Each job **clones** the base incremental solver and solves the
+//! clone under its cube's assumptions, so the base solver's clause database
+//! is untouched.
 //!
 //! ## Determinism contract
 //!
-//! * [`CubeMode::Reproducible`] — cube order is fixed, jobs are pure
-//!   (no clause exchange, no sibling cancellation, no portfolio seeds), and
-//!   the merge takes the first event in cube-index order: output is
-//!   **bit-identical** across every `Parallelism` setting.
-//! * [`CubeMode::Fast`] — glue clauses (LBD ≤ 2, the arena's core tier)
-//!   travel through a lock-free [`Exchange`]; a SAT cube cancels its
-//!   outstanding siblings through a hierarchical
-//!   [`CancelToken::child`]; workers get per-cube restart jitter. Verdicts
-//!   (SAT/UNSAT/Unknown and hit depths) are unchanged — only which valid
-//!   witness is returned may vary.
+//! Cube order is fixed, jobs are pure, and the merge takes the first event
+//! in cube-index order: output is **bit-identical** across every
+//! `Parallelism` setting.
 
 use crate::{extract_witness, solve_traced, BmcOptions};
+use diam_netlist::sim::Witness;
 use diam_netlist::{GateKind, Lit, Netlist};
-use diam_par::{CancelToken, Exchange};
+use diam_par::CancelToken;
 use diam_sat::{Lit as SatLit, SolveResult, Solver};
 use diam_transform::unroll::Unroller;
 
-/// How cube-and-conquer treats determinism; see the module docs.
+/// Whether deep BMC obligations are cube-split; see the module docs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CubeMode {
     /// No cube splitting: every depth is one monolithic solve.
@@ -46,9 +38,6 @@ pub enum CubeMode {
     /// Fixed cube order, pure jobs, deterministic merge: bit-identical
     /// output across all `Parallelism` settings.
     Reproducible,
-    /// Clause sharing + sibling cancellation + portfolio restart jitter:
-    /// same verdicts, possibly different (always valid) witnesses.
-    Fast,
 }
 
 impl CubeMode {
@@ -61,9 +50,8 @@ impl CubeMode {
         match s {
             "off" => Ok(CubeMode::Off),
             "repro" | "reproducible" => Ok(CubeMode::Reproducible),
-            "fast" => Ok(CubeMode::Fast),
             _ => Err(format!(
-                "bad --cube value {s:?} (expected `off`, `repro`, or `fast`)"
+                "bad --cube value {s:?} (expected `off` or `repro`)"
             )),
         }
     }
@@ -74,7 +62,6 @@ impl std::fmt::Display for CubeMode {
         match self {
             CubeMode::Off => write!(f, "off"),
             CubeMode::Reproducible => write!(f, "repro"),
-            CubeMode::Fast => write!(f, "fast"),
         }
     }
 }
@@ -82,7 +69,7 @@ impl std::fmt::Display for CubeMode {
 /// Options for the cube layer (a field of [`BmcOptions`]).
 #[derive(Debug, Clone)]
 pub struct CubeOptions {
-    /// Splitting / determinism mode.
+    /// Splitting mode.
     pub mode: CubeMode,
     /// Cube variables per depth: `2^vars` cubes (clamped to the state
     /// variables actually available in the cone).
@@ -102,30 +89,13 @@ impl Default for CubeOptions {
     }
 }
 
-/// Glue tier that travels between cube workers (the arena's core tier).
-const SHARE_LBD: u32 = 2;
-
-/// Outcome of one depth solved by cube split (or monolithically when the
-/// split is not applicable).
-pub(crate) enum CubeDepthOutcome {
-    /// Some cube is satisfiable; the winning worker's solver holds the
-    /// model (extract a witness with the shared unroller).
-    Sat(Box<Solver>),
-    /// Every cube is unsatisfiable: the depth is clean.
-    Unsat,
-    /// A conflict budget expired in some cube and no cube was SAT.
-    Unknown,
-}
-
-/// Per-cube job result, merged in cube-index order.
-enum CubeJob {
+/// Verdict of one cube job; the SAT variant keeps the clone holding the
+/// model.
+enum CubeVerdict {
     Sat(Box<Solver>),
     Unsat,
+    /// A conflict budget expired, or the job found the token cancelled.
     Unknown,
-    /// The cube never ran: a sibling's SAT (or the parent token) cancelled
-    /// it. Only observed when an earlier-merged cube is SAT or the parent
-    /// was cancelled.
-    Cancelled,
 }
 
 /// Whether this depth should be cube-split at all.
@@ -138,7 +108,7 @@ pub(crate) fn applicable(opts: &BmcOptions, depth: u64) -> bool {
 /// the tie-break — a deterministic "most constrained first" lookahead),
 /// encoded at the middle frame `⌊depth/2⌋` of the unrolling. Encoding may
 /// create frames/variables, which is why the base solver is mutated here —
-/// *before* it is cloned for the cube workers.
+/// *before* it is cloned for the cube jobs.
 fn select_cube_lits(
     n: &Netlist,
     solver: &mut Solver,
@@ -184,66 +154,42 @@ fn select_cube_lits(
     lits
 }
 
-/// Solves the depth-`depth` obligation of `target` by cube-and-conquer.
+/// Solves the depth-`depth` obligation of `target` by cube-and-conquer,
+/// returning the verdict plus, on SAT, a witness extracted from the first
+/// satisfiable cube. `None` when the cone has no state variable to split
+/// on; the caller then solves monolithically.
 ///
 /// The base incremental `solver`/`unroller` pair is mutated only by
 /// encoding (the obligation literal and the cube frame); the search runs on
-/// per-cube clones, so the base solver's clause database is untouched and
-/// the caller's incremental loop continues as if a monolithic solve had
-/// returned. `parent` chains the cube group under the caller's cancellation
-/// scope: cancelling the parent cancels every outstanding cube.
-pub(crate) fn solve_depth_cubes(
+/// per-cube clones, so the caller's incremental loop continues as if a
+/// monolithic solve had returned. Cube jobs run under `token`: once it is
+/// cancelled, unstarted cubes report `Unknown`.
+pub(crate) fn solve_depth(
     n: &Netlist,
     solver: &mut Solver,
     unroller: &mut Unroller<'_>,
     target: Lit,
     depth: u64,
-    parent: Option<&CancelToken>,
+    token: &CancelToken,
     opts: &BmcOptions,
-) -> CubeDepthOutcome {
+) -> Option<(SolveResult, Option<Witness>)> {
     let obligation = unroller.lit_at(solver, target, depth as usize);
     let cube_lits = select_cube_lits(n, solver, unroller, target, depth, opts.cube.vars);
     if cube_lits.is_empty() {
-        // No state variables to split on: monolithic fallback.
-        return match solve_traced(solver, &[obligation], depth) {
-            SolveResult::Sat => CubeDepthOutcome::Sat(Box::new(solver.clone())),
-            SolveResult::Unsat => CubeDepthOutcome::Unsat,
-            SolveResult::Unknown => CubeDepthOutcome::Unknown,
-        };
+        return None;
     }
-    let k = cube_lits.len() as u32;
-    let ncubes = 1usize << k;
-    let fast = opts.cube.mode == CubeMode::Fast;
-    let mut sp = diam_obs::span!(
-        "cube.split",
-        depth = depth,
-        cubes = ncubes,
-        mode = if fast { "fast" } else { "repro" }
-    );
-
-    // The cube group hangs off the caller's token: a parent cancellation
-    // reaches every cube, while a SAT cube cancels only its siblings.
-    let root;
-    let group = match parent {
-        Some(t) => t.child(),
-        None => {
-            root = CancelToken::new();
-            root.child()
-        }
-    };
-    // Clause mailbox: one slot budget generous enough that glue overflow is
-    // rare; overflow only drops sharing, never soundness.
-    let exchange: Exchange<(usize, Vec<SatLit>)> = Exchange::new(ncubes * 256);
+    let ncubes = 1usize << cube_lits.len();
+    let mut sp = diam_obs::span!("cube.split", depth = depth, cubes = ncubes);
 
     let base = &*solver;
-    let results = diam_par::run_with_token(
+    let verdicts = diam_par::run_with_token(
         opts.parallelism,
-        &group,
+        token,
         (0..ncubes).collect::<Vec<usize>>(),
         |_| 1,
         |_, m, token| {
             if token.is_cancelled() {
-                return CubeJob::Cancelled;
+                return CubeVerdict::Unknown;
             }
             let mut sp = diam_obs::span!("cube.solve", depth = depth, cube = m);
             let mut s = base.clone();
@@ -251,110 +197,49 @@ pub(crate) fn solve_depth_cubes(
             for (bit, &l) in cube_lits.iter().enumerate() {
                 assumptions.push(if m >> bit & 1 == 1 { l } else { !l });
             }
-            if fast {
-                s.set_share_lbd_max(SHARE_LBD);
-                // Portfolio jitter: a distinct nonzero restart seed per cube
-                // (mixed with the caller's portfolio seed when one is set).
-                s.set_restart_seed(0x9E37_79B9 ^ opts.portfolio ^ ((depth << 16) + m as u64 + 1));
-                let imported_before = s.stats_ref().shared_in;
-                let mut cursor = 0usize;
-                for (from, clause) in exchange.drain_from(&mut cursor) {
-                    if *from != m && !s.import_clause(clause) {
-                        // Import proved the shared encoding root-UNSAT
-                        // under no assumptions — every cube is UNSAT.
-                        break;
-                    }
-                }
-                // Imports land before `solve_traced`'s stats window opens;
-                // attribute them to this cube's span explicitly.
-                diam_obs::charge_sat_shared(s.stats_ref().shared_in - imported_before, 0);
-            }
-            let r = solve_traced(&mut s, &assumptions, depth);
-            if fast {
-                for clause in s.take_shared() {
-                    exchange.publish((m, clause));
-                }
-            }
-            match r {
+            match solve_traced(&mut s, &assumptions, depth) {
                 SolveResult::Sat => {
-                    if fast {
-                        // Siblings cannot contribute anything further.
-                        token.cancel();
-                    }
                     sp.record("outcome", "sat");
-                    CubeJob::Sat(Box::new(s))
+                    CubeVerdict::Sat(Box::new(s))
                 }
                 SolveResult::Unsat => {
-                    s.mark_cube_refuted();
                     diam_obs::counter_add("cube.refuted", 1);
                     sp.record("outcome", "unsat");
-                    CubeJob::Unsat
+                    CubeVerdict::Unsat
                 }
                 SolveResult::Unknown => {
                     sp.record("outcome", "unknown");
-                    CubeJob::Unknown
+                    CubeVerdict::Unknown
                 }
             }
         },
     );
 
-    if exchange.dropped() > 0 {
-        diam_obs::counter_add("cube.share_dropped", exchange.dropped() as u64);
-    }
-
-    // Merge in cube-index order; the first decisive event wins. In
-    // reproducible mode no job is ever cancelled, so this scan is a pure
-    // function of the job results — thread-count independent.
+    // Merge in cube-index order; the first SAT cube wins. Jobs are pure, so
+    // this scan is a function of the job results alone — thread-count
+    // independent.
     let mut unknown = false;
     let mut refuted = 0u64;
-    let mut sat: Option<Box<Solver>> = None;
-    for job in results {
-        match job {
-            CubeJob::Sat(s) if sat.is_none() => sat = Some(s),
-            CubeJob::Sat(_) => {}
-            CubeJob::Unsat => refuted += 1,
-            CubeJob::Unknown => unknown = true,
-            // Cancelled cubes are unobserved verdicts: sound only because
-            // either a SAT sibling decides the depth or the parent was
-            // cancelled (the caller then discards this depth entirely).
-            CubeJob::Cancelled => unknown = true,
+    let mut winner: Option<Box<Solver>> = None;
+    for verdict in verdicts {
+        match verdict {
+            CubeVerdict::Sat(s) => {
+                winner.get_or_insert(s);
+            }
+            CubeVerdict::Unsat => refuted += 1,
+            CubeVerdict::Unknown => unknown = true,
         }
-    }
-    // Book-keep refuted cubes on the long-lived base solver so the counter
-    // survives this depth (and shows up in end-of-run stats).
-    for _ in 0..refuted {
-        solver.mark_cube_refuted();
     }
     sp.record("refuted", refuted);
-    if let Some(s) = sat {
+    Some(if let Some(s) = winner {
         sp.record("outcome", "sat");
-        CubeDepthOutcome::Sat(s)
+        let witness = extract_witness(n, unroller, &s, depth as usize);
+        (SolveResult::Sat, Some(witness))
     } else if unknown {
         sp.record("outcome", "unknown");
-        CubeDepthOutcome::Unknown
+        (SolveResult::Unknown, None)
     } else {
         sp.record("outcome", "unsat");
-        CubeDepthOutcome::Unsat
-    }
-}
-
-/// Convenience wrapper used by the BMC depth loops: solve depth `depth`,
-/// producing a witness on SAT.
-pub(crate) fn solve_depth_with_witness(
-    n: &Netlist,
-    solver: &mut Solver,
-    unroller: &mut Unroller<'_>,
-    target: Lit,
-    depth: u64,
-    parent: Option<&CancelToken>,
-    opts: &BmcOptions,
-) -> (SolveResult, Option<diam_netlist::sim::Witness>) {
-    match solve_depth_cubes(n, solver, unroller, target, depth, parent, opts) {
-        CubeDepthOutcome::Sat(winner) => {
-            let witness = extract_witness(n, unroller, &winner, depth as usize);
-            (SolveResult::Sat, Some(witness))
-        }
-        CubeDepthOutcome::Unsat => (SolveResult::Unsat, None),
-        CubeDepthOutcome::Unknown => (SolveResult::Unknown, None),
-    }
+        (SolveResult::Unsat, None)
+    })
 }

@@ -6,12 +6,17 @@
 //!
 //! * [`check`] — incremental SAT-based BMC with counterexample extraction
 //!   (witnesses are replay-validated against the cycle-accurate simulator);
-//! * [`k_induction`] — the classic strengthening, provided as an
-//!   independent proof engine;
+//! * [`k_induction_with_invariants`] — the classic strengthening, provided
+//!   as an independent proof engine;
 //! * [`prove`] — diameter-bounded BMC: computes `d̂(t)` through a
 //!   transformation [`Pipeline`], runs BMC to depth
 //!   `d̂(t) − 1`, and returns `Proved` when no hit exists — a complete
 //!   check.
+//!
+//! Every bounded search in the crate — a plain check, a cone slice in
+//! [`prove_all`], either half of [`check_all_transformed`]'s prefix/suffix
+//! split, the base case of k-induction — is one obligation discharged by
+//! the same incremental loop.
 //!
 //! ## Example
 //!
@@ -40,15 +45,14 @@ pub mod strategy;
 
 pub use cube::{CubeMode, CubeOptions};
 
-use diam_core::{Bound, Pipeline, StructuralOptions};
+use diam_core::{Bound, Pipeline, PipelineResult, StructuralOptions};
 use diam_netlist::rebuild::{slice_target, Rebuilt};
 use diam_netlist::sim::Witness;
 use diam_netlist::{GateKind, Init, Lit, Netlist};
-use diam_par::{CancelToken, Frontier, Parallelism};
+use diam_par::{CancelToken, Parallelism};
 use diam_sat::{Lit as SatLit, SolveResult, Solver};
 use diam_transform::unroll::{FrameZero, Unroller};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 /// `solve_with` plus observability: when a session records, the per-call
 /// [`SolverStats`](diam_sat::SolverStats) delta is charged to the current
@@ -63,7 +67,6 @@ fn solve_traced(solver: &mut Solver, assumptions: &[SatLit], depth: u64) -> Solv
     let d = solver.stats_ref().delta_since(&before);
     diam_obs::charge_sat(d.conflicts, d.decisions, d.propagations);
     diam_obs::charge_sat_gc(d.gc_runs, d.gc_freed_bytes, d.arena_bytes);
-    diam_obs::charge_sat_shared(d.shared_in, d.shared_out);
     for (i, &n) in d.lbd_hist.iter().enumerate() {
         diam_obs::histogram_record_n("sat.lbd", (i + 1) as u64, n);
     }
@@ -96,50 +99,32 @@ fn inprocess_traced(solver: &mut Solver) {
     diam_obs::charge_sat_gc(d.gc_runs, d.gc_freed_bytes, d.arena_bytes);
 }
 
-/// A solver configured by `opts`: conflict budget plus, when a nonzero
-/// [`BmcOptions::portfolio`] seed is set, restart-jitter and phase seeds.
-/// The seeds depend only on the options, never on scheduling, so seeded
-/// runs stay deterministic at every `Parallelism` setting.
-fn new_solver(opts: &BmcOptions) -> Solver {
-    let mut solver = Solver::new();
-    solver.set_conflict_budget(opts.conflict_budget);
-    if opts.portfolio != 0 {
-        solver.set_restart_seed(opts.portfolio);
-        solver.set_phase_seed(opts.portfolio.rotate_left(32) | 1);
-    }
-    solver
-}
-
 /// Solves the depth-`depth` obligation of `target`, routing through the
 /// cube-and-conquer layer when enabled ([`BmcOptions::cube`]). Returns the
 /// verdict plus, on SAT, a witness extracted from the winning model.
-/// `token` chains any cube group under the caller's cancellation scope.
 fn solve_depth(
     n: &Netlist,
     solver: &mut Solver,
     unroller: &mut Unroller<'_>,
     target: Lit,
     depth: u64,
-    token: Option<&CancelToken>,
+    token: &CancelToken,
     opts: &BmcOptions,
 ) -> (SolveResult, Option<Witness>) {
     if cube::applicable(opts, depth) {
-        return cube::solve_depth_with_witness(n, solver, unroller, target, depth, token, opts);
+        if let Some(r) = cube::solve_depth(n, solver, unroller, target, depth, token, opts) {
+            return r;
+        }
     }
     let lit = unroller.lit_at(solver, target, depth as usize);
     let r = solve_traced(solver, &[lit], depth);
-    let w = if r == SolveResult::Sat {
-        Some(extract_witness(n, unroller, solver, depth as usize))
-    } else {
-        None
-    };
+    let w = (r == SolveResult::Sat).then(|| extract_witness(n, unroller, solver, depth as usize));
     (r, w)
 }
 
-/// Crash-forensics smoke hook: `DIAM_FORCE_PANIC=<depth>` makes every BMC
-/// engine panic when it is about to solve that depth, exercising the
-/// panic-hook → crash-dump → `diam-trace postmortem` pipeline end to end
-/// (both the shared sweep and the cone-sliced workers route through this).
+/// Crash-forensics smoke hook: `DIAM_FORCE_PANIC=<depth>` makes the BMC
+/// loop panic when it is about to solve that depth, exercising the
+/// panic-hook → crash-dump → `diam-trace postmortem` pipeline end to end.
 /// Parsed once; unset or unparsable values disable the hook.
 fn forced_panic_depth() -> Option<u64> {
     static DEPTH: OnceLock<Option<u64>> = OnceLock::new();
@@ -164,34 +149,12 @@ pub struct BmcOptions {
     pub max_depth: u64,
     /// SAT conflict budget per depth (`None` = unlimited).
     pub conflict_budget: Option<u64>,
-    /// Worker threads for [`check_all`]'s per-target-cone fan-out.
-    ///
-    /// With [`Parallelism::Sequential`] (the default) and `depth_chunk == 0`
-    /// the classic shared-unroller sweep runs (one time-frame encoding for
-    /// all targets); any other setting switches to independent cone-sliced
-    /// jobs, each owning a fresh solver. Outcomes are merged in original
-    /// target order either way.
+    /// Worker threads for [`check_all`]'s per-target fan-out and for the
+    /// cube jobs of one split depth. Outcomes never depend on it.
     pub parallelism: Parallelism,
-    /// Splits each target's depth range `0..=max_depth` into work units of
-    /// this many depths (0 = one unit per target). Only meaningful for the
-    /// cone-sliced [`check_all`] path; a unit that learns — via a shared
-    /// per-target frontier — that a strictly shallower unit already hit (or
-    /// gave up) stops early without changing the merged outcome.
-    pub depth_chunk: u64,
-    /// Diagnostic: counts individual SAT `solve` calls made by the
-    /// cone-sliced path (used by tests to observe early cancellation).
-    /// Setting this forces the cone-sliced path.
-    pub solve_probe: Option<Arc<AtomicUsize>>,
     /// Cube-and-conquer splitting of deep per-depth obligations; see
     /// [`cube::CubeOptions`]. Off by default.
     pub cube: CubeOptions,
-    /// Portfolio seed (0 = off, the deterministic baseline search). Nonzero
-    /// values derive restart-jitter and phase seeds for the BMC solvers —
-    /// and, in fast cube mode, vary each cube worker's jitter. Verdicts are
-    /// unaffected; the seed is applied identically at every `Parallelism`
-    /// setting, so reproducible-mode bit-identity across `--jobs` holds
-    /// seeded or not.
-    pub portfolio: u64,
 }
 
 impl Default for BmcOptions {
@@ -200,10 +163,7 @@ impl Default for BmcOptions {
             max_depth: 100,
             conflict_budget: None,
             parallelism: Parallelism::Sequential,
-            depth_chunk: 0,
-            solve_probe: None,
             cube: CubeOptions::default(),
-            portfolio: 0,
         }
     }
 }
@@ -227,72 +187,154 @@ pub enum BmcOutcome {
     },
 }
 
+/// How a witness found on an obligation's searched netlist is carried home
+/// to the original netlist.
+#[derive(Clone, Copy)]
+enum Lift<'a> {
+    /// The searched netlist is the original.
+    Identity,
+    /// The searched netlist is a cone slice ([`slice_target`]) of the
+    /// original: inputs map back through the rebuild map.
+    Slice(&'a Netlist, &'a Rebuilt),
+    /// The searched netlist is a pipeline's output: the certificate chain
+    /// lifts ([`PipelineResult::lift_witness`]).
+    Chain(&'a Netlist, &'a PipelineResult),
+}
+
+/// One bounded search: is the target hittable at some depth
+/// `0..=max_depth` of `netlist`?
+struct Obligation<'a> {
+    /// The netlist searched.
+    netlist: &'a Netlist,
+    /// The target literal, on `netlist`.
+    target: Lit,
+    /// The target's index on the original netlist.
+    index: usize,
+    /// Deepest depth searched (inclusive).
+    max_depth: u64,
+    /// How a witness lifts home.
+    lift: Lift<'a>,
+}
+
+impl<'a> Obligation<'a> {
+    /// Target `index` of `n`, searched on `n` itself.
+    fn original(n: &'a Netlist, index: usize, max_depth: u64) -> Obligation<'a> {
+        Obligation {
+            netlist: n,
+            target: n.targets()[index].lit,
+            index,
+            max_depth,
+            lift: Lift::Identity,
+        }
+    }
+
+    /// Carries a witness home and replay-checks it there; `None` when a
+    /// certificate chain cannot lift it (the enlargement corner case
+    /// documented in `diam_transform::pass`).
+    fn lift(&self, w: Witness) -> Option<Witness> {
+        let (home, target, w) = match self.lift {
+            Lift::Identity => (self.netlist, self.target, w),
+            Lift::Slice(orig, slice) => (
+                orig,
+                orig.targets()[self.index].lit,
+                lift_witness(orig, slice, &w),
+            ),
+            Lift::Chain(orig, result) => (
+                orig,
+                orig.targets()[self.index].lit,
+                result.lift_witness(self.index, &w)?,
+            ),
+        };
+        debug_assert!(
+            w.replays_to(home, target),
+            "witness fails to replay at depth {}",
+            w.inputs.len() - 1
+        );
+        Some(w)
+    }
+}
+
+/// Discharges `ob` — the crate's one incremental BMC loop. A fresh solver
+/// and a [`FrameZero::Init`] unrolling grow one frame per depth; each depth
+/// is solved monolithically or by cube split ([`BmcOptions::cube`]), and
+/// every clean depth ends at a level-0 cleanup. A hit's witness is lifted
+/// home and replay-checked ([`Obligation::lift`]); its depth is the lifted
+/// one (a certificate chain may add a prefix). A depth that finds `token` cancelled ends the
+/// loop with `Unknown`.
+///
+/// Returns `None` only when a certificate-chain lift fails.
+fn discharge(ob: &Obligation<'_>, opts: &BmcOptions, token: &CancelToken) -> Option<BmcOutcome> {
+    let mut sp = diam_obs::span!("bmc.check", index = ob.index, max_depth = ob.max_depth);
+    let mut solver = Solver::new();
+    solver.set_conflict_budget(opts.conflict_budget);
+    let mut unroller = Unroller::new(ob.netlist, FrameZero::Init);
+    for depth in 0..=ob.max_depth {
+        maybe_force_panic(depth);
+        let solved = if token.is_cancelled() {
+            (SolveResult::Unknown, None)
+        } else {
+            solve_depth(
+                ob.netlist,
+                &mut solver,
+                &mut unroller,
+                ob.target,
+                depth,
+                token,
+                opts,
+            )
+        };
+        match solved {
+            (SolveResult::Sat, witness) => {
+                sp.record("outcome", "cex");
+                sp.record("depth", depth);
+                let witness = ob.lift(witness.expect("SAT verdicts carry a witness"))?;
+                return Some(BmcOutcome::Counterexample {
+                    depth: witness.inputs.len() as u64 - 1,
+                    witness,
+                });
+            }
+            // Natural level-0 boundary: this depth is clean, the next frame
+            // is about to be encoded — let the solver clean up (root-fact
+            // simplification + arena GC, both self-gated).
+            (SolveResult::Unsat, _) => inprocess_traced(&mut solver),
+            (SolveResult::Unknown, _) => {
+                sp.record("outcome", "unknown");
+                sp.record("depth", depth);
+                return Some(BmcOutcome::Unknown { depth });
+            }
+        }
+    }
+    sp.record("outcome", "clean");
+    Some(BmcOutcome::NoHitUpTo(ob.max_depth))
+}
+
 /// Runs incremental BMC on target `index` of `n`, depths `0..=max_depth`.
 ///
 /// # Panics
 ///
 /// Panics if `index` is out of range.
 pub fn check(n: &Netlist, index: usize, opts: &BmcOptions) -> BmcOutcome {
-    let mut sp = diam_obs::span!("bmc.check", index = index, max_depth = opts.max_depth);
-    let target = n.targets()[index].lit;
-    let mut solver = new_solver(opts);
-    let mut unroller = Unroller::new(n, FrameZero::Init);
-    for depth in 0..=opts.max_depth {
-        maybe_force_panic(depth);
-        match solve_depth(n, &mut solver, &mut unroller, target, depth, None, opts) {
-            (SolveResult::Sat, witness) => {
-                let witness = witness.expect("SAT verdicts carry a witness");
-                debug_assert!(
-                    witness.replays_to(n, target),
-                    "witness fails to replay at depth {depth}"
-                );
-                sp.record("outcome", "cex");
-                sp.record("depth", depth);
-                return BmcOutcome::Counterexample { depth, witness };
-            }
-            (SolveResult::Unsat, _) => {
-                // Natural level-0 boundary: this depth is clean, the next
-                // frame is about to be encoded — let the solver clean up
-                // (root-fact simplification + arena GC, both self-gated).
-                inprocess_traced(&mut solver);
-                continue;
-            }
-            (SolveResult::Unknown, _) => {
-                sp.record("outcome", "unknown");
-                sp.record("depth", depth);
-                return BmcOutcome::Unknown { depth };
-            }
-        }
-    }
-    sp.record("outcome", "clean");
-    BmcOutcome::NoHitUpTo(opts.max_depth)
+    check_under(n, index, opts, &CancelToken::new())
 }
 
-/// Runs BMC on *every* target.
-///
-/// With the default options ([`Parallelism::Sequential`], `depth_chunk == 0`)
-/// this is the classic shared-unroller sweep: the time-frame encoding is
-/// reused across targets, so checking all outputs of a design (the paper's
-/// experimental setup) costs one unrolling instead of `|T|`.
-///
-/// Any other setting slices each target's cone of influence into an
-/// independent job (fresh solver, no shared state), optionally splits each
-/// target's depth range into [`BmcOptions::depth_chunk`]-sized work units,
-/// and fans the units out across [`BmcOptions::parallelism`] workers,
-/// largest cone first. Witnesses found on a slice are lifted back to the
-/// original netlist's inputs. Per-target outcomes (hit depth / no-hit /
-/// unknown) are merged in original target order and agree with the
-/// sequential sweep; the two encodings may produce different — always
-/// replay-valid — witness traces for the same hit, while the cone-sliced
-/// path itself is bit-identical across all parallelism settings.
+/// [`check`] under the caller's cancellation token.
+fn check_under(n: &Netlist, index: usize, opts: &BmcOptions, token: &CancelToken) -> BmcOutcome {
+    discharge(&Obligation::original(n, index, opts.max_depth), opts, token)
+        .expect("identity lifts never fail")
+}
+
+/// Runs [`check`] on *every* target, fanned out across
+/// [`BmcOptions::parallelism`] workers and merged in original target order.
+/// Each target is its own obligation on the unsliced netlist, so every
+/// outcome — witness included — equals the per-target [`check`] at every
+/// parallelism setting.
 pub fn check_all(n: &Netlist, opts: &BmcOptions) -> Vec<BmcOutcome> {
-    if matches!(opts.parallelism, Parallelism::Sequential)
-        && opts.depth_chunk == 0
-        && opts.solve_probe.is_none()
-    {
-        return check_all_shared(n, opts);
-    }
-    check_all_sliced(n, opts)
+    diam_par::run(
+        opts.parallelism,
+        (0..n.targets().len()).collect(),
+        |_| 1,
+        |_, index, token| check_under(n, index, opts, token),
+    )
 }
 
 /// Runs BMC on every target *through* a transformation pipeline: the search
@@ -336,14 +378,14 @@ pub fn check_all_transformed(
 }
 
 /// The per-target body of [`check_all_transformed`] (also the engine behind
-/// the portfolio's diameter-complete check).
+/// the portfolio's diameter-complete check): a prefix obligation on the
+/// original netlist, then a suffix obligation on the transformed one.
 pub(crate) fn check_one_transformed(
     n: &Netlist,
-    result: &diam_core::PipelineResult,
+    result: &PipelineResult,
     index: usize,
     opts: &BmcOptions,
 ) -> BmcOutcome {
-    let target = n.targets()[index].lit;
     let Some(p) = result.prefix_obligation(index) else {
         // A FOLD step is in the chain: `c · d̂` bounds do not transfer
         // emptiness depth-for-depth, so search the original directly.
@@ -363,235 +405,30 @@ pub(crate) fn check_one_transformed(
             return BmcOutcome::NoHitUpTo(opts.max_depth);
         }
     }
-    // 2. Remaining budget on the transformed netlist.
-    let suffix = BmcOptions {
+    // 2. Remaining budget on the transformed netlist; a hit lifts home
+    // through the certificate chain.
+    let suffix = Obligation {
+        netlist: &result.netlist,
+        target: result.netlist.targets()[index].lit,
+        index,
         max_depth: opts.max_depth - p,
-        ..opts.clone()
+        lift: Lift::Chain(n, result),
     };
-    match check(&result.netlist, index, &suffix) {
-        BmcOutcome::Counterexample { depth, witness } => {
-            match result.lift_witness(index, &witness) {
-                Some(lifted) => {
-                    let depth = lifted.inputs.len() as u64 - 1;
-                    debug_assert!(
-                        lifted.replays_to(n, target),
-                        "lifted witness fails to replay at depth {depth}"
-                    );
-                    BmcOutcome::Counterexample {
-                        depth,
-                        witness: lifted,
-                    }
-                }
-                // The enlargement corner case: the transformed hit does not
-                // extend to the original target (spurious depth-0 enlarged
-                // witness) — search the original directly.
-                None => {
-                    debug_assert!(
-                        result.chain.certs().iter().any(|c| c.pass() == "enl"),
-                        "only enlargement lifts may fail (found cex at {depth})"
-                    );
-                    check(n, index, opts)
-                }
-            }
-        }
-        BmcOutcome::NoHitUpTo(_) => BmcOutcome::NoHitUpTo(opts.max_depth),
-        BmcOutcome::Unknown { depth } => BmcOutcome::Unknown { depth: depth + p },
-    }
-}
-
-/// The classic path: one incremental solver and one unrolling, shared by
-/// every target.
-fn check_all_shared(n: &Netlist, opts: &BmcOptions) -> Vec<BmcOutcome> {
-    let mut solver = new_solver(opts);
-    let mut unroller = Unroller::new(n, FrameZero::Init);
-    let targets = n.targets().to_vec();
-    let mut outcomes: Vec<Option<BmcOutcome>> = vec![None; targets.len()];
-    'depth: for depth in 0..=opts.max_depth {
-        maybe_force_panic(depth);
-        for (i, t) in targets.iter().enumerate() {
-            if outcomes[i].is_some() {
-                continue;
-            }
-            match solve_depth(n, &mut solver, &mut unroller, t.lit, depth, None, opts) {
-                (SolveResult::Sat, witness) => {
-                    let witness = witness.expect("SAT verdicts carry a witness");
-                    debug_assert!(witness.replays_to(n, t.lit));
-                    outcomes[i] = Some(BmcOutcome::Counterexample { depth, witness });
-                }
-                (SolveResult::Unsat, _) => {}
-                (SolveResult::Unknown, _) => {
-                    outcomes[i] = Some(BmcOutcome::Unknown { depth });
-                }
-            }
-        }
-        if outcomes.iter().all(Option::is_some) {
-            break 'depth;
-        }
-        // Level-0 boundary between depths of the shared unrolling: the
-        // incremental solver lives for the whole sweep, so tombstone
-        // cleanup matters most here.
-        inprocess_traced(&mut solver);
-    }
-    outcomes
-        .into_iter()
-        .map(|o| o.unwrap_or(BmcOutcome::NoHitUpTo(opts.max_depth)))
-        .collect()
-}
-
-/// Outcome of one depth-range work unit of a cone-sliced target.
-#[derive(Debug)]
-enum ChunkOutcome {
-    /// Hit at `depth`; the witness is already lifted to the original netlist.
-    Cex { depth: u64, witness: Witness },
-    /// Budget expired at `depth`.
-    Unknown { depth: u64 },
-    /// Every depth in the unit's range is unreachable.
-    Clean,
-    /// The unit stopped early: a strictly shallower unit of the same target
-    /// already recorded an event in the shared frontier (or the run was
-    /// cancelled). Never reached by the ascending merge scan unless the
-    /// whole run was cancelled.
-    Stopped { at: u64 },
-}
-
-/// One work unit: depths `lo..=hi` of target `target`.
-#[derive(Debug, Clone, Copy)]
-struct ChunkUnit {
-    target: usize,
-    lo: u64,
-    hi: u64,
-}
-
-/// The per-target-cone path: slice each target, split its depth range into
-/// units, fan the units out, and merge in deterministic target order.
-fn check_all_sliced(n: &Netlist, opts: &BmcOptions) -> Vec<BmcOutcome> {
-    let ntargets = n.targets().len();
-    // Slices are immutable inputs shared by all units of a target.
-    let slices: Vec<Rebuilt> = (0..ntargets).map(|i| slice_target(n, i)).collect();
-    let frontiers: Vec<Frontier> = (0..ntargets).map(|_| Frontier::new()).collect();
-
-    let chunk = if opts.depth_chunk == 0 {
-        opts.max_depth.saturating_add(1).max(1)
-    } else {
-        opts.depth_chunk
-    };
-    let mut units: Vec<ChunkUnit> = Vec::new();
-    for target in 0..ntargets {
-        let mut lo = 0u64;
-        loop {
-            let hi = lo.saturating_add(chunk - 1).min(opts.max_depth);
-            units.push(ChunkUnit { target, lo, hi });
-            if hi >= opts.max_depth {
-                break;
-            }
-            lo = hi + 1;
+    match discharge(&suffix, opts, &CancelToken::new()) {
+        Some(BmcOutcome::NoHitUpTo(_)) => BmcOutcome::NoHitUpTo(opts.max_depth),
+        Some(BmcOutcome::Unknown { depth }) => BmcOutcome::Unknown { depth: depth + p },
+        Some(cex) => cex,
+        // The enlargement corner case: the transformed hit does not extend
+        // to the original target (spurious depth-0 enlarged witness) —
+        // search the original directly.
+        None => {
+            debug_assert!(
+                result.chain.certs().iter().any(|c| c.pass() == "enl"),
+                "only enlargement lifts may fail"
+            );
+            check(n, index, opts)
         }
     }
-    let meta = units.clone();
-
-    let results = diam_par::run(
-        opts.parallelism,
-        units,
-        // Largest cone × longest range first: the presumptive long pole.
-        |u| (slices[u.target].netlist.num_gates() as u64 + 1).saturating_mul(u.hi - u.lo + 1),
-        |_, u, token| run_chunk(n, &slices[u.target], &frontiers[u.target], u, token, opts),
-    );
-
-    // Merge: scan each target's units in ascending depth order; the first
-    // event wins. Early stopping cannot change this — a unit only stops when
-    // a *strictly shallower* unit has recorded an event, and that unit is
-    // scanned first.
-    let mut outcomes: Vec<BmcOutcome> = vec![BmcOutcome::NoHitUpTo(opts.max_depth); ntargets];
-    let mut decided = vec![false; ntargets];
-    for (u, outcome) in meta.into_iter().zip(results) {
-        if decided[u.target] {
-            continue;
-        }
-        match outcome {
-            ChunkOutcome::Clean => {}
-            ChunkOutcome::Cex { depth, witness } => {
-                outcomes[u.target] = BmcOutcome::Counterexample { depth, witness };
-                decided[u.target] = true;
-            }
-            ChunkOutcome::Unknown { depth } => {
-                outcomes[u.target] = BmcOutcome::Unknown { depth };
-                decided[u.target] = true;
-            }
-            ChunkOutcome::Stopped { at } => {
-                // Only reachable when the caller's token was cancelled
-                // before the shallowest pending unit finished; report the
-                // inconclusive depth honestly.
-                outcomes[u.target] = BmcOutcome::Unknown { depth: at };
-                decided[u.target] = true;
-            }
-        }
-    }
-    outcomes
-}
-
-/// Solves depths `lo..=hi` of one cone slice with a fresh solver.
-fn run_chunk(
-    orig: &Netlist,
-    slice: &Rebuilt,
-    frontier: &Frontier,
-    u: ChunkUnit,
-    token: &CancelToken,
-    opts: &BmcOptions,
-) -> ChunkOutcome {
-    let mut sp = diam_obs::span!("bmc.chunk", target = u.target, lo = u.lo, hi = u.hi);
-    let orig_target = orig.targets()[u.target].lit;
-    let target = slice.netlist.targets()[0].lit;
-    let mut solver = new_solver(opts);
-    let mut unroller = Unroller::new(&slice.netlist, FrameZero::Init);
-    // Frames below `lo` belong to earlier units; they are unrolled (the
-    // encoding needs them) but not solved here.
-    for depth in 0..u.lo {
-        unroller.lit_at(&mut solver, target, depth as usize);
-    }
-    for depth in u.lo..=u.hi {
-        if token.is_cancelled() || frontier.superseded(depth) {
-            sp.record("outcome", "stopped");
-            return ChunkOutcome::Stopped { at: depth };
-        }
-        maybe_force_panic(depth);
-        if let Some(probe) = &opts.solve_probe {
-            probe.fetch_add(1, Ordering::AcqRel);
-        }
-        match solve_depth(
-            &slice.netlist,
-            &mut solver,
-            &mut unroller,
-            target,
-            depth,
-            Some(token),
-            opts,
-        ) {
-            (SolveResult::Sat, sliced) => {
-                frontier.record(depth);
-                let sliced = sliced.expect("SAT verdicts carry a witness");
-                let witness = lift_witness(orig, slice, &sliced);
-                debug_assert!(
-                    witness.replays_to(orig, orig_target),
-                    "lifted witness fails to replay at depth {depth}"
-                );
-                sp.record("outcome", "cex");
-                sp.record("depth", depth);
-                return ChunkOutcome::Cex { depth, witness };
-            }
-            (SolveResult::Unsat, _) => {
-                // Level-0 boundary after a clean depth (self-gated cleanup).
-                inprocess_traced(&mut solver);
-            }
-            (SolveResult::Unknown, _) => {
-                frontier.record(depth);
-                sp.record("outcome", "unknown");
-                sp.record("depth", depth);
-                return ChunkOutcome::Unknown { depth };
-            }
-        }
-    }
-    sp.record("outcome", "clean");
-    ChunkOutcome::Clean
 }
 
 /// Lifts a witness for a cone slice back to the original netlist: every
@@ -691,7 +528,7 @@ fn extract_witness(n: &Netlist, unroller: &Unroller<'_>, solver: &Solver, depth:
     }
 }
 
-/// Outcome of a [`k_induction`] run.
+/// Outcome of a [`k_induction_with_invariants`] run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum InductionOutcome {
     /// The property holds at all depths (proved by `k`-induction).
@@ -713,7 +550,21 @@ pub enum InductionOutcome {
 /// Proves `AG ¬target` by k-induction with simple-path strengthening:
 /// base case — no hit within `k` steps from the initial states; step case —
 /// a loop-free path of `k+1` unhit states cannot be extended to a hit.
-pub fn k_induction(n: &Netlist, index: usize, max_k: u64) -> InductionOutcome {
+///
+/// The step case is further strengthened with externally proven *invariant
+/// equalities* (literal pairs that hold in every reachable state — e.g.
+/// [`diam_transform::com::SweepResult::proven`]); an empty slice gives plain
+/// induction. The invariants are asserted at every unrolled frame of the
+/// step case, shrinking the set of spurious "unreachable predecessor"
+/// states that make plain induction fail; the base case runs from the
+/// initial states, where the invariants hold by assumption, so soundness is
+/// preserved.
+pub fn k_induction_with_invariants(
+    n: &Netlist,
+    index: usize,
+    max_k: u64,
+    invariants: &[(Lit, Lit)],
+) -> InductionOutcome {
     let target = n.targets()[index].lit;
     let cone = diam_netlist::analysis::coi(n, [target]);
     let regs = cone.regs.clone();
@@ -740,78 +591,6 @@ pub fn k_induction(n: &Netlist, index: usize, max_k: u64) -> InductionOutcome {
         for t in 0..=k {
             let l = u.lit_at(&mut solver, target, t as usize);
             assumptions.push(!l);
-        }
-        let hit = u.lit_at(&mut solver, target, (k + 1) as usize);
-        assumptions.push(hit);
-        // Simple-path constraint.
-        let mut frames: Vec<Vec<SatLit>> = Vec::new();
-        for t in 0..=(k + 1) {
-            frames.push(
-                regs.iter()
-                    .map(|&r| u.lit_at(&mut solver, r.lit(), t as usize))
-                    .collect(),
-            );
-        }
-        for a in 0..frames.len() {
-            for b in (a + 1)..frames.len() {
-                let diffs: Vec<SatLit> = frames[a]
-                    .iter()
-                    .zip(&frames[b])
-                    .map(|(&x, &y)| {
-                        let d = solver.new_var().positive();
-                        solver.add_clause([!d, x, y]);
-                        solver.add_clause([!d, !x, !y]);
-                        d
-                    })
-                    .collect();
-                solver.add_clause(diffs);
-            }
-        }
-        if solve_traced(&mut solver, &assumptions, k) == SolveResult::Unsat {
-            return InductionOutcome::Proved { k };
-        }
-    }
-    InductionOutcome::Unknown
-}
-
-/// Proves `AG ¬target` by k-induction strengthened with externally proven
-/// *invariant equalities* (literal pairs that hold in every reachable
-/// state — e.g. [`diam_transform::com::SweepResult::proven`]).
-///
-/// The invariants are asserted at every unrolled frame of the step case,
-/// shrinking the set of spurious "unreachable predecessor" states that make
-/// plain induction fail; the base case runs from the initial states, where
-/// the invariants hold by assumption, so soundness is preserved.
-pub fn k_induction_with_invariants(
-    n: &Netlist,
-    index: usize,
-    max_k: u64,
-    invariants: &[(Lit, Lit)],
-) -> InductionOutcome {
-    let target = n.targets()[index].lit;
-    let cone = diam_netlist::analysis::coi(n, [target]);
-    let regs = cone.regs.clone();
-
-    for k in 0..=max_k {
-        let base = check(
-            n,
-            index,
-            &BmcOptions {
-                max_depth: k,
-                ..BmcOptions::default()
-            },
-        );
-        if let BmcOutcome::Counterexample { depth, witness } = base {
-            return InductionOutcome::Counterexample { depth, witness };
-        }
-
-        let mut solver = Solver::new();
-        let mut u = Unroller::new(n, FrameZero::Free);
-        let mut assumptions = Vec::new();
-        for t in 0..=k {
-            let l = u.lit_at(&mut solver, target, t as usize);
-            assumptions.push(!l);
-            // Strengthen with the invariant equalities at every frame.
             for &(x, y) in invariants {
                 let lx = u.lit_at(&mut solver, x, t as usize);
                 let ly = u.lit_at(&mut solver, y, t as usize);
@@ -821,6 +600,7 @@ pub fn k_induction_with_invariants(
         }
         let hit = u.lit_at(&mut solver, target, (k + 1) as usize);
         assumptions.push(hit);
+        // Simple-path constraint.
         let mut frames: Vec<Vec<SatLit>> = Vec::new();
         for t in 0..=(k + 1) {
             frames.push(
@@ -871,8 +651,31 @@ pub struct ProveOptions {
     /// [`BmcOptions::cube`]). Off by default; [`CubeMode::Reproducible`]
     /// preserves `prove_all`'s bit-identity contract.
     pub cube: CubeOptions,
-    /// Portfolio seed for the BMC solvers (see [`BmcOptions::portfolio`]).
-    pub portfolio: u64,
+}
+
+impl ProveOptions {
+    /// The diameter bound to discharge, or the verdict when `bound` is
+    /// exponential or over [`depth_cap`](ProveOptions::depth_cap).
+    fn dischargeable(&self, bound: Bound) -> Result<u64, ProveOutcome> {
+        match bound {
+            Bound::Exponential => Err(ProveOutcome::BoundTooLarge { bound: None }),
+            Bound::Finite(b) if self.depth_cap != 0 && b > self.depth_cap => {
+                Err(ProveOutcome::BoundTooLarge { bound: Some(b) })
+            }
+            Bound::Finite(b) => Ok(b),
+        }
+    }
+
+    /// BMC options for the complete check of a finite `bound`: depths
+    /// `0..=bound − 1`.
+    fn bmc(&self, bound: u64) -> BmcOptions {
+        BmcOptions {
+            max_depth: bound.saturating_sub(1),
+            conflict_budget: self.conflict_budget,
+            cube: self.cube.clone(),
+            ..BmcOptions::default()
+        }
+    }
 }
 
 /// Outcome of a complete, diameter-bounded check.
@@ -899,6 +702,19 @@ pub enum ProveOutcome {
     Unknown,
 }
 
+impl ProveOutcome {
+    /// The verdict of a complete BMC run to `bound − 1`.
+    fn from_bmc(outcome: BmcOutcome, bound: u64) -> ProveOutcome {
+        match outcome {
+            BmcOutcome::Counterexample { depth, witness } => {
+                ProveOutcome::Counterexample { depth, witness }
+            }
+            BmcOutcome::NoHitUpTo(_) => ProveOutcome::Proved { bound },
+            BmcOutcome::Unknown { .. } => ProveOutcome::Unknown,
+        }
+    }
+}
+
 /// The complete check the paper enables: compute a diameter bound for the
 /// target via `pipeline` (transform, bound, back-translate — Theorems 1–4),
 /// then run BMC on the **original** netlist to depth `d̂(t) − 1`.
@@ -907,29 +723,9 @@ pub enum ProveOutcome {
 /// target's cone, so the result is a proof.
 pub fn prove(n: &Netlist, index: usize, pipeline: &Pipeline, opts: &ProveOptions) -> ProveOutcome {
     let bounds = pipeline.bound_targets(n, &opts.structural);
-    let bound = match bounds[index].original {
-        Bound::Finite(b) => b,
-        Bound::Exponential => return ProveOutcome::BoundTooLarge { bound: None },
-    };
-    if opts.depth_cap != 0 && bound > opts.depth_cap {
-        return ProveOutcome::BoundTooLarge { bound: Some(bound) };
-    }
-    match check(
-        n,
-        index,
-        &BmcOptions {
-            max_depth: bound.saturating_sub(1),
-            conflict_budget: opts.conflict_budget,
-            cube: opts.cube.clone(),
-            portfolio: opts.portfolio,
-            ..BmcOptions::default()
-        },
-    ) {
-        BmcOutcome::Counterexample { depth, witness } => {
-            ProveOutcome::Counterexample { depth, witness }
-        }
-        BmcOutcome::NoHitUpTo(_) => ProveOutcome::Proved { bound },
-        BmcOutcome::Unknown { .. } => ProveOutcome::Unknown,
+    match opts.dischargeable(bounds[index].original) {
+        Ok(bound) => ProveOutcome::from_bmc(check(n, index, &opts.bmc(bound)), bound),
+        Err(decided) => decided,
     }
 }
 
@@ -948,86 +744,60 @@ pub fn prove_all(n: &Netlist, pipeline: &Pipeline, opts: &ProveOptions) -> Vec<P
     structural.parallelism = opts.parallelism;
     let bounds = pipeline.bound_targets(n, &structural);
 
-    /// A per-target job: either decided by bounding alone, or a BMC
-    /// obligation with a precomputed scheduling weight.
-    enum ProveJob {
-        Done(ProveOutcome),
-        Bmc {
-            index: usize,
-            bound: u64,
-            weight: u64,
-        },
-    }
-
-    let jobs: Vec<ProveJob> = bounds
+    // Per target: the bound to discharge (or the verdict bounding alone
+    // gives) plus a scheduling weight, cone size × depth.
+    let jobs: Vec<(Result<u64, ProveOutcome>, u64)> = bounds
         .iter()
         .enumerate()
         .map(|(i, pb)| {
-            let bound = match pb.original {
-                Bound::Finite(b) => b,
-                Bound::Exponential => {
-                    return ProveJob::Done(ProveOutcome::BoundTooLarge { bound: None })
+            let job = opts.dischargeable(pb.original);
+            let weight = match job {
+                Ok(bound) => {
+                    let cone = diam_netlist::analysis::coi(n, [n.targets()[i].lit]);
+                    (cone.regs.len() as u64 + cone.inputs.len() as u64 + 1)
+                        .saturating_mul(bound.max(1))
                 }
+                Err(_) => 0,
             };
-            if opts.depth_cap != 0 && bound > opts.depth_cap {
-                return ProveJob::Done(ProveOutcome::BoundTooLarge { bound: Some(bound) });
-            }
-            let cone = diam_netlist::analysis::coi(n, [n.targets()[i].lit]);
-            let weight = (cone.regs.len() as u64 + cone.inputs.len() as u64 + 1)
-                .saturating_mul(bound.max(1));
-            ProveJob::Bmc {
-                index: i,
-                bound,
-                weight,
-            }
+            (job, weight)
         })
         .collect();
 
     diam_par::run(
         opts.parallelism,
         jobs,
-        |job| match job {
-            ProveJob::Done(_) => 0,
-            ProveJob::Bmc { weight, .. } => *weight,
-        },
-        |_, job, token| match job {
-            ProveJob::Done(outcome) => outcome,
-            ProveJob::Bmc { index, bound, .. } => {
-                let mut sp = diam_obs::span!(
-                    "prove.target",
-                    index = index,
-                    target = n.targets()[index].name.as_str(),
-                    bound = bound
-                );
-                let slice = slice_target(n, index);
-                let frontier = Frontier::new();
-                let unit = ChunkUnit {
-                    target: index,
-                    lo: 0,
-                    hi: bound.saturating_sub(1),
-                };
-                let bmc = BmcOptions {
-                    max_depth: bound.saturating_sub(1),
-                    conflict_budget: opts.conflict_budget,
-                    cube: opts.cube.clone(),
-                    portfolio: opts.portfolio,
-                    ..BmcOptions::default()
-                };
-                match run_chunk(n, &slice, &frontier, unit, token, &bmc) {
-                    ChunkOutcome::Cex { depth, witness } => {
-                        sp.record("outcome", "cex");
-                        ProveOutcome::Counterexample { depth, witness }
-                    }
-                    ChunkOutcome::Clean => {
-                        sp.record("outcome", "proved");
-                        ProveOutcome::Proved { bound }
-                    }
-                    ChunkOutcome::Unknown { .. } | ChunkOutcome::Stopped { .. } => {
-                        sp.record("outcome", "unknown");
-                        ProveOutcome::Unknown
-                    }
-                }
-            }
+        |(_, weight)| *weight,
+        |index, (job, _), token| {
+            let bound = match job {
+                Ok(bound) => bound,
+                Err(decided) => return decided,
+            };
+            let mut sp = diam_obs::span!(
+                "prove.target",
+                index = index,
+                target = n.targets()[index].name.as_str(),
+                bound = bound
+            );
+            let slice = slice_target(n, index);
+            let obligation = Obligation {
+                netlist: &slice.netlist,
+                target: slice.netlist.targets()[0].lit,
+                index,
+                max_depth: bound.saturating_sub(1),
+                lift: Lift::Slice(n, &slice),
+            };
+            let bmc =
+                discharge(&obligation, &opts.bmc(bound), token).expect("slice lifts never fail");
+            let outcome = ProveOutcome::from_bmc(bmc, bound);
+            sp.record(
+                "outcome",
+                match outcome {
+                    ProveOutcome::Counterexample { .. } => "cex",
+                    ProveOutcome::Proved { .. } => "proved",
+                    _ => "unknown",
+                },
+            );
+            outcome
         },
     )
 }
@@ -1231,7 +1001,7 @@ mod tests {
 
     #[test]
     fn check_all_matches_per_target_checks() {
-        // A counter with several value targets: the shared-unroller sweep
+        // A counter with several value targets: the per-target fan-out
         // must agree with individual checks.
         let mut n = Netlist::new();
         let b: Vec<Gate> = (0..3).map(|k| n.reg(format!("b{k}"), Init::Zero)).collect();
@@ -1470,7 +1240,7 @@ mod tests {
         let t = n.xor(a.lit(), b.lit());
         n.add_target(t, "differ");
         assert!(matches!(
-            k_induction(&n, 0, 4),
+            k_induction_with_invariants(&n, 0, 4, &[]),
             InductionOutcome::Proved { .. }
         ));
     }
@@ -1478,7 +1248,7 @@ mod tests {
     #[test]
     fn k_induction_finds_real_counterexamples() {
         let n = counter(3, 6);
-        match k_induction(&n, 0, 8) {
+        match k_induction_with_invariants(&n, 0, 8, &[]) {
             InductionOutcome::Counterexample { depth, .. } => assert_eq!(depth, 6),
             other => panic!("expected counterexample, got {other:?}"),
         }
@@ -1540,7 +1310,10 @@ mod tests {
 
         // Plain induction needs a large k (the lower bits are unconstrained
         // in the step case); cap it low to show failure.
-        assert!(matches!(k_induction(&n, 0, 1), InductionOutcome::Unknown));
+        assert!(matches!(
+            k_induction_with_invariants(&n, 0, 1, &[]),
+            InductionOutcome::Unknown
+        ));
         // Sweep proves the bit-wise equalities; as invariants they make the
         // property inductive immediately.
         let swept = sweep(&n, &SweepOptions::default());
@@ -1622,29 +1395,27 @@ mod tests {
     #[test]
     fn cube_modes_agree_with_monolithic_check() {
         // A hit at depth 11 and an unreachable target: both verdicts must
-        // survive cube splitting in every mode and at every thread count.
+        // survive cube splitting at every thread count.
         for (bits, value, hit) in [(4, 11, Some(11u64)), (3, 6, Some(6))] {
             let n = counter(bits, value);
-            for mode in [CubeMode::Reproducible, CubeMode::Fast] {
-                for par in [Parallelism::Sequential, Parallelism::Threads(4)] {
-                    let opts = BmcOptions {
-                        max_depth: 16,
-                        parallelism: par,
-                        cube: CubeOptions {
-                            mode,
-                            vars: 2,
-                            min_depth: 2,
-                        },
-                        ..Default::default()
-                    };
-                    match (hit, check(&n, 0, &opts)) {
-                        (Some(d), BmcOutcome::Counterexample { depth, witness }) => {
-                            assert_eq!(depth, d, "{mode} {par}");
-                            assert!(witness.replays_to(&n, n.targets()[0].lit), "{mode} {par}");
-                        }
-                        (None, BmcOutcome::NoHitUpTo(16)) => {}
-                        (want, got) => panic!("{mode} {par}: want {want:?}, got {got:?}"),
+            for par in [Parallelism::Sequential, Parallelism::Threads(4)] {
+                let opts = BmcOptions {
+                    max_depth: 16,
+                    parallelism: par,
+                    cube: CubeOptions {
+                        mode: CubeMode::Reproducible,
+                        vars: 2,
+                        min_depth: 2,
+                    },
+                    ..Default::default()
+                };
+                match (hit, check(&n, 0, &opts)) {
+                    (Some(d), BmcOutcome::Counterexample { depth, witness }) => {
+                        assert_eq!(depth, d, "{par}");
+                        assert!(witness.replays_to(&n, n.targets()[0].lit), "{par}");
                     }
+                    (None, BmcOutcome::NoHitUpTo(16)) => {}
+                    (want, got) => panic!("{par}: want {want:?}, got {got:?}"),
                 }
             }
         }
@@ -1657,19 +1428,17 @@ mod tests {
         n.set_next(b, i.lit());
         let t = n.xor(a.lit(), b.lit());
         n.add_target(t, "differ");
-        for mode in [CubeMode::Reproducible, CubeMode::Fast] {
-            let opts = BmcOptions {
-                max_depth: 12,
-                parallelism: Parallelism::Threads(3),
-                cube: CubeOptions {
-                    mode,
-                    vars: 3,
-                    min_depth: 0,
-                },
-                ..Default::default()
-            };
-            assert_eq!(check(&n, 0, &opts), BmcOutcome::NoHitUpTo(12), "{mode}");
-        }
+        let opts = BmcOptions {
+            max_depth: 12,
+            parallelism: Parallelism::Threads(3),
+            cube: CubeOptions {
+                mode: CubeMode::Reproducible,
+                vars: 3,
+                min_depth: 0,
+            },
+            ..Default::default()
+        };
+        assert_eq!(check(&n, 0, &opts), BmcOutcome::NoHitUpTo(12));
     }
 
     #[test]
@@ -1723,31 +1492,29 @@ mod tests {
                 ..Default::default()
             },
         );
-        for mode in [CubeMode::Reproducible, CubeMode::Fast] {
-            let cubed = check_all(
-                &n,
-                &BmcOptions {
-                    max_depth: 16,
-                    cube: CubeOptions {
-                        mode,
-                        vars: 2,
-                        min_depth: 3,
-                    },
-                    ..Default::default()
+        let cubed = check_all(
+            &n,
+            &BmcOptions {
+                max_depth: 16,
+                cube: CubeOptions {
+                    mode: CubeMode::Reproducible,
+                    vars: 2,
+                    min_depth: 3,
                 },
-            );
-            for (i, (p, c)) in plain.iter().zip(&cubed).enumerate() {
-                match (p, c) {
-                    (
-                        BmcOutcome::Counterexample { depth: a, .. },
-                        BmcOutcome::Counterexample { depth: b, witness },
-                    ) => {
-                        assert_eq!(a, b, "{mode} target {i}");
-                        assert!(witness.replays_to(&n, n.targets()[i].lit));
-                    }
-                    (BmcOutcome::NoHitUpTo(a), BmcOutcome::NoHitUpTo(b)) => assert_eq!(a, b),
-                    other => panic!("{mode} target {i}: {other:?}"),
+                ..Default::default()
+            },
+        );
+        for (i, (p, c)) in plain.iter().zip(&cubed).enumerate() {
+            match (p, c) {
+                (
+                    BmcOutcome::Counterexample { depth: a, .. },
+                    BmcOutcome::Counterexample { depth: b, witness },
+                ) => {
+                    assert_eq!(a, b, "target {i}");
+                    assert!(witness.replays_to(&n, n.targets()[i].lit));
                 }
+                (BmcOutcome::NoHitUpTo(a), BmcOutcome::NoHitUpTo(b)) => assert_eq!(a, b),
+                other => panic!("target {i}: {other:?}"),
             }
         }
     }

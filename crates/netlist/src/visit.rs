@@ -24,7 +24,7 @@ use crate::csr::{Csr, Marks, NodeKind};
 use diam_par::Parallelism;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Frontier width at which a level is expanded in parallel instead of
+/// BFS level width at which a level is expanded in parallel instead of
 /// inline. Below this, thread fan-out costs more than the expansion.
 pub const PAR_LEVEL_THRESHOLD: usize = 4096;
 

@@ -412,10 +412,6 @@ pub struct SatTotals {
     pub gc_runs: u64,
     /// Bytes reclaimed by arena GC.
     pub gc_freed_bytes: u64,
-    /// Learnt clauses imported from sibling workers (see [`charge_sat_shared`]).
-    pub shared_in: u64,
-    /// Learnt clauses exported to sibling workers.
-    pub shared_out: u64,
 }
 
 impl SatTotals {
@@ -427,8 +423,6 @@ impl SatTotals {
             propagations: self.propagations - earlier.propagations,
             gc_runs: self.gc_runs - earlier.gc_runs,
             gc_freed_bytes: self.gc_freed_bytes - earlier.gc_freed_bytes,
-            shared_in: self.shared_in - earlier.shared_in,
-            shared_out: self.shared_out - earlier.shared_out,
         }
     }
 
@@ -633,10 +627,6 @@ impl Drop for SpanGuard {
                 if sat.gc_runs > 0 {
                     fields.push(("sat_gc_runs", Value::U64(sat.gc_runs)));
                     fields.push(("sat_gc_freed_bytes", Value::U64(sat.gc_freed_bytes)));
-                }
-                if sat.shared_in > 0 || sat.shared_out > 0 {
-                    fields.push(("sat_shared_in", Value::U64(sat.shared_in)));
-                    fields.push(("sat_shared_out", Value::U64(sat.shared_out)));
                 }
             }
             if !alloc_delta.is_zero() {
@@ -879,25 +869,6 @@ pub fn charge_sat_gc(gc_runs: u64, freed_bytes: u64, arena_bytes: u64) {
         counter_add("sat.gc_freed_bytes", freed_bytes);
     }
     gauge_set("sat.arena_bytes", arena_bytes as i64);
-}
-
-/// Reports clause-exchange deltas from one SAT solve: learnt clauses imported
-/// from and exported to sibling workers. Attributed to the open spans (close
-/// events gain `sat_shared_in` / `sat_shared_out` when nonzero) and exported
-/// as the global `sat.shared_in` / `sat.shared_out` counters.
-pub fn charge_sat_shared(shared_in: u64, shared_out: u64) {
-    if !enabled() {
-        return;
-    }
-    if shared_in == 0 && shared_out == 0 {
-        return;
-    }
-    with_tls(|t| {
-        t.sat.shared_in += shared_in;
-        t.sat.shared_out += shared_out;
-    });
-    counter_add("sat.shared_in", shared_in);
-    counter_add("sat.shared_out", shared_out);
 }
 
 /// Reports one SAT solve's statistic deltas. Updates this thread's span

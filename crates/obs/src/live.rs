@@ -3,15 +3,15 @@
 //!
 //! When a session is installed with a live mode, every recorded event also
 //! streams through a [`LiveState`]: per-worker open-span stacks are mirrored
-//! as events arrive, selected counters (`cube.refuted`, `cube.share_dropped`,
-//! `par.queue_depth`) are mirrored into atomics, and a background thread
+//! as events arrive, selected counters (`cube.refuted`, `par.queue_depth`) are
+//! mirrored into atomics, and a background thread
 //! drives two sinks:
 //!
 //! * **human** ([`ObsMode::Live`](crate::ObsMode::Live)) — stderr lines:
 //!   heartbeats every [`LiveOptions::heartbeat`] showing each busy worker's
 //!   innermost spans, the current BMC depth (from `sat.solve` point events),
 //!   a naive linear ETA when the span advertises its depth range
-//!   (`max_depth` / `hi` open fields), and cube progress / sharing drops;
+//!   (`max_depth` / `hi` open fields), and cube progress;
 //!   plus a one-shot stall dump of every worker's open span stack when no
 //!   event has arrived for [`LiveOptions::stall`].
 //! * **machine** ([`ObsMode::LiveJson`](crate::ObsMode::LiveJson) → stderr,
@@ -34,7 +34,7 @@ use std::time::Instant;
 /// object with `"v"` set to this, an `"ev"` discriminator
 /// (`live_start` / `heartbeat` / `progress` / `stall` / `finish`), and a
 /// `"ts_ns"` timestamp (nanoseconds since session start).
-pub const LIVE_SCHEMA_VERSION: u64 = 1;
+pub const LIVE_SCHEMA_VERSION: u64 = 2;
 
 /// Where the machine-readable live JSONL stream goes.
 pub(crate) enum MachineSink {
@@ -110,10 +110,9 @@ pub(crate) struct LiveState {
     /// events resume (see [`LiveState::check_stall`]).
     stalled: AtomicBool,
     workers: Mutex<BTreeMap<u32, WorkerLive>>,
-    /// Mirrors of the `cube.refuted` / `cube.share_dropped` counters and the
-    /// `par.queue_depth` gauge (see `with_metric` in the crate root).
+    /// Mirrors of the `cube.refuted` counter and the `par.queue_depth` gauge
+    /// (see `with_metric` in the crate root).
     cube_refuted: AtomicU64,
-    share_dropped: AtomicU64,
     queue_depth: AtomicI64,
     /// Total cubes announced by `cube.split` open events (`cubes` field).
     cube_total: AtomicU64,
@@ -167,7 +166,6 @@ impl LiveState {
             stalled: AtomicBool::new(false),
             workers: Mutex::new(BTreeMap::new()),
             cube_refuted: AtomicU64::new(0),
-            share_dropped: AtomicU64::new(0),
             queue_depth: AtomicI64::new(0),
             cube_total: AtomicU64::new(0),
             rss_kb: AtomicU64::new(0),
@@ -224,17 +222,15 @@ impl LiveState {
     pub(crate) fn on_scalar(&self, name: &str, value: i64) {
         match name {
             "cube.refuted" => self.cube_refuted.store(value as u64, Ordering::Relaxed),
-            "cube.share_dropped" => self.share_dropped.store(value as u64, Ordering::Relaxed),
             "par.queue_depth" => self.queue_depth.store(value, Ordering::Relaxed),
             _ => {}
         }
     }
 
-    fn cube_counts(&self) -> (u64, u64, u64) {
+    fn cube_counts(&self) -> (u64, u64) {
         (
             self.cube_refuted.load(Ordering::Relaxed),
             self.cube_total.load(Ordering::Relaxed),
-            self.share_dropped.load(Ordering::Relaxed),
         )
     }
 
@@ -268,7 +264,7 @@ impl LiveState {
     }
 
     /// Renders the heartbeat lines for every worker with open spans, plus a
-    /// cube-progress line once cube solving / sharing is underway.
+    /// cube-progress line once cube solving is underway.
     fn heartbeat_lines(&self, now_ns: u64) -> Vec<String> {
         let workers = unpoison(self.workers.lock());
         let mut lines = Vec::new();
@@ -314,10 +310,10 @@ impl LiveState {
             }
         }
         drop(workers);
-        let (refuted, total, dropped) = self.cube_counts();
-        if refuted > 0 || total > 0 || dropped > 0 {
+        let (refuted, total) = self.cube_counts();
+        if refuted > 0 || total > 0 {
             lines.push(format!(
-                "diam-obs live: {:>7.1}s cubes {refuted}/{total} refuted, {dropped} shared drops",
+                "diam-obs live: {:>7.1}s cubes {refuted}/{total} refuted",
                 now_ns as f64 / 1e9
             ));
         }
@@ -361,9 +357,9 @@ impl LiveState {
     // --- machine-readable JSONL events -----------------------------------
 
     fn json_cubes(&self, out: &mut String) {
-        let (refuted, total, dropped) = self.cube_counts();
+        let (refuted, total) = self.cube_counts();
         out.push_str(&format!(
-            "\"cubes\":{{\"refuted\":{refuted},\"total\":{total},\"share_dropped\":{dropped}}}"
+            "\"cubes\":{{\"refuted\":{refuted},\"total\":{total}}}"
         ));
     }
 
@@ -807,10 +803,9 @@ mod tests {
             vec![("cubes", Value::U64(8))],
         ));
         state.on_scalar("cube.refuted", 3);
-        state.on_scalar("cube.share_dropped", 5);
         state.on_scalar("par.queue_depth", 2);
         let beat = state.heartbeat_lines(2000).join("\n");
-        assert!(beat.contains("cubes 3/8 refuted, 5 shared drops"), "{beat}");
+        assert!(beat.contains("cubes 3/8 refuted"), "{beat}");
         let hb = json::parse(&state.machine_heartbeat_json(2000)).unwrap();
         let cubes = hb.get("cubes").unwrap();
         assert_eq!(
@@ -821,10 +816,7 @@ mod tests {
             cubes.get("total").and_then(json::JsonValue::as_u64),
             Some(8)
         );
-        assert_eq!(
-            cubes.get("share_dropped").and_then(json::JsonValue::as_u64),
-            Some(5)
-        );
+        assert!(cubes.get("share_dropped").is_none());
         assert_eq!(
             hb.get("queue_depth").and_then(json::JsonValue::as_i64),
             Some(2)

@@ -6,8 +6,7 @@
 //! a crash-dump snapshot taken from *any* thread — including a panic hook —
 //! reads the rings without locks and detects torn slots instead of
 //! publishing them. Old entries are overwritten; overwritten and torn
-//! entries are *counted* (like `Exchange::dropped` in `diam-par`), never
-//! silently lost.
+//! entries are *counted*, never silently lost.
 //!
 //! The recorder has no on/off switch and produces **zero output**: with
 //! `--obs off` nothing ever reads it except a crash dump. A `note` costs a

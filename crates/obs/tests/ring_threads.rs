@@ -1,6 +1,6 @@
 //! Flight-recorder ring under concurrent writers: property-tests the
-//! per-thread rings against a sequential model. The contract mirrors
-//! `Exchange` in `diam-par`: readers never observe a torn entry, each
+//! per-thread rings against a sequential model. The contract: readers
+//! never observe a torn entry, each
 //! thread's surviving entries are exactly the most recent suffix of what it
 //! pushed (in order), and anything lost to overwrite is *counted*, never
 //! silently dropped.
@@ -62,7 +62,7 @@ proptest! {
         let after = ring::snapshot_all();
         // Quiescent: nothing is mid-write, so no slot may read torn.
         prop_assert_eq!(after.torn, before.torn);
-        // Loss accounting, like Exchange overflow drops: each writer loses
+        // Loss accounting: each writer loses
         // exactly max(0, pushed - capacity) entries to overwrite.
         let expect_dropped: u64 = counts
             .iter()

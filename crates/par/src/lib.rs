@@ -23,13 +23,10 @@
 //!   sequential output in the consumers (`diam_bmc::prove_all`,
 //!   `diam_core::Pipeline::bound_targets`);
 //! * **cooperative cancellation** — jobs receive a shared [`CancelToken`];
-//!   long-running jobs poll it at loop boundaries. The companion
-//!   [`Frontier`] is a monotone atomic minimum used by depth-sliced BMC to
-//!   let a counterexample found at depth `d` stop all deeper work units for
-//!   the same target.
+//!   long-running jobs poll it at loop boundaries.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use diam_obs::ring::{self, RingKind};
@@ -90,173 +87,25 @@ impl std::fmt::Display for Parallelism {
 /// A shared, clonable cancellation flag. Cancellation is cooperative: jobs
 /// poll [`CancelToken::is_cancelled`] at convenient boundaries (e.g. between
 /// BMC depths) and wind down early.
-///
-/// Tokens form a hierarchy via [`child`](CancelToken::child): cancelling a
-/// parent cancels every descendant, while cancelling a child (e.g. the cube
-/// group of one BMC depth once a SAT cube is found) leaves the parent — and
-/// any sibling groups — running.
 #[derive(Debug, Clone, Default)]
 pub struct CancelToken {
     flag: Arc<AtomicBool>,
-    /// Ancestor flags, outermost first. Checked after the own flag; the
-    /// chain is almost always short (target → depth → cube group).
-    parents: Vec<Arc<AtomicBool>>,
 }
 
 impl CancelToken {
-    /// A fresh, un-cancelled root token.
+    /// A fresh, un-cancelled token.
     pub fn new() -> CancelToken {
         CancelToken::default()
     }
 
-    /// A child token: it observes this token's cancellation (and that of
-    /// all ancestors), but cancelling the child does not affect this token.
-    pub fn child(&self) -> CancelToken {
-        let mut parents = self.parents.clone();
-        parents.push(self.flag.clone());
-        CancelToken {
-            flag: Arc::new(AtomicBool::new(false)),
-            parents,
-        }
-    }
-
-    /// Requests cancellation; every clone and descendant observes it.
+    /// Requests cancellation; every clone observes it.
     pub fn cancel(&self) {
         self.flag.store(true, Ordering::Release);
     }
 
-    /// Whether cancellation has been requested on this token or any
-    /// ancestor.
+    /// Whether cancellation has been requested.
     pub fn is_cancelled(&self) -> bool {
-        self.flag.load(Ordering::Acquire) || self.parents.iter().any(|p| p.load(Ordering::Acquire))
-    }
-}
-
-/// A monotonically *decreasing* shared minimum (initially `u64::MAX`).
-///
-/// Depth-sliced BMC uses one per target: the work unit that finds a hit (or
-/// exhausts its budget) at depth `d` calls [`Frontier::record`]`(d)`, and
-/// every unit polls [`Frontier::superseded`] before processing a depth —
-/// work at depths strictly above the recorded minimum can never influence
-/// the merged (earliest-depth) outcome, so it stops early. Because merging
-/// consults unit results in ascending depth order and discards everything
-/// past the first recorded event, early stopping never changes the merged
-/// result — it only saves work.
-#[derive(Debug, Clone)]
-pub struct Frontier {
-    best: Arc<AtomicU64>,
-}
-
-impl Default for Frontier {
-    fn default() -> Frontier {
-        Frontier {
-            best: Arc::new(AtomicU64::new(u64::MAX)),
-        }
-    }
-}
-
-impl Frontier {
-    /// A fresh frontier with no recorded event.
-    pub fn new() -> Frontier {
-        Frontier::default()
-    }
-
-    /// Records an event at `depth`, lowering the shared minimum.
-    pub fn record(&self, depth: u64) {
-        self.best.fetch_min(depth, Ordering::AcqRel);
-    }
-
-    /// The lowest recorded depth, or `u64::MAX` if none.
-    pub fn best(&self) -> u64 {
-        self.best.load(Ordering::Acquire)
-    }
-
-    /// Whether work at `depth` is already pointless (an event strictly
-    /// below it has been recorded).
-    pub fn superseded(&self, depth: u64) -> bool {
-        self.best() < depth
-    }
-}
-
-/// A bounded, lock-free broadcast mailbox: every published item is visible
-/// to **every** reader (broadcast, not a work queue). The clause-sharing
-/// layer of cube-and-conquer BMC publishes `(worker, clause)` pairs here;
-/// each worker drains from its own cursor and skips its own entries.
-///
-/// Implementation: a fixed array of [`std::sync::OnceLock`] slots plus an atomic head.
-/// Publishing claims the next index with `fetch_add` and writes the slot
-/// exactly once; readers walk their cursor forward and stop at the first
-/// unwritten slot (slots may complete out of claim order — unread items are
-/// simply picked up on a later poll). Once full, further publishes are
-/// counted in [`dropped`](Exchange::dropped) and discarded — sharing is
-/// best-effort by design, so overflow degrades throughput, never soundness.
-#[derive(Debug)]
-pub struct Exchange<T> {
-    slots: Box<[std::sync::OnceLock<T>]>,
-    head: AtomicUsize,
-    dropped: AtomicUsize,
-}
-
-impl<T> Exchange<T> {
-    /// A mailbox with room for `capacity` items over its whole lifetime.
-    pub fn new(capacity: usize) -> Exchange<T> {
-        let slots: Vec<std::sync::OnceLock<T>> =
-            (0..capacity).map(|_| std::sync::OnceLock::new()).collect();
-        Exchange {
-            slots: slots.into_boxed_slice(),
-            head: AtomicUsize::new(0),
-            dropped: AtomicUsize::new(0),
-        }
-    }
-
-    /// Publishes `item` to all readers. Returns `false` (and counts the
-    /// drop) when the mailbox is full.
-    pub fn publish(&self, item: T) -> bool {
-        if self.head.load(Ordering::Relaxed) >= self.slots.len() {
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-            return false;
-        }
-        let idx = self.head.fetch_add(1, Ordering::AcqRel);
-        match self.slots.get(idx) {
-            Some(slot) => {
-                let won = slot.set(item).is_ok();
-                debug_assert!(won, "slot {idx} claimed twice");
-                won
-            }
-            None => {
-                self.dropped.fetch_add(1, Ordering::Relaxed);
-                false
-            }
-        }
-    }
-
-    /// Items visible from `cursor` onward, advancing it past everything
-    /// yielded. Stops at the first slot whose publisher has not finished
-    /// writing; later items become visible on a subsequent poll.
-    pub fn drain_from<'a>(&'a self, cursor: &'a mut usize) -> Drain<'a, T> {
-        Drain { ex: self, cursor }
-    }
-
-    /// Items published and discarded because the mailbox was full.
-    pub fn dropped(&self) -> usize {
-        self.dropped.load(Ordering::Relaxed)
-    }
-}
-
-/// Iterator over newly visible [`Exchange`] items; see
-/// [`Exchange::drain_from`].
-pub struct Drain<'a, T> {
-    ex: &'a Exchange<T>,
-    cursor: &'a mut usize,
-}
-
-impl<'a, T> Iterator for Drain<'a, T> {
-    type Item = &'a T;
-
-    fn next(&mut self) -> Option<&'a T> {
-        let item = self.ex.slots.get(*self.cursor)?.get()?;
-        *self.cursor += 1;
-        Some(item)
+        self.flag.load(Ordering::Acquire)
     }
 }
 
@@ -589,108 +438,6 @@ mod tests {
         );
         assert_eq!(out.len(), 50);
         assert_eq!(ran.load(Ordering::Acquire), 0);
-    }
-
-    #[test]
-    fn child_tokens_observe_parents_but_not_vice_versa() {
-        let root = CancelToken::new();
-        let depth = root.child();
-        let cube_a = depth.child();
-        let cube_b = depth.child();
-        assert!(!cube_a.is_cancelled());
-        // Cancelling one cube group leaves siblings and ancestors alone.
-        cube_a.cancel();
-        assert!(cube_a.is_cancelled());
-        assert!(!cube_b.is_cancelled());
-        assert!(!depth.is_cancelled());
-        assert!(!root.is_cancelled());
-        // Cancelling an ancestor reaches every descendant, transitively.
-        root.cancel();
-        assert!(depth.is_cancelled());
-        assert!(cube_b.is_cancelled());
-        // Clones of a child share its flag.
-        let depth2 = CancelToken::new().child();
-        let clone = depth2.clone();
-        depth2.cancel();
-        assert!(clone.is_cancelled());
-    }
-
-    #[test]
-    fn exchange_broadcasts_to_every_reader() {
-        let ex: Exchange<u32> = Exchange::new(8);
-        assert!(ex.publish(10));
-        assert!(ex.publish(11));
-        let mut a = 0usize;
-        let mut b = 0usize;
-        assert_eq!(ex.drain_from(&mut a).copied().collect::<Vec<_>>(), [10, 11]);
-        assert!(ex.publish(12));
-        // Reader A sees only the new item; reader B sees all three.
-        assert_eq!(ex.drain_from(&mut a).copied().collect::<Vec<_>>(), [12]);
-        assert_eq!(
-            ex.drain_from(&mut b).copied().collect::<Vec<_>>(),
-            [10, 11, 12]
-        );
-        assert_eq!(ex.dropped(), 0);
-    }
-
-    #[test]
-    fn exchange_overflow_drops_without_blocking() {
-        let ex: Exchange<u32> = Exchange::new(2);
-        assert!(ex.publish(1));
-        assert!(ex.publish(2));
-        assert!(!ex.publish(3));
-        assert!(!ex.publish(4));
-        assert_eq!(ex.dropped(), 2);
-        let mut c = 0usize;
-        assert_eq!(ex.drain_from(&mut c).copied().collect::<Vec<_>>(), [1, 2]);
-    }
-
-    #[test]
-    fn exchange_is_sound_under_concurrent_publishers() {
-        let ex: Exchange<usize> = Exchange::new(1024);
-        std::thread::scope(|s| {
-            for t in 0..4 {
-                let ex = &ex;
-                s.spawn(move || {
-                    for i in 0..200 {
-                        ex.publish(t * 1000 + i);
-                    }
-                });
-            }
-            // A racing reader: every drained item is a valid payload and
-            // cursors never skip or repeat.
-            let ex = &ex;
-            s.spawn(move || {
-                let mut cursor = 0usize;
-                let mut seen = Vec::new();
-                while seen.len() < 512 {
-                    seen.extend(ex.drain_from(&mut cursor).copied());
-                    std::thread::yield_now();
-                }
-                let mut sorted = seen.clone();
-                sorted.sort_unstable();
-                sorted.dedup();
-                assert_eq!(sorted.len(), seen.len(), "duplicate broadcast items");
-            });
-        });
-        let mut cursor = 0usize;
-        let total = ex.drain_from(&mut cursor).count();
-        assert_eq!(total, 800);
-        assert_eq!(ex.dropped(), 0);
-    }
-
-    #[test]
-    fn frontier_records_the_minimum() {
-        let f = Frontier::new();
-        assert_eq!(f.best(), u64::MAX);
-        assert!(!f.superseded(1_000_000));
-        f.record(17);
-        f.record(42);
-        f.record(23);
-        assert_eq!(f.best(), 17);
-        assert!(f.superseded(18));
-        assert!(!f.superseded(17));
-        assert!(!f.superseded(3));
     }
 
     #[test]

@@ -48,9 +48,6 @@ const LBD_MAX: u32 = (1 << 28) - 1;
 
 /// Learnt clauses with LBD at or below this are *core*: kept forever.
 const CORE_LBD: u32 = 2;
-/// Outbox bound for clause export: once full, further learnt clauses stay
-/// private until [`Solver::take_shared`] drains the buffer.
-const EXPORT_CAP: usize = 1 << 12;
 /// Learnt clauses with LBD at or below this are *mid*: they survive a
 /// reduction round when recently used in conflict analysis.
 const MID_LBD: u32 = 6;
@@ -222,15 +219,6 @@ pub struct SolverStats {
     /// Histogram of learnt-clause LBD: bucket `i < 7` counts clauses with
     /// `lbd == i + 1`; bucket 7 counts `lbd >= 8`.
     pub lbd_hist: [u64; 8],
-    /// Clauses exported for sharing (glue at or below the share threshold).
-    pub shared_out: u64,
-    /// Clauses imported from sibling solvers via
-    /// [`import_clause`](Solver::import_clause).
-    pub shared_in: u64,
-    /// Cube obligations this solver refuted (maintained by the
-    /// cube-and-conquer orchestrator via
-    /// [`mark_cube_refuted`](Solver::mark_cube_refuted)).
-    pub cubes_refuted: u64,
 }
 
 impl SolverStats {
@@ -275,9 +263,6 @@ impl SolverStats {
             arena_wasted_bytes: self.arena_wasted_bytes,
             lbd_sum: self.lbd_sum.saturating_sub(earlier.lbd_sum),
             lbd_hist,
-            shared_out: self.shared_out.saturating_sub(earlier.shared_out),
-            shared_in: self.shared_in.saturating_sub(earlier.shared_in),
-            cubes_refuted: self.cubes_refuted.saturating_sub(earlier.cubes_refuted),
         }
     }
 }
@@ -338,18 +323,6 @@ pub struct Solver {
     max_learnts: f64,
     model: Vec<LBool>,
     conflict_core: Vec<Lit>,
-    // Clause sharing (cube-and-conquer): learnt clauses with LBD at or
-    // below this travel — copies land in `export_buf` for the orchestrator
-    // to broadcast. 0 disables export.
-    share_lbd_max: u32,
-    export_buf: Vec<Vec<Lit>>,
-    // Portfolio knobs. Seed 0 (default) means "exactly the deterministic
-    // baseline behaviour"; nonzero seeds jitter restart limits / initial
-    // phases per worker so a portfolio explores different search orders.
-    restart_seed: u64,
-    restart_rng: u64,
-    phase_seed: u64,
-    phase_rng: u64,
 }
 
 impl Default for Solver {
@@ -389,12 +362,6 @@ impl Solver {
             max_learnts: 1000.0,
             model: Vec::new(),
             conflict_core: Vec::new(),
-            share_lbd_max: 0,
-            export_buf: Vec::new(),
-            restart_seed: 0,
-            restart_rng: 0,
-            phase_seed: 0,
-            phase_rng: 0,
         }
     }
 
@@ -405,13 +372,7 @@ impl Solver {
         self.level.push(0);
         self.reason.push(NO_REASON);
         self.activity.push(0.0);
-        let phase = if self.phase_seed != 0 {
-            self.phase_rng = splitmix64(self.phase_rng);
-            self.phase_rng & 1 == 1
-        } else {
-            false
-        };
-        self.polarity.push(phase);
+        self.polarity.push(false);
         self.seen.push(false);
         self.heap_pos.push(usize::MAX);
         self.watches.push(Vec::new());
@@ -472,110 +433,6 @@ impl Solver {
     /// returns [`SolveResult::Unknown`].
     pub fn set_conflict_budget(&mut self, budget: Option<u64>) {
         self.conflict_budget = budget;
-    }
-
-    /// Enables clause export: learnt clauses with LBD (glue) at or below
-    /// `lbd` are copied into an internal outbox for
-    /// [`take_shared`](Solver::take_shared). `0` (the default) disables
-    /// export. The canonical threshold is the core tier (`lbd = 2`): glue
-    /// clauses travel, mid/local learnts stay private.
-    pub fn set_share_lbd_max(&mut self, lbd: u32) {
-        self.share_lbd_max = lbd;
-    }
-
-    /// Drains the outbox of clauses exported since the last call. Clauses
-    /// are over this solver's variable numbering; a sibling sharing the
-    /// same encoding (e.g. a clone of a common base solver) can
-    /// [`import_clause`](Solver::import_clause) them soundly.
-    pub fn take_shared(&mut self) -> Vec<Vec<Lit>> {
-        std::mem::take(&mut self.export_buf)
-    }
-
-    /// Sets the restart-jitter seed for portfolio mode: each Luby restart
-    /// period is scaled by a seed-deterministic factor in `[0.5, 1.5)`.
-    /// Seed `0` (the default) restores exact Luby limits. Jitter changes
-    /// only the search order, never answers.
-    pub fn set_restart_seed(&mut self, seed: u64) {
-        self.restart_seed = seed;
-        self.restart_rng = seed;
-    }
-
-    /// Sets the initial-phase seed for portfolio mode: variables created
-    /// *after* this call get a seed-deterministic initial polarity instead
-    /// of `false`. Seed `0` (the default) restores all-false initial
-    /// phases. Affects only the search order, never answers.
-    pub fn set_phase_seed(&mut self, seed: u64) {
-        self.phase_seed = seed;
-        self.phase_rng = seed;
-    }
-
-    /// Records one refuted cube obligation (bookkeeping for the
-    /// cube-and-conquer orchestrator; flows through
-    /// [`SolverStats::delta_since`] into per-span attribution).
-    pub fn mark_cube_refuted(&mut self) {
-        self.stats.cubes_refuted += 1;
-    }
-
-    /// Imports a clause learnt by a sibling solver over the **same
-    /// variable numbering** (a cube worker cloned from a common base
-    /// encoding). Learnt clauses are formula-implied even when derived
-    /// under assumptions — assumptions enter the search as decisions and
-    /// conflict analysis resolves only on reason clauses — so importing
-    /// them preserves both satisfiability and unsatisfiability. Must be
-    /// called at decision level 0. Returns `false` if the solver is (or
-    /// becomes) unsatisfiable at the root.
-    pub fn import_clause(&mut self, lits: &[Lit]) -> bool {
-        assert!(
-            self.trail_lim.is_empty(),
-            "import_clause above decision level 0"
-        );
-        if !self.ok {
-            return false;
-        }
-        if lits.iter().any(|l| l.var().index() >= self.num_vars()) {
-            // Foreign variable (exporter encoded further than us): sharing
-            // is best-effort, drop the clause.
-            return true;
-        }
-        let mut lits: Vec<Lit> = lits.to_vec();
-        lits.sort_unstable_by_key(|l| l.code());
-        lits.dedup();
-        let mut i = 0;
-        while i + 1 < lits.len() {
-            if lits[i].var() == lits[i + 1].var() {
-                return true; // p ∨ ¬p: tautology
-            }
-            i += 1;
-        }
-        if lits.iter().any(|&l| self.lit_value(l) == LBool::True) {
-            return true; // already root-satisfied
-        }
-        lits.retain(|&l| self.lit_value(l) != LBool::False);
-        self.stats.shared_in += 1;
-        match lits.len() {
-            0 => {
-                self.ok = false;
-                false
-            }
-            1 => {
-                self.unchecked_enqueue(lits[0], NO_REASON);
-                if self.propagate().is_some() {
-                    self.ok = false;
-                }
-                self.ok
-            }
-            _ => {
-                // Stored as a core-tier learnt (imports are glue clauses by
-                // the export filter), so reduction keeps it.
-                let r = self.ca.alloc(&lits, true, CORE_LBD, 0.0);
-                self.learnts.push(r);
-                self.watch(lits[0], lits[1], r);
-                self.watch(lits[1], lits[0], r);
-                self.stats.learnts += 1;
-                self.sync_arena_stats();
-                true
-            }
-        }
     }
 
     /// Adds a clause. Returns `false` if the solver is already in an
@@ -650,13 +507,7 @@ impl Solver {
         let budget_start = self.stats.conflicts;
         let mut luby_index: u64 = 0;
         let result = loop {
-            let mut restart_limit = 64 * luby(luby_index);
-            if self.restart_seed != 0 {
-                // Portfolio jitter: scale each Luby period by a
-                // seed-deterministic factor in [0.5, 1.5).
-                self.restart_rng = splitmix64(self.restart_rng);
-                restart_limit = (restart_limit * (512 + self.restart_rng % 1024) / 1024).max(1);
-            }
+            let restart_limit = 64 * luby(luby_index);
             luby_index += 1;
             match self.search(assumptions, restart_limit, budget_start) {
                 Some(r) => break r,
@@ -719,18 +570,6 @@ impl Solver {
         self.level[v] = self.decision_level();
         self.reason[v] = reason;
         self.trail.push(l);
-    }
-
-    /// Copies a freshly learnt clause into the outbox when sharing is on
-    /// and the clause's glue passes the travel filter.
-    fn export_learnt(&mut self, lits: &[Lit], lbd: u32) {
-        if self.share_lbd_max != 0
-            && lbd <= self.share_lbd_max
-            && self.export_buf.len() < EXPORT_CAP
-        {
-            self.export_buf.push(lits.to_vec());
-            self.stats.shared_out += 1;
-        }
     }
 
     fn sync_arena_stats(&mut self) {
@@ -935,7 +774,6 @@ impl Solver {
     fn learn(&mut self, lits: &[Lit]) -> CRef {
         debug_assert!(lits.len() >= 2);
         let lbd = self.compute_lbd(lits);
-        self.export_learnt(lits, lbd);
         let r = self.ca.alloc(lits, true, lbd, self.cla_inc as f32);
         self.learnts.push(r);
         self.watch(lits[0], lits[1], r);
@@ -978,7 +816,6 @@ impl Solver {
                 // is handled by re-entering the decision loop below.
                 self.cancel_until(bt);
                 if learnt.len() == 1 {
-                    self.export_learnt(&learnt, 1);
                     if self.decision_level() > 0 {
                         // Unit learnt while above level 0 (can happen when
                         // assumptions are re-decided); back out fully.
@@ -1457,14 +1294,6 @@ impl Solver {
     }
 }
 
-/// One SplitMix64 step: the seed-jitter PRNG behind the portfolio knobs.
-fn splitmix64(state: u64) -> u64 {
-    let mut z = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// The Luby restart sequence (0-indexed): 1,1,2,1,1,2,4,...
 fn luby(index: u64) -> u64 {
     let mut i = index + 1;
@@ -1899,130 +1728,6 @@ mod tests {
         }
         s.inprocess();
         assert_eq!(s.solve_with(&[!v[7]]), SolveResult::Unsat);
-    }
-
-    fn pigeonhole(s: &mut Solver, n: usize) {
-        let p: Vec<Vec<Lit>> = (0..n + 1)
-            .map(|_| (0..n).map(|_| s.new_var().positive()).collect())
-            .collect();
-        for row in &p {
-            s.add_clause(row.iter().copied());
-        }
-        for j in 0..n {
-            for i1 in 0..=n {
-                for i2 in (i1 + 1)..=n {
-                    s.add_clause([!p[i1][j], !p[i2][j]]);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn seeds_change_search_but_not_answers() {
-        for seed in [0u64, 1, 0xC0FFEE, u64::MAX] {
-            let mut s = Solver::new();
-            s.set_restart_seed(seed);
-            s.set_phase_seed(seed);
-            pigeonhole(&mut s, 6);
-            assert_eq!(s.solve(), SolveResult::Unsat, "seed {seed}");
-            // A satisfiable query on a seeded solver.
-            let mut s = Solver::new();
-            s.set_phase_seed(seed);
-            s.set_restart_seed(seed);
-            let v = vars(&mut s, 6);
-            for w in v.windows(2) {
-                s.add_clause([!w[0], w[1]]);
-            }
-            assert_eq!(s.solve_with(&[v[0]]), SolveResult::Sat, "seed {seed}");
-            for &l in &v {
-                assert_eq!(s.value(l), Some(true), "seed {seed}");
-            }
-        }
-    }
-
-    #[test]
-    fn export_collects_glue_clauses_and_counts() {
-        let mut s = Solver::new();
-        s.set_share_lbd_max(CORE_LBD);
-        pigeonhole(&mut s, 6);
-        assert_eq!(s.solve(), SolveResult::Unsat);
-        let shared = s.take_shared();
-        assert_eq!(shared.len() as u64, s.stats().shared_out);
-        assert!(!shared.is_empty(), "a pigeonhole refutation learns glue");
-        // Drained: the outbox is empty until new clauses are learnt.
-        assert!(s.take_shared().is_empty());
-        // Export off by default.
-        let mut quiet = Solver::new();
-        pigeonhole(&mut quiet, 6);
-        assert_eq!(quiet.solve(), SolveResult::Unsat);
-        assert_eq!(quiet.stats().shared_out, 0);
-        assert!(quiet.take_shared().is_empty());
-    }
-
-    #[test]
-    fn imported_clauses_are_honoured() {
-        let mut s = Solver::new();
-        let v = vars(&mut s, 3);
-        s.add_clause([v[0], v[1], v[2]]);
-        // Import a binary clause and a unit; both must constrain the search.
-        assert!(s.import_clause(&[!v[0], v[1]]));
-        assert!(s.import_clause(&[!v[1]]));
-        assert_eq!(s.stats().shared_in, 2);
-        assert_eq!(s.solve(), SolveResult::Sat);
-        assert_eq!(s.value(v[1]), Some(false));
-        assert_eq!(s.value(v[2]), Some(true));
-        // Tautologies and clauses over unknown variables are dropped.
-        assert!(s.import_clause(&[v[0], !v[0]]));
-        assert!(s.import_clause(&[Lit::from_code(1000)]));
-        assert_eq!(s.stats().shared_in, 2);
-        // An import contradicting root facts flips the solver to UNSAT.
-        assert!(!s.import_clause(&[v[1]]));
-        assert_eq!(s.solve(), SolveResult::Unsat);
-    }
-
-    #[test]
-    fn clause_exchange_between_clones_preserves_verdicts() {
-        // Clone a base solver into two "cube workers", let one export under
-        // a cube assumption, import into the other, and check both cubes
-        // still answer exactly as the monolithic solver does.
-        let mut base = Solver::new();
-        pigeonhole(&mut base, 5);
-        let split = base.new_var().positive();
-        let mut mono = base.clone();
-        let mut a = base.clone();
-        let mut b = base;
-        a.set_share_lbd_max(CORE_LBD);
-        assert_eq!(a.solve_with(&[split]), SolveResult::Unsat);
-        for c in a.take_shared() {
-            // `false` is legitimate: an imported glue clause may prove the
-            // importer root-unsatisfiable on the spot.
-            b.import_clause(&c);
-        }
-        assert!(b.stats().shared_in > 0 || a.stats().shared_out == 0);
-        assert_eq!(b.solve_with(&[!split]), SolveResult::Unsat);
-        assert_eq!(mono.solve(), SolveResult::Unsat);
-    }
-
-    #[test]
-    fn delta_since_covers_share_and_cube_counters() {
-        let mut s = Solver::new();
-        let before = *s.stats_ref();
-        s.set_share_lbd_max(CORE_LBD);
-        pigeonhole(&mut s, 6);
-        let v = s.new_var().positive();
-        s.import_clause(&[v]);
-        assert_eq!(s.solve(), SolveResult::Unsat);
-        s.mark_cube_refuted();
-        s.mark_cube_refuted();
-        let d = s.stats_ref().delta_since(&before);
-        assert_eq!(d.shared_out, s.stats_ref().shared_out);
-        assert_eq!(d.shared_in, 1);
-        assert_eq!(d.cubes_refuted, 2);
-        // Self-delta zeroes every counter.
-        let z = s.stats_ref().delta_since(s.stats_ref());
-        assert_eq!(z.shared_out, 0);
-        assert_eq!(z.shared_in, 0);
-        assert_eq!(z.cubes_refuted, 0);
     }
 
     /// Brute-force cross-check on random 3-CNF instances.

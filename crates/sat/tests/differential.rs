@@ -238,17 +238,17 @@ proptest! {
     }
 
     #[test]
-    fn cube_split_with_sharing_agrees_with_monolithic(
+    fn cube_split_agrees_with_monolithic(
         seed in proptest::arbitrary::any::<u64>(),
         num_vars in 4usize..=30,
         ratio_pct in 250u64..=550,
         k in 1u32..=3,
     ) {
         // The cube-and-conquer invariant at the SAT level: splitting a solve
-        // into 2^k assumption cubes over the first k variables — with glue
-        // clauses flowing between the cube solvers — reaches the monolithic
-        // verdict (any cube Sat ⇔ formula Sat, since the split is
-        // exhaustive). Mirrors `diam_bmc::cube` with sequential workers.
+        // into 2^k assumption cubes over the first k variables, each solved
+        // on a clone of one base solver, reaches the monolithic verdict (any
+        // cube Sat ⇔ formula Sat, since the split is exhaustive). Mirrors
+        // `diam_bmc::cube` with sequential workers.
         let num_clauses = ((num_vars as u64 * ratio_pct) / 100).max(1) as usize;
         let cnf = build_cnf(seed, num_vars, num_clauses);
         let mut mono = load(&cnf);
@@ -256,15 +256,8 @@ proptest! {
 
         let base = load(&cnf);
         let mut any_sat = false;
-        let mut exchange: Vec<Vec<Lit>> = Vec::new();
         for m in 0..(1usize << k) {
             let mut s = base.clone();
-            s.set_share_lbd_max(2);
-            for c in &exchange {
-                // `false` (import drove the shared formula root-Unsat) is a
-                // legitimate early verdict; keep importing is also sound.
-                let _ = s.import_clause(c);
-            }
             let assumps: Vec<Lit> = (0..k)
                 .map(|b| Var::from_index(b as usize).lit(m >> b & 1 == 0))
                 .collect();
@@ -276,7 +269,6 @@ proptest! {
                 SolveResult::Unsat => {}
                 SolveResult::Unknown => prop_assert!(false, "unbudgeted solve returned Unknown"),
             }
-            exchange.extend(s.take_shared());
         }
         prop_assert_eq!(
             any_sat,

@@ -269,13 +269,6 @@ pub fn render_report(trace: &Trace, top_k: usize) -> String {
             gc.gc_freed_bytes as f64 / 1024.0
         ));
     }
-    // Whole-run cube clause-exchange totals (absent before the cube layer).
-    if gc.shared_in > 0 || gc.shared_out > 0 {
-        out.push_str(&format!(
-            "  clause exchange: {} exported, {} imported\n",
-            gc.shared_out, gc.shared_in
-        ));
-    }
     // Whole-run allocator totals (root spans carry all nested attribution).
     // All-zero — and absent — unless the trace was recorded with `--mem on`.
     let mut mem = MemAttr::default();
@@ -307,13 +300,9 @@ pub fn render_report(trace: &Trace, top_k: usize) -> String {
             fmt_s(step.self_ns),
             100.0 * step.share_of_parent,
             step.worker,
-            match (step.sat.conflicts, step.sat.shared_in + step.sat.shared_out) {
-                (0, 0) => String::new(),
-                (c, 0) => format!("  sat.conflicts {c}"),
-                (c, _) => format!(
-                    "  sat.conflicts {c}  shared in/out {}/{}",
-                    step.sat.shared_in, step.sat.shared_out
-                ),
+            match step.sat.conflicts {
+                0 => String::new(),
+                c => format!("  sat.conflicts {c}"),
             },
             width = 34usize.saturating_sub(2 * i),
         ));

@@ -69,12 +69,6 @@ pub struct SatAttr {
     pub gc_runs: u64,
     /// Bytes reclaimed by arena GC (absent in pre-PR5 traces → 0).
     pub gc_freed_bytes: u64,
-    /// Learnt clauses imported from sibling cube workers (absent in
-    /// pre-PR6 traces → 0).
-    pub shared_in: u64,
-    /// Learnt clauses exported to sibling cube workers (absent in
-    /// pre-PR6 traces → 0).
-    pub shared_out: u64,
 }
 
 impl SatAttr {
@@ -86,8 +80,6 @@ impl SatAttr {
         self.propagations += other.propagations;
         self.gc_runs += other.gc_runs;
         self.gc_freed_bytes += other.gc_freed_bytes;
-        self.shared_in += other.shared_in;
-        self.shared_out += other.shared_out;
     }
 
     /// Whether every counter is zero.
@@ -351,8 +343,6 @@ fn sat_from(fields: &BTreeMap<String, JsonValue>) -> SatAttr {
         propagations: pick("sat_propagations"),
         gc_runs: pick("sat_gc_runs"),
         gc_freed_bytes: pick("sat_gc_freed_bytes"),
-        shared_in: pick("sat_shared_in"),
-        shared_out: pick("sat_shared_out"),
     }
 }
 

@@ -54,11 +54,6 @@ pub struct SweepOptions {
     pub induction_depth: usize,
     /// PRNG seed for simulation.
     pub seed: u64,
-    /// Portfolio seed for the SAT queries (0 = off, the deterministic
-    /// baseline search). Nonzero values derive per-query restart-jitter and
-    /// phase seeds — useful when a sweep's many small solves hit pathological
-    /// default search orders. Verdicts are unaffected, only search effort.
-    pub portfolio: u64,
 }
 
 impl Default for SweepOptions {
@@ -70,7 +65,6 @@ impl Default for SweepOptions {
             max_refinements: 100,
             induction_depth: 1,
             seed: 0x5EED,
-            portfolio: 0,
         }
     }
 }
@@ -409,12 +403,6 @@ fn check_classes(n: &Netlist, classes: &Classes, opts: &SweepOptions) -> CheckOu
     {
         let mut solver = Solver::new();
         solver.set_conflict_budget(opts.conflict_budget);
-        if opts.portfolio != 0 {
-            // Distinct jitter per query kind so base and step explore
-            // different search orders under the same portfolio seed.
-            solver.set_restart_seed(opts.portfolio ^ 0xBA5E);
-            solver.set_phase_seed(opts.portfolio.rotate_left(17) | 1);
-        }
         let mut u = Unroller::new(n, FrameZero::Init);
         let diffs: Vec<SatLit> = pairs
             .iter()
@@ -455,10 +443,6 @@ fn check_classes(n: &Netlist, classes: &Classes, opts: &SweepOptions) -> CheckOu
         let depth = opts.induction_depth.max(1);
         let mut solver = Solver::new();
         solver.set_conflict_budget(opts.conflict_budget);
-        if opts.portfolio != 0 {
-            solver.set_restart_seed(opts.portfolio ^ 0x57E9);
-            solver.set_phase_seed(opts.portfolio.rotate_left(41) | 1);
-        }
         let mut u = Unroller::new(n, FrameZero::Free);
         // Hypothesis: equality at frames 0..depth.
         for frame in 0..depth {
@@ -632,36 +616,6 @@ mod tests {
         // The xor target is the constant 0 after merging.
         assert_eq!(res.netlist.targets()[0].lit, Lit::FALSE);
         assert_ne!(res.netlist.targets()[1].lit, Lit::FALSE);
-    }
-
-    #[test]
-    fn portfolio_seeds_do_not_change_sweep_results() {
-        let mut n = Netlist::new();
-        let i = n.input("i").lit();
-        let r1 = n.reg("r1", Init::Zero);
-        let r2 = n.reg("r2", Init::Zero);
-        n.set_next(r1, i);
-        n.set_next(r2, i);
-        let differ = n.xor(r1.lit(), r2.lit());
-        n.add_target(differ, "differ");
-        let live = n.and(r1.lit(), i);
-        n.add_target(live, "live");
-        let baseline = sweep(&n, &SweepOptions::default());
-        for portfolio in [1u64, 0xDEAD_BEEF, u64::MAX] {
-            let res = sweep(
-                &n,
-                &SweepOptions {
-                    portfolio,
-                    ..Default::default()
-                },
-            );
-            // Seeds only perturb the SAT search order; every proof and
-            // merge must come out identical.
-            assert_eq!(res.merges, baseline.merges, "portfolio {portfolio:#x}");
-            assert_eq!(res.netlist.num_regs(), baseline.netlist.num_regs());
-            assert_eq!(res.netlist.targets()[0].lit, Lit::FALSE);
-            assert_ne!(res.netlist.targets()[1].lit, Lit::FALSE);
-        }
     }
 
     #[test]

@@ -26,12 +26,9 @@
 //!                    on, cutoff 16; mf caps free signals, ms the sweep
 //!                    budget). Sound either way; `off` reproduces the
 //!                    paper's blanket bounds
-//!   --cube <M>       off | repro | fast — cube-and-conquer splitting of
-//!                    deep BMC obligations (default off). `repro` keeps
-//!                    output bit-identical at any worker count; `fast`
-//!                    adds clause sharing + sibling cancellation
-//!   --portfolio <S>  nonzero seed: restart/phase jitter for the SAT
-//!                    solvers behind prove/solve/sweep (default 0 = off)
+//!   --cube <M>       off | repro — cube-and-conquer splitting of deep
+//!                    BMC obligations (default off); `repro` keeps output
+//!                    bit-identical at any worker count
 //!   --explain        for `bound`: print the dominant component chain of
 //!                    every target that stays over the threshold
 //!   --obs <M>        off | summary | json | live | live-json — structured
@@ -46,7 +43,7 @@
 //!                    off costs one relaxed atomic load per allocation)
 //! ```
 
-use diam::bmc::{prove, CubeMode, CubeOptions, ProveOptions, ProveOutcome};
+use diam::bmc::{prove_all, CubeMode, CubeOptions, ProveOptions, ProveOutcome};
 use diam::core::classify::{classify, ClassifyOptions};
 use diam::core::{EccOptions, Pipeline, StructuralOptions};
 use diam::netlist::{aiger, Netlist};
@@ -68,7 +65,6 @@ struct Options {
     threshold: u64,
     depth_cap: u64,
     cube: CubeMode,
-    portfolio: u64,
     explain: bool,
     ecc: EccOptions,
     obs: ObsConfig,
@@ -97,7 +93,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
     let mut threshold = 50u64;
     let mut depth_cap = 10_000u64;
     let mut cube = CubeMode::Off;
-    let mut portfolio = 0u64;
     let mut explain = false;
     let mut ecc = EccOptions::on();
     let mut obs = ObsConfig::default();
@@ -138,13 +133,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
             "--ecc" => {
                 ecc = EccOptions::parse(it.next().ok_or("--ecc needs a value")?)?;
             }
-            "--portfolio" => {
-                portfolio = it
-                    .next()
-                    .ok_or("--portfolio needs a value")?
-                    .parse()
-                    .map_err(|_| "bad --portfolio value")?;
-            }
             "--mem" => {
                 mem = match it.next().ok_or("--mem needs a value")?.as_str() {
                     "on" => true,
@@ -177,7 +165,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
         threshold,
         depth_cap,
         cube,
-        portfolio,
         explain,
         ecc,
         obs,
@@ -247,16 +234,16 @@ fn cmd_prove(opts: &Options) -> Result<(), String> {
     let prove_opts = ProveOptions {
         depth_cap: opts.depth_cap,
         cube: opts.cube_options(),
-        portfolio: opts.portfolio,
         structural: opts.structural(),
         ..Default::default()
     };
     let mut proved = 0;
     let mut failed = 0;
     let mut open = 0;
-    for i in 0..n.targets().len() {
-        let name = n.targets()[i].name.clone();
-        match prove(&n, i, &opts.pipeline, &prove_opts) {
+    let outcomes = prove_all(&n, &opts.pipeline, &prove_opts);
+    for (t, outcome) in n.targets().iter().zip(outcomes) {
+        let name = &t.name;
+        match outcome {
             ProveOutcome::Proved { bound } => {
                 proved += 1;
                 println!("  PROVED     {name} (complete BMC to depth {})", bound - 1);
@@ -310,13 +297,7 @@ fn cmd_sweep(opts: &Options) -> Result<(), String> {
     let path = opts.files.first().ok_or("missing input file")?;
     let out_path = opts.files.get(1).ok_or("missing output file")?;
     let n = load(path)?;
-    let result = sweep(
-        &n,
-        &SweepOptions {
-            portfolio: opts.portfolio,
-            ..SweepOptions::default()
-        },
-    );
+    let result = sweep(&n, &SweepOptions::default());
     println!(
         "{path}: {} -> {} registers, {} -> {} ANDs ({} merges, {} refinement rounds)",
         n.num_regs(),
@@ -365,10 +346,6 @@ fn cmd_solve(opts: &Options) -> Result<(), String> {
     let strategy = StrategyOptions {
         pipeline: opts.pipeline.clone(),
         depth_cap: opts.depth_cap,
-        sweep: diam::transform::com::SweepOptions {
-            portfolio: opts.portfolio,
-            ..Default::default()
-        },
         structural: opts.structural(),
         ..Default::default()
     };
@@ -411,7 +388,6 @@ fn install_session(cmd: &str, opts: &Options) -> Session {
         .option("depth_cap", opts.depth_cap.to_string())
         .option("cube", format!("{:?}", opts.cube).to_lowercase())
         .option("ecc", opts.ecc.render())
-        .option("portfolio", opts.portfolio.to_string())
         .option("obs", opts.obs.mode.to_string());
     if opts.mem {
         manifest = manifest.option("mem", "on".to_string());

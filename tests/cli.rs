@@ -56,6 +56,22 @@ fn prove_separates_failing_and_proved() {
     assert!(out.contains("1 proved, 1 failed, 0 open"), "{out}");
 }
 
+/// `--cube repro` splits deep depths but never changes a verdict; the
+/// clause-sharing mode no longer exists.
+#[test]
+fn prove_cube_flag_takes_off_or_repro() {
+    let dir = std::env::temp_dir();
+    let f = fixture(&dir, "diam_cli_prove_cube.aag", LOCKSTEP);
+    let (plain, ok) = run(&["prove", f.to_str().unwrap()]);
+    assert!(ok, "{plain}");
+    let (cubed, ok) = run(&["prove", "--cube", "repro", f.to_str().unwrap()]);
+    assert!(ok, "{cubed}");
+    assert_eq!(plain, cubed);
+    let (out, ok) = run(&["prove", "--cube", "fast", f.to_str().unwrap()]);
+    assert!(!ok);
+    assert!(out.contains("bad --cube value"), "{out}");
+}
+
 #[test]
 fn solve_credits_engines() {
     let dir = std::env::temp_dir();

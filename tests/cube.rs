@@ -1,13 +1,12 @@
 //! Differential soundness of the cube-and-conquer BMC layer (`diam::bmc::cube`).
 //!
 //! The contract under test (see `DESIGN.md`, "Cube-and-conquer"): splitting a
-//! depth obligation into assumption cubes — with or without clause sharing,
-//! sibling cancellation, and portfolio jitter — never changes a verdict. On
-//! random multi-target designs, every cube mode × parallelism combination
-//! must agree with the plain monolithic sweep on hit depths, and every
-//! returned witness must replay on the original netlist. Reproducible mode
-//! is held to the stronger bar: bit-identical outcomes (witness included)
-//! across thread counts.
+//! depth obligation into assumption cubes never changes a verdict. On random
+//! multi-target designs, the cube split at every parallelism setting must
+//! agree with the plain monolithic check on hit depths, and every returned
+//! witness must replay on the original netlist. The split is also held to
+//! the stronger bar: bit-identical outcomes (witness included) across
+//! thread counts.
 
 use diam::bmc::{check, check_all, BmcOptions, BmcOutcome, CubeMode, CubeOptions};
 use diam::gen::random::{random_netlist, RandomDesignOptions};
@@ -28,9 +27,9 @@ fn designs() -> Vec<Netlist> {
         .collect()
 }
 
-fn cube_opts(mode: CubeMode) -> CubeOptions {
+fn cube_opts() -> CubeOptions {
     CubeOptions {
-        mode,
+        mode: CubeMode::Reproducible,
         vars: 2,
         // Split early so shallow random designs still exercise the layer.
         min_depth: 1,
@@ -39,7 +38,7 @@ fn cube_opts(mode: CubeMode) -> CubeOptions {
 
 /// Hit depths and no-hit bounds must match outcome-for-outcome; cube-path
 /// witnesses must replay (they may legitimately differ from the monolithic
-/// witness in fast mode).
+/// witness).
 fn assert_verdicts_match(n: &Netlist, plain: &[BmcOutcome], cubed: &[BmcOutcome], ctx: &str) {
     assert_eq!(plain.len(), cubed.len(), "{ctx}");
     for (i, (a, b)) in plain.iter().zip(cubed).enumerate() {
@@ -72,19 +71,17 @@ fn cube_modes_agree_with_monolithic_on_random_designs() {
                 ..Default::default()
             },
         );
-        for mode in [CubeMode::Reproducible, CubeMode::Fast] {
-            for par in [Parallelism::Sequential, Parallelism::Threads(4)] {
-                let cubed = check_all(
-                    n,
-                    &BmcOptions {
-                        max_depth: 10,
-                        parallelism: par,
-                        cube: cube_opts(mode),
-                        ..Default::default()
-                    },
-                );
-                assert_verdicts_match(n, &plain, &cubed, &format!("design {k}, {mode}, {par}"));
-            }
+        for par in [Parallelism::Sequential, Parallelism::Threads(4)] {
+            let cubed = check_all(
+                n,
+                &BmcOptions {
+                    max_depth: 10,
+                    parallelism: par,
+                    cube: cube_opts(),
+                    ..Default::default()
+                },
+            );
+            assert_verdicts_match(n, &plain, &cubed, &format!("design {k}, {par}"));
         }
     }
 }
@@ -122,7 +119,7 @@ fn reproducible_mode_is_bit_identical_across_jobs() {
             &BmcOptions {
                 max_depth: 40,
                 parallelism: par,
-                cube: cube_opts(CubeMode::Reproducible),
+                cube: cube_opts(),
                 ..Default::default()
             },
         )
@@ -131,74 +128,5 @@ fn reproducible_mode_is_bit_identical_across_jobs() {
     assert!(matches!(seq, BmcOutcome::Counterexample { depth: 21, .. }));
     for par in [Parallelism::Threads(2), Parallelism::Threads(8)] {
         assert_eq!(seq, outcome(par), "jobs {par}");
-    }
-}
-
-#[test]
-fn portfolio_seeds_preserve_bmc_verdicts() {
-    // `BmcOptions::portfolio` perturbs only restart pacing and phase
-    // choices; hit depths must be identical, witnesses must replay.
-    let n = counter(4, 13);
-    let plain = check(
-        &n,
-        0,
-        &BmcOptions {
-            max_depth: 20,
-            ..Default::default()
-        },
-    );
-    for portfolio in [1u64, 0xFACE, u64::MAX] {
-        for cube in [CubeOptions::default(), cube_opts(CubeMode::Fast)] {
-            let seeded = check(
-                &n,
-                0,
-                &BmcOptions {
-                    max_depth: 20,
-                    portfolio,
-                    cube,
-                    ..Default::default()
-                },
-            );
-            match (&plain, &seeded) {
-                (
-                    BmcOutcome::Counterexample { depth: x, .. },
-                    BmcOutcome::Counterexample { depth: y, witness },
-                ) => {
-                    assert_eq!(x, y, "portfolio {portfolio:#x}");
-                    assert!(witness.replays_to(&n, n.targets()[0].lit));
-                }
-                other => panic!("portfolio {portfolio:#x}: {other:?}"),
-            }
-        }
-    }
-}
-
-#[test]
-fn fast_mode_verdicts_survive_unsat_and_unknown_depths() {
-    // An unreachable target: every depth is UNSAT, so all 4 cubes of every
-    // depth refute and the clean bound must equal the monolithic one.
-    let n = counter(3, 7);
-    let mut unreachable = n.clone();
-    // value 7 needs all bits set; force b0 to stay 0 by overwriting next.
-    let b0 = unreachable.regs()[0];
-    unreachable.set_next(b0, Lit::FALSE);
-    let plain = check_all(
-        &unreachable,
-        &BmcOptions {
-            max_depth: 12,
-            ..Default::default()
-        },
-    );
-    for par in [Parallelism::Sequential, Parallelism::Threads(4)] {
-        let cubed = check_all(
-            &unreachable,
-            &BmcOptions {
-                max_depth: 12,
-                parallelism: par,
-                cube: cube_opts(CubeMode::Fast),
-                ..Default::default()
-            },
-        );
-        assert_verdicts_match(&unreachable, &plain, &cubed, &format!("unreachable, {par}"));
     }
 }

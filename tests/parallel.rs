@@ -1,20 +1,19 @@
-//! Determinism and cancellation tests for the parallel orchestration layers.
+//! Determinism tests for the parallel orchestration layers.
 //!
 //! The contract under test (see `DESIGN.md`, "Threading model"): every
 //! per-target fan-out — `prove_all`, `Pipeline::bound_targets`,
-//! `classify_targets`, and the cone-sliced `check_all` — produces output
-//! that is **bit-identical across all `Parallelism` settings**, because jobs
-//! are pure functions of the immutable netlist merged in original target
-//! order; and depth-sliced work units stop early (without changing results)
-//! once a strictly shallower unit has recorded a hit.
+//! `classify_targets`, and `check_all` — produces output that is
+//! **bit-identical across all `Parallelism` settings**, because jobs are
+//! pure functions of the immutable netlist merged in original target order.
+//! The fan-outs also agree with their single-target counterparts.
 
-use diam::bmc::{check_all, prove_all, BmcOptions, BmcOutcome, ProveOptions};
+use diam::bmc::{
+    check, check_all, prove, prove_all, BmcOptions, BmcOutcome, ProveOptions, ProveOutcome,
+};
 use diam::core::{classify_targets, ClassifyOptions, Pipeline, StructuralOptions};
 use diam::gen::random::{random_netlist, RandomDesignOptions};
-use diam::netlist::{Gate, Init, Lit, Netlist};
+use diam::netlist::Netlist;
 use diam::par::Parallelism;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 
 /// 24 seeded multi-target designs (deterministic per seed).
 fn designs() -> Vec<Netlist> {
@@ -93,186 +92,77 @@ fn classify_targets_matches_across_thread_counts() {
 }
 
 #[test]
-fn sliced_check_all_agrees_with_the_shared_sweep() {
+fn check_all_is_bit_identical_across_thread_counts() {
     for (k, n) in designs().iter().enumerate() {
-        let shared = check_all(
-            n,
-            &BmcOptions {
-                max_depth: 12,
-                ..Default::default()
-            },
-        );
-        for (par, chunk) in [
-            (Parallelism::Sequential, 3u64),
-            (Parallelism::Threads(2), 0),
-            (Parallelism::Threads(4), 2),
-        ] {
-            let sliced = check_all(
-                n,
-                &BmcOptions {
-                    max_depth: 12,
-                    parallelism: par,
-                    depth_chunk: chunk,
-                    ..Default::default()
-                },
-            );
-            assert_eq!(shared.len(), sliced.len());
-            for (i, (a, b)) in shared.iter().zip(&sliced).enumerate() {
-                match (a, b) {
-                    (
-                        BmcOutcome::Counterexample { depth: x, .. },
-                        BmcOutcome::Counterexample { depth: y, witness },
-                    ) => {
-                        assert_eq!(x, y, "design {k} target {i} ({par}, chunk {chunk})");
-                        // The sliced path lifts witnesses back to the
-                        // original netlist; they must replay there.
-                        assert!(
-                            witness.replays_to(n, n.targets()[i].lit),
-                            "design {k} target {i}: lifted witness does not replay"
-                        );
-                    }
-                    (BmcOutcome::NoHitUpTo(x), BmcOutcome::NoHitUpTo(y)) => {
-                        assert_eq!(x, y, "design {k} target {i}")
-                    }
-                    other => panic!("design {k} target {i}: outcome mismatch {other:?}"),
+        let opts = |parallelism| BmcOptions {
+            max_depth: 12,
+            parallelism,
+            ..Default::default()
+        };
+        let seq = check_all(n, &opts(Parallelism::Sequential));
+        for par in [Parallelism::Threads(2), Parallelism::Threads(4)] {
+            // BmcOutcome derives PartialEq including the witness trace.
+            assert_eq!(seq, check_all(n, &opts(par)), "design {k}, {par}");
+        }
+        // Each fanned-out outcome is the per-target check's outcome.
+        for (i, outcome) in seq.iter().enumerate() {
+            let single = check(n, i, &opts(Parallelism::Sequential));
+            match (outcome, &single) {
+                (
+                    BmcOutcome::Counterexample { depth: x, witness },
+                    BmcOutcome::Counterexample { depth: y, .. },
+                ) => {
+                    assert_eq!(x, y, "design {k} target {i}");
+                    assert!(
+                        witness.replays_to(n, n.targets()[i].lit),
+                        "design {k} target {i}: witness does not replay"
+                    );
                 }
+                (BmcOutcome::NoHitUpTo(x), BmcOutcome::NoHitUpTo(y)) => {
+                    assert_eq!(x, y, "design {k} target {i}")
+                }
+                other => panic!("design {k} target {i}: outcome mismatch {other:?}"),
             }
         }
     }
 }
 
-/// A `bits`-wide counter with a target hit exactly when it reaches `value`.
-fn counter(bits: usize, value: u64) -> Netlist {
-    let mut n = Netlist::new();
-    let b: Vec<Gate> = (0..bits)
-        .map(|k| n.reg(format!("b{k}"), Init::Zero))
-        .collect();
-    let mut carry = Lit::TRUE;
-    for &bk in &b {
-        let nk = n.xor(bk.lit(), carry);
-        carry = n.and(bk.lit(), carry);
-        n.set_next(bk, nk);
-    }
-    let lits: Vec<Lit> = (0..bits)
-        .map(|k| b[k].lit().xor_complement(value >> k & 1 == 0))
-        .collect();
-    let t = n.and_many(lits);
-    n.add_target(t, format!("value_is_{value}"));
-    n
-}
-
 #[test]
-fn deeper_units_observe_the_frontier_and_stop_early() {
-    // The counter hits 5 at depth 5. With one-depth work units and
-    // max_depth 120, units 6..=120 must observe the per-target frontier
-    // and never reach the solver.
-    let n = counter(4, 5);
-    let probe = Arc::new(AtomicUsize::new(0));
-    let opts = BmcOptions {
-        max_depth: 120,
-        depth_chunk: 1,
-        solve_probe: Some(probe.clone()),
+fn prove_agrees_with_prove_all_target_by_target() {
+    // `prove` searches the whole netlist, `prove_all` each target's cone
+    // slice: witnesses may differ, but verdicts, bounds and earliest hit
+    // depths may not — and every witness replays on the original.
+    let pipeline = Pipeline::com_ret_com();
+    let opts = ProveOptions {
+        depth_cap: 64,
         ..Default::default()
     };
-    let seq = check_all(&n, &opts);
-    assert!(matches!(
-        seq[0],
-        BmcOutcome::Counterexample { depth: 5, .. }
-    ));
-    assert_eq!(
-        probe.load(Ordering::Acquire),
-        6,
-        "exactly depths 0..=5 are solved; the 115 deeper units stop early"
-    );
-
-    // Multi-threaded: outcomes (witness included) stay bit-identical, and
-    // cancellation still prunes the deep tail — a handful of in-flight
-    // units may race past the frontier, but nowhere near all 121.
-    let probe_mt = Arc::new(AtomicUsize::new(0));
-    let opts_mt = BmcOptions {
-        parallelism: Parallelism::Threads(4),
-        solve_probe: Some(probe_mt.clone()),
-        ..opts.clone()
-    };
-    let mt = check_all(&n, &opts_mt);
-    assert_eq!(seq, mt, "thread count must not change merged outcomes");
-    let solves = probe_mt.load(Ordering::Acquire);
-    assert!(
-        (6..60).contains(&solves),
-        "solve count {solves} out of range"
-    );
-}
-
-#[test]
-fn child_tokens_scope_cancellation_hierarchically() {
-    use diam::par::CancelToken;
-
-    // Regression for the cube layer's cancellation contract: a parent's
-    // cancel reaches every descendant group, while a child's cancel (a SAT
-    // cube stopping its siblings) stays inside that group — the parent and
-    // unrelated groups keep running.
-    let parent = CancelToken::new();
-    let group_a = parent.child();
-    let group_b = parent.child();
-    let grandchild = group_a.child();
-
-    group_a.cancel();
-    assert!(group_a.is_cancelled(), "cancelled group observes itself");
-    assert!(grandchild.is_cancelled(), "descendants observe the group");
-    assert!(!parent.is_cancelled(), "cancellation never flows upward");
-    assert!(!group_b.is_cancelled(), "sibling groups are unaffected");
-
-    parent.cancel();
-    assert!(group_b.is_cancelled(), "parent cancel reaches every child");
-
-    // Clones share the same flag chain (the token is a handle, not a node).
-    let parent2 = CancelToken::new();
-    let child = parent2.child();
-    let child_clone = child.clone();
-    child_clone.cancel();
-    assert!(child.is_cancelled());
-    assert!(!parent2.is_cancelled());
-}
-
-#[test]
-fn cancellation_never_changes_merged_results() {
-    // Several targets hitting at different depths, chunked finely: the
-    // per-target frontiers fire constantly, yet every mode merges to the
-    // same outcome vector.
-    let mut n = Netlist::new();
-    let b: Vec<Gate> = (0..4).map(|k| n.reg(format!("b{k}"), Init::Zero)).collect();
-    let mut carry = Lit::TRUE;
-    for &bk in &b {
-        let nk = n.xor(bk.lit(), carry);
-        carry = n.and(bk.lit(), carry);
-        n.set_next(bk, nk);
-    }
-    for v in [3u64, 9, 14] {
-        let lits: Vec<Lit> = (0..4)
-            .map(|k| b[k].lit().xor_complement(v >> k & 1 == 0))
-            .collect();
-        let t = n.and_many(lits);
-        n.add_target(t, format!("is_{v}"));
-    }
-    let reference = check_all(
-        &n,
-        &BmcOptions {
-            max_depth: 20,
-            depth_chunk: 1,
-            parallelism: Parallelism::Sequential,
-            ..Default::default()
-        },
-    );
-    for trial in 0..4 {
-        let got = check_all(
-            &n,
-            &BmcOptions {
-                max_depth: 20,
-                depth_chunk: 1,
-                parallelism: Parallelism::Threads(2 + trial % 3),
-                ..Default::default()
-            },
-        );
-        assert_eq!(reference, got, "trial {trial}");
+    for (k, n) in designs().iter().enumerate() {
+        let all = prove_all(n, &pipeline, &opts);
+        for (i, from_all) in all.iter().enumerate() {
+            let single = prove(n, i, &pipeline, &opts);
+            let ctx = format!("design {k} target {i}");
+            match (&single, from_all) {
+                (
+                    ProveOutcome::Counterexample {
+                        depth: x,
+                        witness: a,
+                    },
+                    ProveOutcome::Counterexample {
+                        depth: y,
+                        witness: b,
+                    },
+                ) => {
+                    assert_eq!(x, y, "{ctx}");
+                    let t = n.targets()[i].lit;
+                    assert!(a.replays_to(n, t), "{ctx}: prove witness does not replay");
+                    assert!(
+                        b.replays_to(n, t),
+                        "{ctx}: prove_all witness does not replay"
+                    );
+                }
+                (single, from_all) => assert_eq!(single, from_all, "{ctx}"),
+            }
+        }
     }
 }
