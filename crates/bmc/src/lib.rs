@@ -11,7 +11,10 @@
 //! * [`prove`] — diameter-bounded BMC: computes `d̂(t)` through a
 //!   transformation [`Pipeline`], runs BMC to depth
 //!   `d̂(t) − 1`, and returns `Proved` when no hit exists — a complete
-//!   check.
+//!   check;
+//! * [`random_search`] — bit-parallel random simulation for shallow hits;
+//!   [`strategy::solve_all`] runs it once for all targets and the formal
+//!   engines only for the targets it leaves open.
 //!
 //! Every bounded search in the crate — a plain check, a cone slice in
 //! [`prove_all`], either half of [`check_all_transformed`]'s prefix/suffix
@@ -41,9 +44,11 @@
 //! ```
 
 pub mod cube;
+mod random;
 pub mod strategy;
 
 pub use cube::{CubeMode, CubeOptions};
+pub use random::{random_search, RandomSearchOptions};
 
 use diam_core::{Bound, Pipeline, PipelineResult, StructuralOptions};
 use diam_netlist::rebuild::{slice_target, Rebuilt};
@@ -802,75 +807,6 @@ pub fn prove_all(n: &Netlist, pipeline: &Pipeline, opts: &ProveOptions) -> Vec<P
     )
 }
 
-/// Options for [`random_search`].
-#[derive(Debug, Clone)]
-pub struct RandomSearchOptions {
-    /// Steps per random trace.
-    pub steps: usize,
-    /// Number of 64-trace batches to try.
-    pub batches: usize,
-    /// PRNG seed.
-    pub seed: u64,
-}
-
-impl Default for RandomSearchOptions {
-    fn default() -> RandomSearchOptions {
-        RandomSearchOptions {
-            steps: 64,
-            batches: 16,
-            seed: 0xD1A,
-        }
-    }
-}
-
-/// Cheap *informal* search: bit-parallel random simulation looking for a
-/// target hit. The paper's target-enlargement section cites exactly this
-/// combination of formal and informal methods (\[22, 23\]): random simulation
-/// finds the shallow, high-probability hits for free, leaving BMC and
-/// diameter reasoning for the hard residue.
-///
-/// Returns a replayable witness for the first (earliest-time) hit found, or
-/// `None` if all batches stay clean.
-pub fn random_search(
-    n: &Netlist,
-    index: usize,
-    opts: &RandomSearchOptions,
-) -> Option<(u64, Witness)> {
-    use diam_netlist::sim::{simulate, SplitMix64, Stimulus};
-    let target = n.targets()[index].lit;
-    let mut rng = SplitMix64::new(opts.seed);
-    let mut best: Option<(u64, Witness)> = None;
-    for _ in 0..opts.batches {
-        let stim = Stimulus::random(n, opts.steps, &mut rng);
-        let trace = simulate(n, &stim);
-        'time: for t in 0..opts.steps {
-            if best.as_ref().is_some_and(|(bt, _)| *bt <= t as u64) {
-                break 'time;
-            }
-            let w = trace.word(target, t);
-            if w != 0 {
-                let lane = w.trailing_zeros();
-                let witness = Witness {
-                    inputs: (0..=t)
-                        .map(|tt| {
-                            (0..n.num_inputs())
-                                .map(|k| (stim.inputs[tt][k] >> lane) & 1 == 1)
-                                .collect()
-                        })
-                        .collect(),
-                    nondet_init: (0..n.num_regs())
-                        .map(|j| (stim.nondet_init[j] >> lane) & 1 == 1)
-                        .collect(),
-                };
-                debug_assert!(witness.replays_to(n, target));
-                best = Some((t as u64, witness));
-                break 'time;
-            }
-        }
-    }
-    best
-}
-
 /// Outcome of a localization-based proof attempt.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum LocalizedOutcome {
@@ -1252,34 +1188,6 @@ mod tests {
             InductionOutcome::Counterexample { depth, .. } => assert_eq!(depth, 6),
             other => panic!("expected counterexample, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn random_search_finds_shallow_hits() {
-        // An easy target: input goes high twice in a row.
-        let mut n = Netlist::new();
-        let i = n.input("i");
-        let r = n.reg("r", Init::Zero);
-        n.set_next(r, i.lit());
-        let t = n.and(r.lit(), i.lit());
-        n.add_target(t, "two_highs");
-        let (depth, witness) =
-            random_search(&n, 0, &RandomSearchOptions::default()).expect("easy hit");
-        assert!(witness.replays_to(&n, t));
-        assert!(depth <= 8, "random search should find this quickly");
-    }
-
-    #[test]
-    fn random_search_misses_unreachable_targets() {
-        let mut n = Netlist::new();
-        let i = n.input("i");
-        let a = n.reg("a", Init::Zero);
-        let b = n.reg("b", Init::Zero);
-        n.set_next(a, i.lit());
-        n.set_next(b, i.lit());
-        let t = n.xor(a.lit(), b.lit());
-        n.add_target(t, "differ");
-        assert!(random_search(&n, 0, &RandomSearchOptions::default()).is_none());
     }
 
     #[test]

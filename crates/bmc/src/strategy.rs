@@ -3,9 +3,14 @@
 //! belong to: cheap engines run first, each either discharges a target or
 //! simplifies the problem for the next.
 //!
-//! For every target, in order:
+//! Engine 1, **random simulation**, runs first and for every target at
+//! once: one shared search (the engine behind
+//! [`random_search`](crate::random_search)) finds the shallow
+//! counterexamples for free. Only if a target survives it does
+//! [`solve_all`] pay for the formal engines' shared evidence — one COM
+//! sweep, one pipeline run and its bounding pass — and then, for each
+//! surviving target, in order:
 //!
-//! 1. **random simulation** — finds shallow counterexamples for free;
 //! 2. **redundancy removal** (COM) — may collapse the target outright and
 //!    yields proven equivalences reused later as induction invariants;
 //! 3. **diameter-complete BMC** through a transformation pipeline
@@ -17,15 +22,19 @@
 //!    properties whose diameter stays unboundable but whose inductive core
 //!    is shallow;
 //! 6. otherwise the target is reported open, with its bound as diagnosis.
+//!
+//! Every `Failed` verdict's witness is replayed on the original netlist
+//! before it is returned, in release builds too: a witness that does not
+//! hit its target at its depth panics instead of becoming a wrong answer.
 
 use crate::{
-    check, k_induction_with_invariants, random_search, BmcOptions, BmcOutcome, InductionOutcome,
+    check, k_induction_with_invariants, random, BmcOptions, BmcOutcome, InductionOutcome,
     RandomSearchOptions,
 };
-use diam_core::{Bound, Pipeline, StructuralOptions};
+use diam_core::{Bound, Pipeline, PipelineResult, PipelinedBound, StructuralOptions};
 use diam_netlist::sim::Witness;
-use diam_netlist::Netlist;
-use diam_transform::com::{sweep, SweepOptions};
+use diam_netlist::{Lit, Netlist};
+use diam_transform::com::{sweep, SweepOptions, SweepResult};
 
 /// Per-target verdict of [`solve_all`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -86,7 +95,7 @@ impl std::fmt::Display for Engine {
 pub struct StrategyOptions {
     /// Random-simulation budget.
     pub random: RandomSearchOptions,
-    /// Sweep options (engine 2; its invariants feed engine 4).
+    /// Sweep options (engine 2; its invariants feed engine 5).
     pub sweep: SweepOptions,
     /// The transformation pipeline for diameter bounding (engine 3).
     pub pipeline: Pipeline,
@@ -122,107 +131,156 @@ impl Default for StrategyOptions {
 }
 
 /// Runs the portfolio on every target of `n`.
+///
+/// # Panics
+///
+/// Panics if a `Failed` witness does not replay on `n` at its depth — an
+/// engine bug, reported through the crash hook rather than as a verdict.
 pub fn solve_all(n: &Netlist, opts: &StrategyOptions) -> Vec<TargetStatus> {
-    // Shared work: one sweep (engine 2 evidence + engine 4 invariants), one
-    // pipeline run + bounding pass (engine 3). Keeping the pipeline result
-    // around gives engine 3 both halves of the certificate chain: the bound
-    // map (how deep to search) and the witness lifters (how to carry a
-    // transformed-netlist counterexample home).
-    let swept = sweep(n, &opts.sweep);
-    let pipelined = opts.pipeline.run(n);
-    let bounds = pipelined.bound_targets(&opts.structural);
-
-    (0..n.targets().len())
-        .map(|i| {
-            // 1. Random simulation.
-            if let Some((depth, witness)) = random_search(n, i, &opts.random) {
-                return TargetStatus::Failed {
+    // 1. Random simulation, shared by every target.
+    let lits: Vec<Lit> = n.targets().iter().map(|t| t.lit).collect();
+    let hits = random::search(n, &lits, &opts.random);
+    // Engines 2–5 read evidence built once per design, and only for the
+    // first target random simulation leaves open.
+    let mut evidence = None;
+    hits.into_iter()
+        .enumerate()
+        .map(|(i, hit)| {
+            let status = match hit {
+                Some((depth, witness)) => TargetStatus::Failed {
                     depth,
                     witness,
                     by: Engine::RandomSim,
-                };
-            }
-            // 2. Did the sweep collapse the target to constant false?
-            let t = n.targets()[i].lit;
-            if swept.lit(t) == Some(diam_netlist::Lit::FALSE) {
-                return TargetStatus::Proved { by: Engine::Com };
-            }
-            // 3. Diameter-complete BMC through the transformation pipeline:
-            // search on the transformed netlist (to the *transformed* bound)
-            // and lift any counterexample home through the certificate
-            // chain. Falls back to the original netlist for multiplicative
-            // chains or failed lifts.
-            let bound = bounds[i].original;
-            if let Bound::Finite(b) = bound {
-                if opts.depth_cap == 0 || b <= opts.depth_cap {
-                    match diameter_complete_check(n, &pipelined, i, b) {
-                        BmcOutcome::Counterexample { depth, witness } => {
-                            return TargetStatus::Failed {
-                                depth,
-                                witness,
-                                by: Engine::DiameterBmc,
-                            };
-                        }
-                        BmcOutcome::NoHitUpTo(_) => {
-                            return TargetStatus::Proved {
-                                by: Engine::DiameterBmc,
-                            };
-                        }
-                        BmcOutcome::Unknown { .. } => {}
-                    }
-                }
-            }
-            // 4. Symbolic reachability on small-enough cones. The fixpoint
-            // is exact: unreachable proves, reachable gives the earliest
-            // depth (re-run through BMC for a replayable witness).
-            let cone_regs = diam_netlist::analysis::coi(n, [t]).regs.len();
-            if opts.symbolic_reg_cap > 0 && cone_regs <= opts.symbolic_reg_cap {
-                if let Ok(r) = diam_core::symbolic::reach(
+                },
+                None => decide(
                     n,
                     i,
-                    &diam_core::symbolic::SymbolicLimits::default(),
-                ) {
-                    match r.earliest_hit {
-                        None => {
-                            return TargetStatus::Proved {
-                                by: Engine::Symbolic,
-                            };
-                        }
-                        Some(depth) => {
-                            if let BmcOutcome::Counterexample { depth, witness } = check(
-                                n,
-                                i,
-                                &BmcOptions {
-                                    max_depth: depth,
-                                    ..BmcOptions::default()
-                                },
-                            ) {
-                                return TargetStatus::Failed {
-                                    depth,
-                                    witness,
-                                    by: Engine::Symbolic,
-                                };
-                            }
-                        }
+                    evidence.get_or_insert_with(|| Evidence::new(n, opts)),
+                    opts,
+                ),
+            };
+            assert_replays(n, i, &status);
+            status
+        })
+        .collect()
+}
+
+/// What engines 2–5 share across a design's targets: one sweep (engine 2
+/// evidence + engine 5 invariants), one pipeline run + bounding pass
+/// (engine 3). Keeping the pipeline result around gives engine 3 both halves
+/// of the certificate chain: the bound map (how deep to search) and the
+/// witness lifters (how to carry a transformed-netlist counterexample home).
+struct Evidence {
+    swept: SweepResult,
+    pipelined: PipelineResult,
+    bounds: Vec<PipelinedBound>,
+}
+
+impl Evidence {
+    fn new(n: &Netlist, opts: &StrategyOptions) -> Evidence {
+        let swept = sweep(n, &opts.sweep);
+        let pipelined = opts.pipeline.run(n);
+        let bounds = pipelined.bound_targets(&opts.structural);
+        Evidence {
+            swept,
+            pipelined,
+            bounds,
+        }
+    }
+}
+
+/// Engines 2–5 for target `i`, which random simulation left open.
+fn decide(n: &Netlist, i: usize, ev: &Evidence, opts: &StrategyOptions) -> TargetStatus {
+    // 2. Did the sweep collapse the target to constant false?
+    let t = n.targets()[i].lit;
+    if ev.swept.lit(t) == Some(Lit::FALSE) {
+        return TargetStatus::Proved { by: Engine::Com };
+    }
+    // 3. Diameter-complete BMC through the transformation pipeline: search
+    // on the transformed netlist (to the *transformed* bound) and lift any
+    // counterexample home through the certificate chain. Falls back to the
+    // original netlist for multiplicative chains or failed lifts.
+    let bound = ev.bounds[i].original;
+    if let Bound::Finite(b) = bound {
+        if opts.depth_cap == 0 || b <= opts.depth_cap {
+            match diameter_complete_check(n, &ev.pipelined, i, b) {
+                BmcOutcome::Counterexample { depth, witness } => {
+                    return TargetStatus::Failed {
+                        depth,
+                        witness,
+                        by: Engine::DiameterBmc,
+                    };
+                }
+                BmcOutcome::NoHitUpTo(_) => {
+                    return TargetStatus::Proved {
+                        by: Engine::DiameterBmc,
+                    };
+                }
+                BmcOutcome::Unknown { .. } => {}
+            }
+        }
+    }
+    // 4. Symbolic reachability on small-enough cones. The fixpoint is
+    // exact: unreachable proves, reachable gives the earliest depth (re-run
+    // through BMC for a replayable witness).
+    let cone_regs = diam_netlist::analysis::coi(n, [t]).regs.len();
+    if opts.symbolic_reg_cap > 0 && cone_regs <= opts.symbolic_reg_cap {
+        if let Ok(r) =
+            diam_core::symbolic::reach(n, i, &diam_core::symbolic::SymbolicLimits::default())
+        {
+            match r.earliest_hit {
+                None => {
+                    return TargetStatus::Proved {
+                        by: Engine::Symbolic,
+                    };
+                }
+                Some(depth) => {
+                    if let BmcOutcome::Counterexample { depth, witness } = check(
+                        n,
+                        i,
+                        &BmcOptions {
+                            max_depth: depth,
+                            ..BmcOptions::default()
+                        },
+                    ) {
+                        return TargetStatus::Failed {
+                            depth,
+                            witness,
+                            by: Engine::Symbolic,
+                        };
                     }
                 }
             }
-            // 5. Invariant-strengthened induction.
-            match k_induction_with_invariants(n, i, opts.max_induction, &swept.proven) {
-                InductionOutcome::Proved { .. } => TargetStatus::Proved {
-                    by: Engine::Induction,
-                },
-                InductionOutcome::Counterexample { depth, witness } => TargetStatus::Failed {
-                    depth,
-                    witness,
-                    by: Engine::Induction,
-                },
-                InductionOutcome::Unknown => TargetStatus::Open {
-                    bound: bound.finite(),
-                },
-            }
-        })
-        .collect()
+        }
+    }
+    // 5. Invariant-strengthened induction.
+    match k_induction_with_invariants(n, i, opts.max_induction, &ev.swept.proven) {
+        InductionOutcome::Proved { .. } => TargetStatus::Proved {
+            by: Engine::Induction,
+        },
+        InductionOutcome::Counterexample { depth, witness } => TargetStatus::Failed {
+            depth,
+            witness,
+            by: Engine::Induction,
+        },
+        InductionOutcome::Unknown => TargetStatus::Open {
+            bound: bound.finite(),
+        },
+    }
+}
+
+/// Replays a `Failed` verdict's witness on the original netlist: it must
+/// hit target `i` at exactly the reported depth. Runs in release builds —
+/// a mismatch panics, so the crash hook records it instead of a wrong
+/// verdict reaching the caller.
+fn assert_replays(n: &Netlist, i: usize, status: &TargetStatus) {
+    if let TargetStatus::Failed { depth, witness, by } = status {
+        assert!(
+            witness.inputs.len() as u64 == depth + 1 && witness.replays_to(n, n.targets()[i].lit),
+            "{by} witness for target {i} ({}) does not replay at depth {depth}",
+            n.targets()[i].name
+        );
+    }
 }
 
 /// Engine 3: a complete bounded check of target `index` against its
@@ -348,6 +406,136 @@ mod tests {
             TargetStatus::Proved { by } => assert_eq!(*by, Engine::DiameterBmc),
             other => panic!("crippled target 2: {other:?}"),
         }
+    }
+
+    /// `solve_all` as it ran before the random search was shared and the
+    /// formal engines lazy: every engine's evidence up front, then the
+    /// per-target random search, then engines 2–5.
+    fn eager_reference(n: &Netlist, opts: &StrategyOptions) -> Vec<TargetStatus> {
+        let ev = Evidence::new(n, opts);
+        (0..n.targets().len())
+            .map(
+                |i| match crate::random::per_target_oracle(n, i, &opts.random) {
+                    Some((depth, witness)) => TargetStatus::Failed {
+                        depth,
+                        witness,
+                        by: Engine::RandomSim,
+                    },
+                    None => decide(n, i, &ev, opts),
+                },
+            )
+            .collect()
+    }
+
+    /// Runs `solve_all` under a `Json` session and returns its verdicts plus
+    /// the names of every span it opened. Spans are matched by ancestry, so
+    /// concurrently running tests cannot leak into the set.
+    fn traced_solve(n: &Netlist) -> (Vec<TargetStatus>, Vec<&'static str>) {
+        use diam_obs::{EventKind, ObsConfig, ObsMode, RunManifest, Session};
+        let session = Session::install(
+            ObsConfig {
+                mode: ObsMode::Json,
+                ..ObsConfig::default()
+            },
+            RunManifest::capture("test-lazy-portfolio"),
+        );
+        let (statuses, root) = {
+            let sp = diam_obs::span!("test.solve");
+            (solve_all(n, &StrategyOptions::default()), sp.id())
+        };
+        let report = session.finish();
+        let mut parent = std::collections::HashMap::new();
+        let mut names = Vec::new();
+        for e in &report.events {
+            if let EventKind::Open {
+                span,
+                parent: p,
+                name,
+                ..
+            } = &e.kind
+            {
+                parent.insert(*span, *p);
+                let mut up = *p;
+                while up != 0 && up != root {
+                    up = parent.get(&up).copied().unwrap_or(0);
+                }
+                if up == root {
+                    names.push(*name);
+                }
+            }
+        }
+        (statuses, names)
+    }
+
+    #[test]
+    fn formal_engines_run_only_for_targets_random_simulation_leaves_open() {
+        const FORMAL: [&str; 3] = ["pipeline.run", "pass.apply", "bound.target"];
+        // Every target here falls to random simulation: constant true, an
+        // input, a register loading it, and both together.
+        let mut n = Netlist::new();
+        let i = n.input("i").lit();
+        let r = n.reg("r", Init::Zero);
+        n.set_next(r, i);
+        let both = n.and(r.lit(), i);
+        n.add_target(Lit::TRUE, "always");
+        n.add_target(i, "input");
+        n.add_target(r.lit(), "reg");
+        n.add_target(both, "both");
+        let (statuses, spans) = traced_solve(&n);
+        assert!(
+            statuses.iter().all(|s| matches!(
+                s,
+                TargetStatus::Failed {
+                    by: Engine::RandomSim,
+                    ..
+                }
+            )),
+            "{statuses:?}"
+        );
+        assert_eq!(statuses, eager_reference(&n, &StrategyOptions::default()));
+        assert!(
+            !spans.iter().any(|s| FORMAL.contains(s)),
+            "formal engines ran for a fully falsified design: {spans:?}"
+        );
+
+        // Control: one surviving target pays for the shared evidence.
+        let n = mixed_design();
+        let (statuses, spans) = traced_solve(&n);
+        assert_eq!(statuses, eager_reference(&n, &StrategyOptions::default()));
+        for name in FORMAL {
+            assert!(spans.contains(&name), "{name} missing: {spans:?}");
+        }
+    }
+
+    #[test]
+    fn lazy_portfolio_matches_the_eager_reference_on_random_netlists() {
+        use diam_gen::random::{random_netlist, RandomDesignOptions};
+        let opts = StrategyOptions::default();
+        let mut survivors = 0;
+        for seed in 0..12 {
+            let n = random_netlist(
+                &RandomDesignOptions {
+                    targets: 3,
+                    ..RandomDesignOptions::default()
+                },
+                seed,
+            );
+            let statuses = solve_all(&n, &opts);
+            assert_eq!(statuses, eager_reference(&n, &opts), "seed {seed}");
+            survivors += statuses
+                .iter()
+                .filter(|s| {
+                    !matches!(
+                        s,
+                        TargetStatus::Failed {
+                            by: Engine::RandomSim,
+                            ..
+                        }
+                    )
+                })
+                .count();
+        }
+        assert!(survivors > 0, "no target reached engines 2–5");
     }
 
     #[test]

@@ -53,6 +53,26 @@ use diam_obs::{ObsConfig, ObsMode, RunManifest, Session};
 use std::io::BufReader;
 use std::process::ExitCode;
 
+/// `println!` for a pipeline's sake: a reader that closes stdout early
+/// (`diam solve f.aag | head -1`) ends the run with status 0 instead of a
+/// panic; any other write error ends it with status 1.
+macro_rules! out {
+    ($($arg:tt)*) => {{
+        use std::io::Write as _;
+        if let Err(e) = writeln!(std::io::stdout(), $($arg)*) {
+            stdout_failed(e)
+        }
+    }};
+}
+
+fn stdout_failed(e: std::io::Error) -> ! {
+    if e.kind() == std::io::ErrorKind::BrokenPipe {
+        std::process::exit(0);
+    }
+    eprintln!("diam: writing stdout: {e}");
+    std::process::exit(1);
+}
+
 /// Counting allocator so `--mem on` can attribute heap traffic to spans.
 /// With accounting disabled (the default) each allocation pays only one
 /// relaxed atomic load over the system allocator.
@@ -183,7 +203,7 @@ fn load(path: &str) -> Result<Netlist, String> {
 fn cmd_bound(opts: &Options) -> Result<(), String> {
     let path = opts.files.first().ok_or("missing input file")?;
     let n = load(path)?;
-    println!(
+    out!(
         "{path}: {} inputs, {} registers, {} ANDs, {} targets; pipeline {}",
         n.num_inputs(),
         n.num_regs(),
@@ -200,14 +220,14 @@ fn cmd_bound(opts: &Options) -> Result<(), String> {
         } else {
             "too large"
         };
-        println!(
+        out!(
             "  {:<32} d̂(transformed) = {:<10} d̂(original) = {:<10} [{mark}]",
             b.name,
             b.transformed.to_string(),
             b.original.to_string()
         );
     }
-    println!(
+    out!(
         "{useful}/{} targets below the threshold {}",
         bounds.len(),
         opts.threshold
@@ -221,7 +241,7 @@ fn cmd_bound(opts: &Options) -> Result<(), String> {
                 let t = transformed.netlist.targets()[i].lit;
                 let e =
                     diam::core::structural::explain(&transformed.netlist, t, &opts.structural());
-                println!("\nwhy {} is unboundable:\n{e}", b.name);
+                out!("\nwhy {} is unboundable:\n{e}", b.name);
             }
         }
     }
@@ -246,45 +266,45 @@ fn cmd_prove(opts: &Options) -> Result<(), String> {
         match outcome {
             ProveOutcome::Proved { bound } => {
                 proved += 1;
-                println!("  PROVED     {name} (complete BMC to depth {})", bound - 1);
+                out!("  PROVED     {name} (complete BMC to depth {})", bound - 1);
             }
             ProveOutcome::Counterexample { depth, .. } => {
                 failed += 1;
-                println!("  FAILS      {name} at time {depth}");
+                out!("  FAILS      {name} at time {depth}");
             }
             ProveOutcome::BoundTooLarge { bound } => {
                 open += 1;
                 match bound {
-                    Some(b) => println!("  OPEN       {name} (bound {b} over the cap)"),
-                    None => println!("  OPEN       {name} (bound exponential)"),
+                    Some(b) => out!("  OPEN       {name} (bound {b} over the cap)"),
+                    None => out!("  OPEN       {name} (bound exponential)"),
                 }
             }
             ProveOutcome::Unknown => {
                 open += 1;
-                println!("  OPEN       {name} (SAT budget exhausted)");
+                out!("  OPEN       {name} (SAT budget exhausted)");
             }
         }
     }
-    println!("\n{proved} proved, {failed} failed, {open} open");
+    out!("\n{proved} proved, {failed} failed, {open} open");
     Ok(())
 }
 
 fn cmd_stats(opts: &Options) -> Result<(), String> {
     let path = opts.files.first().ok_or("missing input file")?;
     let n = load(path)?;
-    println!("{path}:");
-    println!("{}", diam::netlist::stats::stats(&n));
+    out!("{path}:");
+    out!("{}", diam::netlist::stats::stats(&n));
     let regs: Vec<_> = n.regs().to_vec();
     let cl = classify(&n, &regs, &ClassifyOptions::default());
     let counts = cl.counts();
-    println!("register classes (whole netlist): CC;AC;MC+QC;GC = {counts}");
-    println!(
+    out!("register classes (whole netlist): CC;AC;MC+QC;GC = {counts}");
+    out!(
         "components: {} ({} memory clusters)",
         cl.cond.comps.len(),
         cl.clusters.len()
     );
     for (k, cluster) in cl.clusters.iter().enumerate() {
-        println!(
+        out!(
             "  memory {k}: {} cells in {} rows",
             cluster.comps.len(),
             cluster.rows
@@ -298,7 +318,7 @@ fn cmd_sweep(opts: &Options) -> Result<(), String> {
     let out_path = opts.files.get(1).ok_or("missing output file")?;
     let n = load(path)?;
     let result = sweep(&n, &SweepOptions::default());
-    println!(
+    out!(
         "{path}: {} -> {} registers, {} -> {} ANDs ({} merges, {} refinement rounds)",
         n.num_regs(),
         result.netlist.num_regs(),
@@ -309,7 +329,7 @@ fn cmd_sweep(opts: &Options) -> Result<(), String> {
     );
     let f = std::fs::File::create(out_path).map_err(|e| format!("{out_path}: {e}"))?;
     aiger::write_ascii(&result.netlist, f).map_err(|e| format!("{out_path}: {e}"))?;
-    println!("wrote {out_path}");
+    out!("wrote {out_path}");
     Ok(())
 }
 
@@ -318,21 +338,21 @@ fn cmd_retime(opts: &Options) -> Result<(), String> {
     let mut n = load(path)?;
     diam::netlist::rebuild::explicit_nondet_init(&mut n);
     let ret = retime(&n).map_err(|e| e.to_string())?;
-    println!(
+    out!(
         "{path}: {} -> {} registers; {} stump inputs created",
         ret.regs_before,
         ret.regs_after,
         ret.stump_inputs.len()
     );
     for t in n.targets() {
-        println!(
+        out!(
             "  target {:<28} lag {} (bounds back-translate as d̂ + {})",
             t.name,
             -(ret.lag[t.lit.gate().index()]),
             ret.skew(t.lit.gate())
         );
     }
-    println!(
+    out!(
         "(the retimed netlist uses functional initial values and therefore \
          cannot be written to AIGER; use the library API to analyze it)"
     );
@@ -355,22 +375,22 @@ fn cmd_solve(opts: &Options) -> Result<(), String> {
         match status {
             TargetStatus::Proved { by } => {
                 proved += 1;
-                println!("  PROVED {:<32} by {by}", t.name);
+                out!("  PROVED {:<32} by {by}", t.name);
             }
             TargetStatus::Failed { depth, by, .. } => {
                 failed += 1;
-                println!("  FAILS  {:<32} at time {depth} (found by {by})", t.name);
+                out!("  FAILS  {:<32} at time {depth} (found by {by})", t.name);
             }
             TargetStatus::Open { bound } => {
                 open += 1;
                 match bound {
-                    Some(b) => println!("  OPEN   {:<32} (diameter bound {b})", t.name),
-                    None => println!("  OPEN   {:<32} (diameter bound exponential)", t.name),
+                    Some(b) => out!("  OPEN   {:<32} (diameter bound {b})", t.name),
+                    None => out!("  OPEN   {:<32} (diameter bound exponential)", t.name),
                 }
             }
         }
     }
-    println!("\n{proved} proved, {failed} failed, {open} open");
+    out!("\n{proved} proved, {failed} failed, {open} open");
     Ok(())
 }
 
@@ -407,7 +427,7 @@ fn finish_session(opts: &Options, session: Session) {
     if opts.obs.mode.is_off() {
         return;
     }
-    println!("\n{}", report.render_summary());
+    out!("\n{}", report.render_summary());
     match diam_trace::Trace::parse(&report.to_jsonl()) {
         Ok(trace) if !trace.spans.is_empty() => {
             let store = diam_trace::History::default_root();

@@ -143,3 +143,31 @@ fn bad_arguments_fail_cleanly() {
     let (_, ok) = run(&["bound", "/nonexistent.aag"]);
     assert!(!ok);
 }
+
+/// A reader that closes stdout before `diam` writes (`diam solve f | head`)
+/// ends the run cleanly: status 0, and no crash dump or `.diam/` store left
+/// behind.
+#[test]
+fn closed_stdout_exits_cleanly() {
+    let dir = std::env::temp_dir().join(format!("diam_cli_epipe_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let crash = dir.join("crash");
+    std::fs::create_dir_all(&crash).expect("sandbox");
+    let f = fixture(&dir, "lockstep.aag", LOCKSTEP);
+    let (reader, writer) = std::io::pipe().expect("pipe");
+    drop(reader);
+    let status = Command::new(env!("CARGO_BIN_EXE_diam"))
+        .args(["solve", f.to_str().unwrap()])
+        .env("DIAM_CRASH_DIR", &crash)
+        .env_remove("DIAM_FORCE_PANIC")
+        .current_dir(&dir)
+        .stdout(writer)
+        .status()
+        .expect("binary runs");
+    let dumps: Vec<_> = std::fs::read_dir(&crash).expect("crash dir").collect();
+    let store = dir.join(".diam").exists();
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(status.success(), "{status}");
+    assert!(dumps.is_empty(), "crash dumps written: {dumps:?}");
+    assert!(!store, "a .diam/ store appeared in the working directory");
+}
