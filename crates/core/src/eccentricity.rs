@@ -365,6 +365,53 @@ pub fn sum_sweep(g: &StateGraph, max_sweeps: usize, par: Parallelism) -> SweepSu
     }
 }
 
+/// Edge-visit budget of [`check_certificate`]'s all-sources BFS.
+const CHECK_BUDGET: u64 = 1 << 22;
+
+/// Release-mode certificate check: on graphs whose all-sources BFS costs at
+/// most [`CHECK_BUDGET`] edge visits (`states × (states + edges)`),
+/// recomputes the true pairwise diameter with a plain queue BFS from every
+/// state — independent of the `visit` engine the sweeps run on — and
+/// panics if the certificate undercuts it, or claims `exact` without
+/// matching it. A wrong certificate is a false proof; the panic reaches the
+/// crash hook instead.
+fn check_certificate(g: &StateGraph, s: &SweepSummary) {
+    let nv = g.num_states() as u64;
+    if nv * (nv + g.num_edges() as u64) > CHECK_BUDGET {
+        return;
+    }
+    let mut dist = vec![u32::MAX; g.num_states()];
+    let mut queue: Vec<u32> = Vec::with_capacity(g.num_states());
+    let mut truth = 0u64;
+    for src in 0..nv as u32 {
+        dist.fill(u32::MAX);
+        dist[src as usize] = 0;
+        queue.clear();
+        queue.push(src);
+        let mut head = 0;
+        while let Some(&v) = queue.get(head) {
+            head += 1;
+            for &w in g.succs(v) {
+                if dist[w as usize] == u32::MAX {
+                    dist[w as usize] = dist[v as usize] + 1;
+                    truth = truth.max(u64::from(dist[w as usize]));
+                    queue.push(w);
+                }
+            }
+        }
+    }
+    assert!(
+        s.diameter >= truth,
+        "ecc certificate {} is below the true diameter {truth}",
+        s.diameter
+    );
+    assert!(
+        !s.exact || s.diameter == truth,
+        "exact ecc certificate {} differs from the true diameter {truth}",
+        s.diameter
+    );
+}
+
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct CacheKey {
     fingerprint: u64,
@@ -519,6 +566,7 @@ pub fn component_cert(n: &Netlist, comp: &[Gate], opts: &EccOptions) -> Option<E
     let cert = StateGraph::build(n, &regs, &limits).map(|g| {
         let mut span = diam_obs::span!("ecc.sweep", states = g.num_states() as u64,);
         let s = sum_sweep(&g, opts.max_sweeps, opts.parallelism);
+        check_certificate(&g, &s);
         let blanket = 1u64 << regs.len().min(63);
         let factor = (s.diameter + 1).min(blanket);
         span.record("sweeps", s.sweeps as u64);
@@ -607,8 +655,7 @@ mod tests {
     /// vertex's upper bound to d(0, pivot) + ecc(pivot) = 2 — below its
     /// true eccentricity 3 and below the already-confirmed exact value —
     /// certifying diameter 2 for a diameter-3 graph.
-    #[test]
-    fn branch_into_clique_and_chain_stays_sound() {
+    fn branch_into_clique_and_chain() -> StateGraph {
         let mut edges: Vec<(u32, u32)> = vec![(0, 1), (0, 11), (11, 12), (12, 13)];
         for a in 1..=10u32 {
             for b in 1..=10u32 {
@@ -617,7 +664,12 @@ mod tests {
                 }
             }
         }
-        let g = StateGraph::from_edges(14, &edges);
+        StateGraph::from_edges(14, &edges)
+    }
+
+    #[test]
+    fn branch_into_clique_and_chain_stays_sound() {
+        let g = branch_into_clique_and_chain();
         let truth = exact_diameter(&g);
         assert_eq!(truth, 3, "0 → 11 → 12 → 13 is the longest shortest path");
         for budget in 0..=16 {
@@ -637,6 +689,25 @@ mod tests {
         for par in [Parallelism::Threads(2), Parallelism::Threads(8)] {
             assert_eq!(s, sum_sweep(&g, 16, par));
         }
+    }
+
+    /// The release certificate check accepts the branch graph's certificate
+    /// and rejects the same certificate lowered by one.
+    #[test]
+    fn certificate_check_rejects_an_undercut() {
+        let g = branch_into_clique_and_chain();
+        let s = sum_sweep(&g, 16, Parallelism::Sequential);
+        check_certificate(&g, &s);
+        let lowered = SweepSummary {
+            diameter: s.diameter - 1,
+            ..s
+        };
+        let err = std::panic::catch_unwind(|| check_certificate(&g, &lowered))
+            .expect_err("a lowered certificate must panic");
+        let msg = err
+            .downcast_ref::<String>()
+            .expect("formatted panic message");
+        assert!(msg.contains("below the true diameter 3"), "{msg}");
     }
 
     /// Concurrent probes of one uncached component enumerate it once: the

@@ -8,6 +8,7 @@
 //! cause the writer to fail.
 
 use crate::{Gate, GateKind, Init, Lit, Netlist};
+use std::collections::HashMap;
 use std::fmt;
 use std::io::{BufRead, Write};
 
@@ -85,7 +86,16 @@ pub fn read<R: BufRead>(mut reader: R) -> Result<Netlist, AigerError> {
         .collect::<Result<_, _>>()?;
     let (m, i, l, o, a) = (nums[0], nums[1], nums[2], nums[3], nums[4]);
     let b = *nums.get(5).unwrap_or(&0);
-    if m < i + l + a {
+    // Every literal `2v + 1` with `v ≤ M` must fit in a u32, and the section
+    // counts must sum without wrapping; overflow in either is malformed.
+    if m.checked_mul(2).and_then(|x| x.checked_add(1)).is_none() {
+        return Err(parse_err("M too large: literal 2M+1 overflows"));
+    }
+    let defined = i
+        .checked_add(l)
+        .and_then(|x| x.checked_add(a))
+        .ok_or_else(|| parse_err("I+L+A overflows"))?;
+    if m < defined {
         return Err(parse_err("M < I+L+A"));
     }
     let hdr = Header { m, i, l, o, a, b };
@@ -284,10 +294,11 @@ fn read_binary<R: BufRead>(mut reader: R, hdr: Header) -> Result<Netlist, AigerE
 /// order, so definitions are buffered and resolved with a worklist.
 fn read_ascii<R: BufRead>(mut reader: R, hdr: Header) -> Result<Netlist, AigerError> {
     let Header { m, i, l, o, a, b } = hdr;
-    let mut input_vars: Vec<u32> = Vec::with_capacity(i as usize);
-    let mut latch_vars: Vec<u32> = Vec::with_capacity(l as usize);
-    let mut latch_next: Vec<u32> = Vec::with_capacity(l as usize);
-    let mut latch_reset: Vec<u32> = Vec::with_capacity(l as usize);
+    // Buffers grow with the lines actually read, never from header counts.
+    let mut input_vars: Vec<u32> = Vec::new();
+    let mut latch_vars: Vec<u32> = Vec::new();
+    let mut latch_next: Vec<u32> = Vec::new();
+    let mut latch_reset: Vec<u32> = Vec::new();
     for _ in 0..i {
         let fields = read_u32_line(&mut reader)?;
         let lit = *fields.first().ok_or_else(|| parse_err("bad input line"))?;
@@ -312,17 +323,17 @@ fn read_ascii<R: BufRead>(mut reader: R, hdr: Header) -> Result<Netlist, AigerEr
             _ => return Err(parse_err("bad latch line")),
         }
     }
-    let mut outputs: Vec<u32> = Vec::with_capacity(o as usize);
+    let mut outputs: Vec<u32> = Vec::new();
     for _ in 0..o {
         let fields = read_u32_line(&mut reader)?;
         outputs.push(*fields.first().ok_or_else(|| parse_err("bad output line"))?);
     }
-    let mut bads: Vec<u32> = Vec::with_capacity(b as usize);
+    let mut bads: Vec<u32> = Vec::new();
     for _ in 0..b {
         let fields = read_u32_line(&mut reader)?;
         bads.push(*fields.first().ok_or_else(|| parse_err("bad `bad` line"))?);
     }
-    let mut and_defs: Vec<(u32, u32, u32)> = Vec::with_capacity(a as usize);
+    let mut and_defs: Vec<(u32, u32, u32)> = Vec::new();
     for _ in 0..a {
         let fields = read_u32_line(&mut reader)?;
         if fields.len() != 3 {
@@ -333,24 +344,28 @@ fn read_ascii<R: BufRead>(mut reader: R, hdr: Header) -> Result<Netlist, AigerEr
     let syms = read_symbols(&mut reader, hdr)?;
 
     // Construct the netlist: inputs, latches, then ANDs in topological order.
+    // The variable table holds only the variables the file defines.
     let mut n = Netlist::new();
-    let mut var_lit: Vec<Option<Lit>> = vec![None; (m + 1) as usize];
-    var_lit[0] = Some(Lit::FALSE);
+    let mut var_lit: HashMap<u32, Lit> = HashMap::from([(0, Lit::FALSE)]);
+    let in_range = |v: u32, what: &str| {
+        (v <= m)
+            .then_some(v)
+            .ok_or_else(|| parse_err(format!("{what} var out of range")))
+    };
     for (k, &v) in input_vars.iter().enumerate() {
         let name = syms.inputs[k].clone().unwrap_or_else(|| format!("i{k}"));
         let g = n.input(name);
-        *var_lit
-            .get_mut(v as usize)
-            .ok_or_else(|| parse_err("input var out of range"))? = Some(g.lit());
+        var_lit.insert(in_range(v, "input")?, g.lit());
     }
-    let mut regs: Vec<Gate> = Vec::with_capacity(l as usize);
+    let mut regs: Vec<Gate> = Vec::new();
     for (k, &v) in latch_vars.iter().enumerate() {
         let name = syms.latches[k].clone().unwrap_or_else(|| format!("l{k}"));
         let g = n.reg(name, latch_init(latch_reset[k], 2 * v)?);
         regs.push(g);
-        *var_lit
-            .get_mut(v as usize)
-            .ok_or_else(|| parse_err("latch var out of range"))? = Some(g.lit());
+        var_lit.insert(in_range(v, "latch")?, g.lit());
+    }
+    for &(lhs, _, _) in &and_defs {
+        in_range(lhs >> 1, "and")?;
     }
     // ANDs may appear in any order in ASCII files; resolve with a worklist.
     let mut pending: Vec<(u32, u32, u32)> = and_defs;
@@ -362,7 +377,7 @@ fn read_ascii<R: BufRead>(mut reader: R, hdr: Header) -> Result<Netlist, AigerEr
             match (fa, fb) {
                 (Some(fa), Some(fb)) => {
                     let lit = n.and(fa, fb);
-                    var_lit[(lhs >> 1) as usize] = Some(lit.xor_complement(lhs & 1 != 0));
+                    var_lit.insert(lhs >> 1, lit.xor_complement(lhs & 1 != 0));
                     false
                 }
                 _ => true,
@@ -398,12 +413,9 @@ fn split_symbol(rest: &str) -> Option<(usize, String)> {
     Some((idx, name))
 }
 
-fn resolve(var_lit: &[Option<Lit>], aiger_lit: u32) -> Option<Lit> {
-    let v = (aiger_lit >> 1) as usize;
+fn resolve(var_lit: &HashMap<u32, Lit>, aiger_lit: u32) -> Option<Lit> {
     var_lit
-        .get(v)
-        .copied()
-        .flatten()
+        .get(&(aiger_lit >> 1))
         .map(|l| l.xor_complement(aiger_lit & 1 != 0))
 }
 
@@ -669,6 +681,37 @@ mod tests {
     fn rejects_garbage() {
         assert!(read(std::io::Cursor::new("hello world\n")).is_err());
         assert!(read(std::io::Cursor::new("aag 1 1\n")).is_err());
+    }
+
+    /// Header counts whose arithmetic overflows a u32 are malformed: `M + 1`
+    /// used to wrap to an empty variable table and panic on indexing, and a
+    /// wrapped `I + L + A` passed `M ≥ I+L+A` and started building four
+    /// billion inputs.
+    #[test]
+    fn rejects_overflowing_header_arithmetic() {
+        for header in ["aag 4294967295 0 0 0 0\n", "aig 5 4294967295 2 0 0\n"] {
+            assert_eq!(header.len(), 23);
+            assert!(
+                matches!(
+                    read(std::io::Cursor::new(header)),
+                    Err(AigerError::Parse(_))
+                ),
+                "{header:?} must be rejected"
+            );
+        }
+        // ASCII section buffers grow with the lines read instead of
+        // reserving the declared count (here 16 GB of `bad` literals).
+        assert!(read(std::io::Cursor::new("aag 1 0 0 0 0 4294967295\n")).is_err());
+    }
+
+    /// ASCII variables are checked against `M` instead of indexing a table
+    /// sized from it, so an AND defining a variable above `M` is an error.
+    #[test]
+    fn ascii_variables_above_m_are_errors() {
+        assert!(read(std::io::Cursor::new("aag 1 1 0 0 1\n2\n10 2 3\n")).is_err());
+        assert!(read(std::io::Cursor::new("aag 1 1 0 0 0\n4\n")).is_err());
+        let ok = read(std::io::Cursor::new("aag 3 2 0 1 1\n2\n4\n6\n6 2 4\n")).unwrap();
+        assert_eq!((ok.num_inputs(), ok.num_ands()), (2, 1));
     }
 
     #[test]

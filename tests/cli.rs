@@ -171,3 +171,35 @@ fn closed_stdout_exits_cleanly() {
     assert!(dumps.is_empty(), "crash dumps written: {dumps:?}");
     assert!(!store, "a .diam/ store appeared in the working directory");
 }
+
+/// Two 23-byte headers whose counts overflow u32 arithmetic: `diam stats`
+/// reports a parse error and exits 1, with no panic, crash dump or `.diam/`
+/// store left behind.
+#[test]
+fn overflowing_aiger_headers_fail_cleanly() {
+    let dir = std::env::temp_dir().join(format!("diam_cli_header_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let crash = dir.join("crash");
+    std::fs::create_dir_all(&crash).expect("sandbox");
+    for (name, header) in [
+        ("huge_m.aag", "aag 4294967295 0 0 0 0\n"),
+        ("wrapped_sum.aig", "aig 5 4294967295 2 0 0\n"),
+    ] {
+        let f = fixture(&dir, name, header);
+        let out = Command::new(env!("CARGO_BIN_EXE_diam"))
+            .args(["stats", f.to_str().unwrap()])
+            .env("DIAM_CRASH_DIR", &crash)
+            .env_remove("DIAM_FORCE_PANIC")
+            .current_dir(&dir)
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{name}: {stderr}");
+        assert!(stderr.contains("aiger parse error"), "{name}: {stderr}");
+    }
+    let dumps: Vec<_> = std::fs::read_dir(&crash).expect("crash dir").collect();
+    let store = dir.join(".diam").exists();
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(dumps.is_empty(), "crash dumps written: {dumps:?}");
+    assert!(!store, "a .diam/ store appeared in the working directory");
+}
