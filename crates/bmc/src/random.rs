@@ -146,10 +146,51 @@ pub(crate) fn per_target_oracle(
     best
 }
 
+/// A random netlist with the shapes the engines must not get wrong:
+/// function-initialized and nondeterministic registers, targets hit at t = 0
+/// and never hit, a duplicate target, and a rare target (a run of `k` high
+/// inputs) whose earliest hit often improves in a later random-search batch.
+#[cfg(test)]
+pub(crate) fn corner_netlist(inputs: usize, regs: usize, gates: usize, seed: u64) -> Netlist {
+    use diam_gen::random::{random_netlist, RandomDesignOptions};
+    use diam_netlist::Init;
+    let mut n = random_netlist(
+        &RandomDesignOptions {
+            inputs,
+            regs,
+            gates,
+            targets: 3,
+            allow_nondet: true,
+        },
+        seed,
+    );
+    if inputs > 0 {
+        let reset = n.and(n.inputs()[0].lit(), !n.inputs()[inputs - 1].lit());
+        let regs: Vec<_> = n.regs().to_vec();
+        for (k, &r) in regs.iter().enumerate() {
+            if (seed >> k) & 1 == 1 {
+                n.set_init(r, Init::Fn(if k % 2 == 0 { reset } else { !reset }));
+            }
+        }
+        let mut run = n.inputs()[0].lit();
+        for k in 0..5 + seed % 4 {
+            let r = n.reg(format!("run{k}"), Init::Zero);
+            n.set_next(r, run);
+            run = n.and(r.lit(), n.inputs()[0].lit());
+        }
+        n.add_target(run, "rare");
+    }
+    n.add_target(Lit::TRUE, "always");
+    n.add_target(Lit::FALSE, "never");
+    let dup = n.targets()[(seed % 3) as usize].lit;
+    n.add_target(dup, "duplicate");
+    n.validate().expect("corner netlists validate");
+    n
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use diam_gen::random::{random_netlist, RandomDesignOptions};
     use diam_netlist::Init;
     use proptest::prelude::*;
 
@@ -163,45 +204,6 @@ mod tests {
             assert_eq!(got, &want, "{ctx}: target {i} ({})", n.targets()[i].name);
             assert_eq!(random_search(n, i, opts), want, "{ctx}: target {i} alone");
         }
-    }
-
-    /// A random netlist with the shapes the shared search must not get
-    /// wrong: function-initialized registers, targets hit at t = 0 and never
-    /// hit, a duplicate target, and a rare target (a run of `k` high inputs)
-    /// whose earliest hit often improves in a later batch.
-    fn corner_netlist(inputs: usize, regs: usize, gates: usize, seed: u64) -> Netlist {
-        let mut n = random_netlist(
-            &RandomDesignOptions {
-                inputs,
-                regs,
-                gates,
-                targets: 3,
-                allow_nondet: true,
-            },
-            seed,
-        );
-        if inputs > 0 {
-            let reset = n.and(n.inputs()[0].lit(), !n.inputs()[inputs - 1].lit());
-            let regs: Vec<_> = n.regs().to_vec();
-            for (k, &r) in regs.iter().enumerate() {
-                if (seed >> k) & 1 == 1 {
-                    n.set_init(r, Init::Fn(if k % 2 == 0 { reset } else { !reset }));
-                }
-            }
-            let mut run = n.inputs()[0].lit();
-            for k in 0..5 + seed % 4 {
-                let r = n.reg(format!("run{k}"), Init::Zero);
-                n.set_next(r, run);
-                run = n.and(r.lit(), n.inputs()[0].lit());
-            }
-            n.add_target(run, "rare");
-        }
-        n.add_target(Lit::TRUE, "always");
-        n.add_target(Lit::FALSE, "never");
-        let dup = n.targets()[(seed % 3) as usize].lit;
-        n.add_target(dup, "duplicate");
-        n.validate().expect("corner netlists validate");
-        n
     }
 
     proptest! {

@@ -17,7 +17,9 @@
 //!    (Theorems 1–4) — the paper's contribution: a finite back-translated
 //!    bound makes the bounded check a proof either way;
 //! 4. **symbolic reachability** — when the bound is too large but the cone
-//!    is small enough for BDDs, an exact fixpoint settles the target;
+//!    is small enough for BDDs, an exact fixpoint settles the target: an
+//!    unreachable target is proved, and a hit's counterexample is walked
+//!    back through the fixpoint's onion rings, with no SAT call;
 //! 5. **k-induction strengthened with the sweep's invariants** — catches
 //!    properties whose diameter stays unboundable but whose inductive core
 //!    is shallow;
@@ -28,7 +30,7 @@
 //! hit its target at its depth panics instead of becoming a wrong answer.
 
 use crate::{
-    check, k_induction_with_invariants, random, BmcOptions, BmcOutcome, InductionOutcome,
+    k_induction_with_invariants, random, BmcOptions, BmcOutcome, InductionOutcome,
     RandomSearchOptions,
 };
 use diam_core::{Bound, Pipeline, PipelineResult, PipelinedBound, StructuralOptions};
@@ -221,36 +223,23 @@ fn decide(n: &Netlist, i: usize, ev: &Evidence, opts: &StrategyOptions) -> Targe
         }
     }
     // 4. Symbolic reachability on small-enough cones. The fixpoint is
-    // exact: unreachable proves, reachable gives the earliest depth (re-run
-    // through BMC for a replayable witness).
+    // exact: unreachable proves, and a hit comes with the counterexample
+    // walked back through the fixpoint's onion rings.
     let cone_regs = diam_netlist::analysis::coi(n, [t]).regs.len();
     if opts.symbolic_reg_cap > 0 && cone_regs <= opts.symbolic_reg_cap {
         if let Ok(r) =
             diam_core::symbolic::reach(n, i, &diam_core::symbolic::SymbolicLimits::default())
         {
-            match r.earliest_hit {
-                None => {
-                    return TargetStatus::Proved {
-                        by: Engine::Symbolic,
-                    };
-                }
-                Some(depth) => {
-                    if let BmcOutcome::Counterexample { depth, witness } = check(
-                        n,
-                        i,
-                        &BmcOptions {
-                            max_depth: depth,
-                            ..BmcOptions::default()
-                        },
-                    ) {
-                        return TargetStatus::Failed {
-                            depth,
-                            witness,
-                            by: Engine::Symbolic,
-                        };
-                    }
-                }
-            }
+            return match r.earliest_hit {
+                None => TargetStatus::Proved {
+                    by: Engine::Symbolic,
+                },
+                Some(depth) => TargetStatus::Failed {
+                    depth,
+                    witness: r.witness.expect("symbolic hits carry a witness"),
+                    by: Engine::Symbolic,
+                },
+            };
         }
     }
     // 5. Invariant-strengthened induction.
@@ -428,10 +417,11 @@ mod tests {
     }
 
     /// Runs `solve_all` under a `Json` session and returns its verdicts plus
-    /// the names of every span it opened. Spans are matched by ancestry, so
-    /// concurrently running tests cannot leak into the set.
-    fn traced_solve(n: &Netlist) -> (Vec<TargetStatus>, Vec<&'static str>) {
-        use diam_obs::{EventKind, ObsConfig, ObsMode, RunManifest, Session};
+    /// every span it opened, by name and `index` field (when it has one).
+    /// Spans are matched by ancestry, so concurrently running tests cannot
+    /// leak into the set.
+    fn traced_solve(n: &Netlist) -> (Vec<TargetStatus>, Vec<(&'static str, Option<u64>)>) {
+        use diam_obs::{EventKind, ObsConfig, ObsMode, RunManifest, Session, Value};
         let session = Session::install(
             ObsConfig {
                 mode: ObsMode::Json,
@@ -445,13 +435,13 @@ mod tests {
         };
         let report = session.finish();
         let mut parent = std::collections::HashMap::new();
-        let mut names = Vec::new();
+        let mut spans = Vec::new();
         for e in &report.events {
             if let EventKind::Open {
                 span,
                 parent: p,
                 name,
-                ..
+                fields,
             } = &e.kind
             {
                 parent.insert(*span, *p);
@@ -460,11 +450,15 @@ mod tests {
                     up = parent.get(&up).copied().unwrap_or(0);
                 }
                 if up == root {
-                    names.push(*name);
+                    let index = fields.iter().find_map(|(k, v)| match (k, v) {
+                        (&"index", Value::U64(i)) => Some(*i),
+                        _ => None,
+                    });
+                    spans.push((*name, index));
                 }
             }
         }
-        (statuses, names)
+        (statuses, spans)
     }
 
     #[test]
@@ -494,7 +488,7 @@ mod tests {
         );
         assert_eq!(statuses, eager_reference(&n, &StrategyOptions::default()));
         assert!(
-            !spans.iter().any(|s| FORMAL.contains(s)),
+            !spans.iter().any(|(s, _)| FORMAL.contains(s)),
             "formal engines ran for a fully falsified design: {spans:?}"
         );
 
@@ -503,7 +497,10 @@ mod tests {
         let (statuses, spans) = traced_solve(&n);
         assert_eq!(statuses, eager_reference(&n, &StrategyOptions::default()));
         for name in FORMAL {
-            assert!(spans.contains(&name), "{name} missing: {spans:?}");
+            assert!(
+                spans.iter().any(|(s, _)| *s == name),
+                "{name} missing: {spans:?}"
+            );
         }
     }
 
@@ -538,13 +535,13 @@ mod tests {
         assert!(survivors > 0, "no target reached engines 2–5");
     }
 
-    #[test]
-    fn unboundable_targets_are_reported_open() {
+    /// A large stirred ring whose all-ones target is reachable only at
+    /// depth 24: random simulation misses it and its 2^24 bound is over
+    /// every depth cap, so only the symbolic engine can settle it.
+    fn stirred_ring() -> Netlist {
         use diam_netlist::sim::SplitMix64;
         let mut n = Netlist::new();
         let mut rng = SplitMix64::new(9);
-        // A large stirred ring with an unreachable target: over every
-        // engine's head (bounded by our caps).
         let stir = n.input("stir");
         let regs: Vec<Gate> = (0..24)
             .map(|k| n.reg(format!("r{k}"), Init::Zero))
@@ -560,12 +557,15 @@ mod tests {
             };
             n.set_next(regs[k], nx);
         }
-        // Unreachable but not inductively obvious: all 24 ring bits high
-        // while the stir input was never high… just use a conjunction of
-        // many bits (random sim will fail to hit it, bounds explode).
         let lits: Vec<Lit> = regs.iter().map(|r| r.lit()).collect();
         let t = n.and_many(lits);
         n.add_target(t, "all_ones");
+        n
+    }
+
+    #[test]
+    fn unboundable_targets_are_reported_open() {
+        let n = stirred_ring();
         // With the symbolic engine disabled, nothing can touch a 2^24
         // bound: reported open with the bound attached as the diagnosis.
         let limited = StrategyOptions {
@@ -592,9 +592,99 @@ mod tests {
             TargetStatus::Failed { by, witness, depth } => {
                 assert_eq!(*by, Engine::Symbolic);
                 assert_eq!(*depth, 24);
+                assert_eq!(witness.inputs.len(), 25, "one row per step 0..=24");
                 assert!(witness.replays_to(&n, n.targets()[0].lit));
             }
             other => panic!("expected symbolic hit, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn symbolic_hits_make_no_bmc_call() {
+        // Engine 4 hands back the witness it walked out of its rings; no
+        // BMC check re-derives it.
+        let (statuses, spans) = traced_solve(&stirred_ring());
+        assert!(
+            matches!(
+                statuses[0],
+                TargetStatus::Failed {
+                    by: Engine::Symbolic,
+                    depth: 24,
+                    ..
+                }
+            ),
+            "{statuses:?}"
+        );
+        assert!(
+            spans.contains(&("symbolic.reach", Some(0))),
+            "engine 4 did not run: {spans:?}"
+        );
+        assert!(
+            !spans.contains(&("bmc.check", Some(0))),
+            "engine 4 re-ran BMC: {spans:?}"
+        );
+    }
+
+    /// Engine 4 against BMC, the reference for time-0 semantics (explicit
+    /// exploration is not one: its first transition also takes free
+    /// inputs). On corner netlists — `Init::Fn` and `Nondet` registers,
+    /// constant and duplicate targets — every target's symbolic earliest hit
+    /// equals `check`'s up to a depth cap, and comes with a witness of
+    /// exactly `depth + 1` rows that replays; `None` means `check` finds no
+    /// hit either.
+    #[test]
+    fn symbolic_earliest_hits_match_bmc_on_corner_netlists() {
+        use crate::random::corner_netlist;
+        use crate::{check, BmcOptions, BmcOutcome};
+        use diam_core::symbolic::{reach, SymbolicLimits};
+        use diam_netlist::analysis::coi;
+        use diam_netlist::sim::SplitMix64;
+        const CAP: u64 = 12;
+        let designs = if cfg!(debug_assertions) { 200 } else { 2000 };
+        let mut rng = SplitMix64::new(0x5ab0);
+        let mut late_fn_hits = 0;
+        for _ in 0..designs {
+            let (inputs, regs, gates) = (
+                rng.below(4) as usize,
+                1 + rng.below(5) as usize,
+                2 + rng.below(22) as usize,
+            );
+            let seed = rng.next_u64();
+            let n = corner_netlist(inputs, regs, gates, seed);
+            let ctx = format!("corner_netlist({inputs}, {regs}, {gates}, {seed})");
+            for (i, t) in n.targets().iter().enumerate() {
+                let r = reach(&n, i, &SymbolicLimits::default()).expect("small cones fit");
+                let bmc = match check(
+                    &n,
+                    i,
+                    &BmcOptions {
+                        max_depth: CAP,
+                        ..BmcOptions::default()
+                    },
+                ) {
+                    BmcOutcome::Counterexample { depth, .. } => Some(depth),
+                    BmcOutcome::NoHitUpTo(_) => None,
+                    other => panic!("{ctx} target {i}: {other:?}"),
+                };
+                let capped = r.earliest_hit.filter(|&d| d <= CAP);
+                assert_eq!(capped, bmc, "{ctx} target {i} ({})", t.name);
+                match (r.earliest_hit, &r.witness) {
+                    (None, None) => {}
+                    (Some(d), Some(w)) => {
+                        assert_eq!(w.inputs.len() as u64, d + 1, "{ctx} target {i}");
+                        assert!(w.replays_to(&n, t.lit), "{ctx} target {i}");
+                    }
+                    other => panic!("{ctx} target {i}: {other:?}"),
+                }
+                let fn_cone = coi(&n, [t.lit])
+                    .regs
+                    .iter()
+                    .any(|&g| matches!(n.reg_init(g), Init::Fn(_)));
+                if fn_cone && capped.is_some_and(|d| d > 0) {
+                    late_fn_hits += 1;
+                }
+            }
+        }
+        assert!(late_fn_hits > 0, "no Init::Fn cone was hit after time 0");
     }
 }
