@@ -1,8 +1,10 @@
 //! Benchmarks for the SumSweep eccentricity engine: explicit state-graph
 //! enumeration and the alternating sweep phase, at 2^12 and 2^16 reachable
 //! states (an enabled binary counter visits every state, making the sizes
-//! exact). End-to-end BMC depth numbers live in `BENCH_pr10.json`
-//! (produced by `benchreport --suite ecc`).
+//! exact). Certified bounds driving complete BMC proofs end to end are
+//! measured by the perf ledger's `prove_archetypes` workload; the
+//! token-ring proof under a depth cap is pinned by
+//! `tests/ecc_verdicts.rs`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use diam_core::state_graph::{StateGraph, StateGraphLimits};

@@ -192,24 +192,10 @@ pub struct DesignResult {
 /// The usefulness threshold the paper uses throughout.
 pub const THRESHOLD: u64 = 50;
 
-/// Runs the three columns on one design.
-pub fn run_design(profile: &DesignProfile, netlist: &Netlist) -> DesignResult {
-    run_design_with(profile, netlist, diam_par::Parallelism::Sequential)
-}
-
-/// [`run_design`] with an explicit parallelism setting for the per-target
-/// bounding fan-out. Results are bit-identical across settings.
-pub fn run_design_with(
-    profile: &DesignProfile,
-    netlist: &Netlist,
-    par: diam_par::Parallelism,
-) -> DesignResult {
-    run_design_opts(profile, netlist, par, &EccOptions::default())
-}
-
-/// [`run_design_with`] with eccentricity-engine options (`--ecc` on the
-/// table binaries). The default-off variants reproduce the paper's blanket
-/// bounds.
+/// Runs the three columns on one design. `par` sets the per-target
+/// bounding fan-out (results are bit-identical across settings); `ecc` is
+/// `--ecc` on the table binaries, whose default (off) reproduces the
+/// paper's blanket bounds.
 pub fn run_design_opts(
     profile: &DesignProfile,
     netlist: &Netlist,
@@ -344,22 +330,19 @@ pub fn header() -> String {
     )
 }
 
-/// Runs a whole suite, printing rows as they complete; returns the Σ.
+/// Runs a whole suite sequentially with the paper's blanket bounds,
+/// printing rows as they complete; returns the Σ.
 pub fn run_suite(suite: &[(DesignProfile, Netlist)], print: bool) -> Sigma {
-    run_suite_with(suite, print, diam_par::Parallelism::Sequential)
+    run_suite_opts(
+        suite,
+        print,
+        Parallelism::Sequential,
+        &EccOptions::default(),
+    )
 }
 
 /// [`run_suite`] with an explicit parallelism setting (see `--jobs` on the
-/// `table1` / `table2` binaries).
-pub fn run_suite_with(
-    suite: &[(DesignProfile, Netlist)],
-    print: bool,
-    par: diam_par::Parallelism,
-) -> Sigma {
-    run_suite_opts(suite, print, par, &EccOptions::default())
-}
-
-/// [`run_suite_with`] with eccentricity-engine options.
+/// `table1` / `table2` binaries) and eccentricity-engine options.
 pub fn run_suite_opts(
     suite: &[(DesignProfile, Netlist)],
     print: bool,

@@ -1,7 +1,7 @@
 //! A minimal, std-only JSON value model: enough to *write* the JSONL trace
-//! format and to *parse it back* for validation (`tracecheck`, the schema
-//! round-trip tests). Not a general-purpose JSON library — numbers outside
-//! `i128` and non-BMP escapes beyond `\uXXXX` pairs are out of scope.
+//! format and to *parse it back* for validation (`diam-trace check`, the
+//! schema round-trip tests). Not a general-purpose JSON library — numbers
+//! outside `i128` and non-BMP escapes beyond `\uXXXX` pairs are out of scope.
 
 use std::collections::BTreeMap;
 use std::fmt;

@@ -5,18 +5,13 @@
 //! metrics line. This crate is the *analytics* layer on top of that format:
 //!
 //! * [`model`] — a typed span-tree parser ([`Trace::parse`]) with strict
-//!   validation. Its diagnostics are byte-identical to the historical
-//!   `tracecheck` checker, which is now a thin wrapper over this parser.
+//!   validation; `diam-trace check` prints its diagnostics verbatim.
 //! * [`analyze`] — per-phase attribution rollups, critical-path extraction
 //!   (heaviest-child chains that respect `diam-par` worker overlap), top-K
 //!   hotspots, and per-depth SAT work tables.
-//! * [`diff`] — noise-aware comparison of two traces (or two baselines):
-//!   a phase regresses only when it exceeds both a relative threshold and an
-//!   absolute floor, so micro-jitter on fast phases never trips the gate.
-//! * [`baseline`] — the schema-versioned `BENCH_<label>.json` format written
-//!   by the `benchreport` harness (`crates/bench`): per-phase medians across
-//!   N runs, SAT totals, peak RSS, and a manifest fingerprint that guards
-//!   against apples-to-oranges diffs.
+//! * [`diff`] — noise-aware comparison of two traces: a phase regresses
+//!   only when it exceeds both a relative threshold and an absolute floor,
+//!   so micro-jitter on fast phases never trips the gate.
 //! * [`export`] — Chrome trace-event JSON (Perfetto / `chrome://tracing`)
 //!   and collapsed-stack flamegraph exporters, each with a round-trip
 //!   verifier that checks the export against the span model.
@@ -26,9 +21,6 @@
 //!   recorder's last events, and allocator state at death.
 //! * [`timeline`] — per-worker busy/idle lane rendering from merged span
 //!   intervals.
-//! * [`history`] — the content-addressed `.diam/history/` run store keyed
-//!   by workload fingerprint, with per-phase trend tables and a drift gate
-//!   reusing the [`diff`] thresholds.
 //!
 //! Everything is std-only; the only dependency is `diam-obs` itself (for the
 //! vendored JSON parser and histogram machinery).
@@ -55,10 +47,8 @@
 //! ```
 
 pub mod analyze;
-pub mod baseline;
 pub mod diff;
 pub mod export;
-pub mod history;
 pub mod model;
 pub mod postmortem;
 pub mod timeline;
@@ -67,15 +57,11 @@ pub use analyze::{
     critical_path, critical_path_from, hotspots, render_report, report_to_json, rollup, DepthRow,
     PathStep, PhaseRollup,
 };
-pub use baseline::{Baseline, BaselinePhase, SCHEMA_VERSION};
-pub use diff::{
-    diff_baselines, diff_traces, has_regressions, render_diff, DiffOptions, PhaseDiff, Verdict,
-};
+pub use diff::{diff_traces, has_regressions, render_diff, DiffOptions, PhaseDiff, Verdict};
 pub use export::{
     chrome_trace, flamegraph, per_worker_dur_ns, total_self_ns, verify_chrome_trace,
     verify_flamegraph,
 };
-pub use history::{render_trends, History, DEFAULT_HISTORY_DIR};
 pub use model::{
     MemAttr, MetricValue, Point, SatAttr, Span, Trace, TraceError, TraceEvent, TraceManifest,
 };

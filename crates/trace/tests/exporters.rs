@@ -1,13 +1,12 @@
-//! Exporter round-trip + golden tests and `diam-trace history` CLI tests.
+//! Exporter round-trip + golden tests and `diam-trace check` CLI tests.
 //!
 //! The export goldens (`seed_run.chrome.json`, `seed_run.folded`) pin the
 //! exact bytes produced from the committed seed trace, so format changes
-//! are deliberate, reviewed diffs. The history tests drive the real binary
-//! (`CARGO_BIN_EXE_diam-trace`) against a temp store to pin exit codes.
+//! are deliberate, reviewed diffs. The CLI tests drive the real binary
+//! (`CARGO_BIN_EXE_diam-trace`) to pin output and exit codes.
 
-use diam_trace::{export, history, timeline, Baseline, Trace};
-use std::path::PathBuf;
-use std::process::Command;
+use diam_trace::{export, timeline, Trace};
+use std::process::{Command, Output};
 
 fn fixture(name: &str) -> String {
     let path = format!("{}/tests/fixtures/{name}", env!("CARGO_MANIFEST_DIR"));
@@ -67,86 +66,56 @@ fn timeline_covers_all_seed_spans() {
     assert!(busy[&0] <= trace.manifest.wall_ns);
 }
 
-fn history_tmpdir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("diam-trace-cli-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
-/// Store a single-run baseline built from the seed trace, with every phase
-/// total scaled by `scale_pct` percent (100 = unchanged).
-fn store_scaled_run(store: &history::History, label: &str, scale_pct: u64) {
-    let trace = seed_trace();
-    let mut baseline = Baseline::from_traces(label, &[trace]).expect("aggregates");
-    for phase in &mut baseline.phases {
-        phase.total_ns = phase.total_ns * scale_pct / 100;
-        phase.self_ns = phase.self_ns * scale_pct / 100;
-    }
-    baseline.wall_ns = baseline.wall_ns * scale_pct / 100;
-    store.append(&baseline).expect("append succeeds");
+fn cli(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_diam-trace"))
+        .args(args)
+        .output()
+        .expect("diam-trace runs")
 }
 
 #[test]
-fn history_cli_trends_steady_then_drift() {
-    let root = history_tmpdir("drift");
-    let store = history::History::at(&root);
-    // Three steady runs...
-    for (i, label) in ["r1", "r2", "r3"].iter().enumerate() {
-        store_scaled_run(&store, label, 100 + i as u64); // ±3% jitter
-    }
-    let fp = store.fingerprints().unwrap()[0].0.clone();
-
-    let steady = Command::new(env!("CARGO_BIN_EXE_diam-trace"))
-        .args(["history", &fp, "--dir", root.to_str().unwrap()])
-        .output()
-        .expect("runs");
-    let text = String::from_utf8_lossy(&steady.stdout);
-    assert!(steady.status.success(), "{text}");
-    assert!(text.contains("3 runs of table1"), "{text}");
-    assert!(text.contains("verdict: STEADY"), "{text}");
-
-    // ... then an injected 2× slowdown must trip the drift gate → exit 1.
-    store_scaled_run(&store, "slow", 200);
-    let drift = Command::new(env!("CARGO_BIN_EXE_diam-trace"))
-        .args(["history", &fp, "--dir", root.to_str().unwrap()])
-        .output()
-        .expect("runs");
-    let text = String::from_utf8_lossy(&drift.stdout);
-    assert_eq!(drift.status.code(), Some(1), "{text}");
-    assert!(text.contains("4 runs of table1"), "{text}");
-    assert!(text.contains("verdict: DRIFT"), "{text}");
-
-    let _ = std::fs::remove_dir_all(&root);
+fn check_cli_accepts_the_seed_trace() {
+    let path = format!(
+        "{}/tests/fixtures/seed_run.jsonl",
+        env!("CARGO_MANIFEST_DIR")
+    );
+    let run = cli(&["check", &path]);
+    let stdout = String::from_utf8_lossy(&run.stdout);
+    assert!(
+        run.status.success(),
+        "{}",
+        String::from_utf8_lossy(&run.stderr)
+    );
+    assert!(
+        stdout.starts_with(&format!("{path}: OK — 598 lines, 295 spans, ")),
+        "{stdout}"
+    );
+    assert!(stdout.contains("suite.design"), "{stdout}");
 }
 
+/// A trace cut off before its metrics line, and a missing file, exit 2; the
+/// rejection carries the parser's own `line N: message` diagnostic.
 #[test]
-fn history_cli_lists_fingerprints_and_rejects_unknown() {
-    let root = history_tmpdir("list");
-    let store = history::History::at(&root);
-    store_scaled_run(&store, "only", 100);
-    let fp = store.fingerprints().unwrap()[0].0.clone();
+fn check_cli_rejects_truncated_and_missing_traces() {
+    let tmp = std::env::temp_dir().join(format!("diam-check-{}", std::process::id()));
+    std::fs::create_dir_all(&tmp).expect("temp dir");
+    let seed = fixture("seed_run.jsonl");
+    let truncated = &seed[..seed.trim_end().rfind('\n').expect("multi-line") + 1];
+    let want = Trace::parse(truncated).expect_err("no metrics line");
+    assert_eq!(want.to_string(), "line 597: no metrics line");
 
-    let list = Command::new(env!("CARGO_BIN_EXE_diam-trace"))
-        .args(["history", "--dir", root.to_str().unwrap()])
-        .output()
-        .expect("runs");
-    assert!(list.status.success());
-    let text = String::from_utf8_lossy(&list.stdout);
-    assert!(text.contains(&fp), "{text}");
-    assert!(text.contains("1 run(s)"), "{text}");
+    let path = tmp.join("truncated.jsonl");
+    std::fs::write(&path, truncated).expect("write");
+    let run = cli(&["check", path.to_str().unwrap()]);
+    let stderr = String::from_utf8_lossy(&run.stderr);
+    assert_eq!(run.status.code(), Some(2), "{stderr}");
+    assert!(run.stdout.is_empty());
+    assert_eq!(stderr, format!("diam-trace: {}: {want}\n", path.display()));
 
-    let missing = Command::new(env!("CARGO_BIN_EXE_diam-trace"))
-        .args([
-            "history",
-            "ffffffffffffffff",
-            "--dir",
-            root.to_str().unwrap(),
-        ])
-        .output()
-        .expect("runs");
-    assert_eq!(missing.status.code(), Some(2));
-
-    let _ = std::fs::remove_dir_all(&root);
+    let missing = tmp.join("missing.jsonl");
+    let run = cli(&["check", missing.to_str().unwrap()]);
+    assert_eq!(run.status.code(), Some(2));
+    let _ = std::fs::remove_dir_all(&tmp);
 }
 
 #[test]
@@ -163,11 +132,14 @@ fn export_cli_is_self_verifying() {
         ("flamegraph", "seed_run.folded"),
     ] {
         let out = tmp.join(golden);
-        let run = Command::new(env!("CARGO_BIN_EXE_diam-trace"))
-            .args(["export", &trace_path, "--format", format])
-            .args(["--out", out.to_str().unwrap()])
-            .output()
-            .expect("runs");
+        let run = cli(&[
+            "export",
+            &trace_path,
+            "--format",
+            format,
+            "--out",
+            out.to_str().unwrap(),
+        ]);
         assert!(
             run.status.success(),
             "{}",

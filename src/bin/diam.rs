@@ -33,9 +33,7 @@
 //!                    every target that stays over the threshold
 //!   --obs <M>        off | summary | json | live | live-json — structured
 //!                    observability for this run (default off; see diam-obs)
-//!   --trace-out <F>  write the JSONL trace to F (implies --obs json); a
-//!                    recorded run is also appended to the .diam/history
-//!                    store so `diam-trace history` can track it
+//!   --trace-out <F>  write the JSONL trace to F (implies --obs json)
 //!   --live-out <F>   stream machine-readable live progress JSONL to F
 //!                    (implies --obs live)
 //!   --mem <on|off>   allocator accounting: live/peak bytes, per-span
@@ -418,32 +416,11 @@ fn install_session(cmd: &str, opts: &Options) -> Session {
     Session::install(opts.obs.clone(), manifest)
 }
 
-/// Finishes the session: prints the summary tree in recording modes and
-/// appends a single-run baseline to the `.diam/history` store so
-/// `diam-trace history` can track CLI runs alongside `benchreport` ones.
-/// History is best-effort — a read-only checkout never fails the run.
+/// Finishes the session and prints the summary tree in recording modes.
 fn finish_session(opts: &Options, session: Session) {
     let report = session.finish();
-    if opts.obs.mode.is_off() {
-        return;
-    }
-    out!("\n{}", report.render_summary());
-    match diam_trace::Trace::parse(&report.to_jsonl()) {
-        Ok(trace) if !trace.spans.is_empty() => {
-            let store = diam_trace::History::default_root();
-            match diam_trace::Baseline::from_traces("cli", &[trace]) {
-                Ok(baseline) => match store.append(&baseline) {
-                    Ok((seq, path)) => eprintln!(
-                        "diam: history run {seq} recorded at {} (fingerprint {})",
-                        path.display(),
-                        baseline.fingerprint
-                    ),
-                    Err(e) => eprintln!("diam: history append skipped: {e}"),
-                },
-                Err(e) => eprintln!("diam: history append skipped: {e}"),
-            }
-        }
-        _ => {}
+    if !opts.obs.mode.is_off() {
+        out!("\n{}", report.render_summary());
     }
 }
 

@@ -203,3 +203,53 @@ fn overflowing_aiger_headers_fail_cleanly() {
     assert!(dumps.is_empty(), "crash dumps written: {dumps:?}");
     assert!(!store, "a .diam/ store appeared in the working directory");
 }
+
+/// `diam` writes nothing into its working directory that it was not asked
+/// for: under every `--obs` mode `diam solve` leaves the directory empty (no
+/// `.diam/` store), and `--trace-out t.jsonl` adds exactly `t.jsonl`.
+#[test]
+fn obs_modes_write_nothing_into_the_working_directory() {
+    let dir = std::env::temp_dir().join(format!("diam_cli_obs_cwd_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let crash = dir.join("crash");
+    std::fs::create_dir_all(&crash).expect("sandbox");
+    let f = fixture(&dir, "lockstep.aag", LOCKSTEP);
+    let runs: [(&[&str], &[&str]); 6] = [
+        (&["--obs", "off"], &[]),
+        (&["--obs", "summary"], &[]),
+        (&["--obs", "json"], &[]),
+        (&["--obs", "live"], &[]),
+        (&["--obs", "live-json"], &[]),
+        (&["--trace-out", "t.jsonl"], &["t.jsonl"]),
+    ];
+    let mut failures = Vec::new();
+    for (i, (flags, want)) in runs.iter().enumerate() {
+        let work = dir.join(format!("work{i}"));
+        std::fs::create_dir(&work).expect("empty working directory");
+        let out = Command::new(env!("CARGO_BIN_EXE_diam"))
+            .arg("solve")
+            .args(*flags)
+            .arg(&f)
+            .env("DIAM_CRASH_DIR", &crash)
+            .env_remove("DIAM_FORCE_PANIC")
+            .current_dir(&work)
+            .output()
+            .expect("binary runs");
+        let mut left: Vec<String> = std::fs::read_dir(&work)
+            .expect("working directory")
+            .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
+            .collect();
+        left.sort();
+        if !out.status.success() || left != *want {
+            failures.push(format!(
+                "{flags:?}: {}, left {left:?}: {}",
+                out.status,
+                String::from_utf8_lossy(&out.stderr)
+            ));
+        }
+    }
+    let dumps: Vec<_> = std::fs::read_dir(&crash).expect("crash dir").collect();
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(failures.is_empty(), "{failures:#?}");
+    assert!(dumps.is_empty(), "crash dumps written: {dumps:?}");
+}
