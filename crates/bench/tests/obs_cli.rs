@@ -136,7 +136,8 @@ fn bad_flags_abort_with_usage() {
 
 /// Validate one machine-readable live-stream line against the documented
 /// schema (DESIGN.md §8.2): every event carries `v` (schema version), `ev`
-/// (known kind), and `ts_ns`; kind-specific required keys are checked too.
+/// (known kind), and `ts_ns`; kind-specific required keys are checked too,
+/// and no event carries a key its kind does not document.
 fn check_live_event(line: &str) -> String {
     let v = diam_obs::json::parse(line).unwrap_or_else(|e| panic!("bad JSON {line:?}: {e}"));
     assert_eq!(
@@ -150,17 +151,12 @@ fn check_live_event(line: &str) -> String {
         .and_then(|x| x.as_str())
         .unwrap_or_else(|| panic!("missing ev in {line}"))
         .to_string();
-    let cubes_ok = |val: &diam_obs::json::JsonValue| {
-        let c = val.get("cubes").expect("cubes object");
-        for key in ["refuted", "total"] {
-            assert!(c.get(key).and_then(|x| x.as_u64()).is_some(), "{line}");
-        }
-    };
-    match ev.as_str() {
+    let documented: &[&str] = match ev.as_str() {
         "live_start" => {
             for key in ["heartbeat_ms", "stall_ms"] {
                 assert!(v.get(key).and_then(|x| x.as_u64()).is_some(), "{line}");
             }
+            &["heartbeat_ms", "stall_ms"]
         }
         "heartbeat" => {
             assert!(
@@ -168,11 +164,11 @@ fn check_live_event(line: &str) -> String {
                 "{line}"
             );
             assert!(v.get("queue_depth").is_some(), "{line}");
-            cubes_ok(&v);
+            &["workers", "queue_depth", "rss_kb"]
         }
         "progress" => {
             assert!(v.get("queue_depth").is_some(), "{line}");
-            cubes_ok(&v);
+            &["depth", "queue_depth"]
         }
         "stall" => {
             assert!(
@@ -183,12 +179,22 @@ fn check_live_event(line: &str) -> String {
                 v.get("stacks").and_then(|x| x.as_array()).is_some(),
                 "{line}"
             );
+            &["quiet_s", "stacks"]
         }
         "finish" => {
             assert!(v.get("events").and_then(|x| x.as_u64()).is_some(), "{line}");
-            cubes_ok(&v);
+            &["events"]
         }
         other => panic!("unknown live event kind {other:?} in {line}"),
+    };
+    let diam_obs::json::JsonValue::Object(fields) = &v else {
+        panic!("live event is not an object: {line}");
+    };
+    for key in fields.keys() {
+        assert!(
+            ["v", "ev", "ts_ns"].contains(&key.as_str()) || documented.contains(&key.as_str()),
+            "undocumented key {key:?} in {line}"
+        );
     }
     ev
 }

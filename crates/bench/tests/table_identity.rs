@@ -1,11 +1,11 @@
 //! Byte-identity of the table bodies across `--jobs` settings.
 //!
-//! The reproducibility contract (see `DESIGN.md`, "Threading model" and
-//! "Cube-and-conquer"): the per-target fan-out behind `table1` / `table2`
-//! merges pure jobs in original target order, so everything after the header
-//! line — every row, Σ, and fraction — must be byte-identical whether the
-//! run was sequential or fanned out over any number of workers. The header
-//! echoes the `--jobs` value itself and is stripped before comparing.
+//! The reproducibility contract (see `DESIGN.md`, "Threading model"): the
+//! per-target fan-out behind `table1` / `table2` merges pure jobs in
+//! original target order, so everything after the header line — every row,
+//! Σ, and fraction — must be byte-identical whether the run was sequential
+//! or fanned out over any number of workers. The header echoes the `--jobs`
+//! value itself and is stripped before comparing.
 
 use std::process::Command;
 

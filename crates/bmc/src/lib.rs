@@ -43,11 +43,9 @@
 //! assert!(matches!(outcome, ProveOutcome::Counterexample { depth: 3, .. }));
 //! ```
 
-pub mod cube;
 mod random;
 pub mod strategy;
 
-pub use cube::{CubeMode, CubeOptions};
 pub use random::{random_search, RandomSearchOptions};
 
 use diam_core::{Bound, Pipeline, PipelineResult, StructuralOptions};
@@ -104,29 +102,6 @@ fn inprocess_traced(solver: &mut Solver) {
     diam_obs::charge_sat_gc(d.gc_runs, d.gc_freed_bytes, d.arena_bytes);
 }
 
-/// Solves the depth-`depth` obligation of `target`, routing through the
-/// cube-and-conquer layer when enabled ([`BmcOptions::cube`]). Returns the
-/// verdict plus, on SAT, a witness extracted from the winning model.
-fn solve_depth(
-    n: &Netlist,
-    solver: &mut Solver,
-    unroller: &mut Unroller<'_>,
-    target: Lit,
-    depth: u64,
-    token: &CancelToken,
-    opts: &BmcOptions,
-) -> (SolveResult, Option<Witness>) {
-    if cube::applicable(opts, depth) {
-        if let Some(r) = cube::solve_depth(n, solver, unroller, target, depth, token, opts) {
-            return r;
-        }
-    }
-    let lit = unroller.lit_at(solver, target, depth as usize);
-    let r = solve_traced(solver, &[lit], depth);
-    let w = (r == SolveResult::Sat).then(|| extract_witness(n, unroller, solver, depth as usize));
-    (r, w)
-}
-
 /// Crash-forensics smoke hook: `DIAM_FORCE_PANIC=<depth>` makes the BMC
 /// loop panic when it is about to solve that depth, exercising the
 /// panic-hook → crash-dump → `diam-trace postmortem` pipeline end to end.
@@ -154,12 +129,9 @@ pub struct BmcOptions {
     pub max_depth: u64,
     /// SAT conflict budget per depth (`None` = unlimited).
     pub conflict_budget: Option<u64>,
-    /// Worker threads for [`check_all`]'s per-target fan-out and for the
-    /// cube jobs of one split depth. Outcomes never depend on it.
+    /// Worker threads for [`check_all`]'s per-target fan-out. Outcomes
+    /// never depend on it.
     pub parallelism: Parallelism,
-    /// Cube-and-conquer splitting of deep per-depth obligations; see
-    /// [`cube::CubeOptions`]. Off by default.
-    pub cube: CubeOptions,
 }
 
 impl Default for BmcOptions {
@@ -168,7 +140,6 @@ impl Default for BmcOptions {
             max_depth: 100,
             conflict_budget: None,
             parallelism: Parallelism::Sequential,
-            cube: CubeOptions::default(),
         }
     }
 }
@@ -261,11 +232,11 @@ impl<'a> Obligation<'a> {
 
 /// Discharges `ob` — the crate's one incremental BMC loop. A fresh solver
 /// and a [`FrameZero::Init`] unrolling grow one frame per depth; each depth
-/// is solved monolithically or by cube split ([`BmcOptions::cube`]), and
-/// every clean depth ends at a level-0 cleanup. A hit's witness is lifted
-/// home and replay-checked ([`Obligation::lift`]); its depth is the lifted
-/// one (a certificate chain may add a prefix). A depth that finds `token` cancelled ends the
-/// loop with `Unknown`.
+/// is one solve under the target literal of its frame, and every clean depth
+/// ends at a level-0 cleanup. A hit's witness is lifted home and
+/// replay-checked ([`Obligation::lift`]); its depth is the lifted one (a
+/// certificate chain may add a prefix). A depth that finds `token` cancelled
+/// ends the loop with `Unknown`.
 ///
 /// Returns `None` only when a certificate-chain lift fails.
 fn discharge(ob: &Obligation<'_>, opts: &BmcOptions, token: &CancelToken) -> Option<BmcOutcome> {
@@ -275,24 +246,18 @@ fn discharge(ob: &Obligation<'_>, opts: &BmcOptions, token: &CancelToken) -> Opt
     let mut unroller = Unroller::new(ob.netlist, FrameZero::Init);
     for depth in 0..=ob.max_depth {
         maybe_force_panic(depth);
-        let solved = if token.is_cancelled() {
-            (SolveResult::Unknown, None)
+        let result = if token.is_cancelled() {
+            SolveResult::Unknown
         } else {
-            solve_depth(
-                ob.netlist,
-                &mut solver,
-                &mut unroller,
-                ob.target,
-                depth,
-                token,
-                opts,
-            )
+            let hit = unroller.lit_at(&mut solver, ob.target, depth as usize);
+            solve_traced(&mut solver, &[hit], depth)
         };
-        match solved {
-            (SolveResult::Sat, witness) => {
+        match result {
+            SolveResult::Sat => {
                 sp.record("outcome", "cex");
                 sp.record("depth", depth);
-                let witness = ob.lift(witness.expect("SAT verdicts carry a witness"))?;
+                let witness = extract_witness(ob.netlist, &unroller, &solver, depth as usize);
+                let witness = ob.lift(witness)?;
                 return Some(BmcOutcome::Counterexample {
                     depth: witness.inputs.len() as u64 - 1,
                     witness,
@@ -301,8 +266,8 @@ fn discharge(ob: &Obligation<'_>, opts: &BmcOptions, token: &CancelToken) -> Opt
             // Natural level-0 boundary: this depth is clean, the next frame
             // is about to be encoded — let the solver clean up (root-fact
             // simplification + arena GC, both self-gated).
-            (SolveResult::Unsat, _) => inprocess_traced(&mut solver),
-            (SolveResult::Unknown, _) => {
+            SolveResult::Unsat => inprocess_traced(&mut solver),
+            SolveResult::Unknown => {
                 sp.record("outcome", "unknown");
                 sp.record("depth", depth);
                 return Some(BmcOutcome::Unknown { depth });
@@ -652,10 +617,6 @@ pub struct ProveOptions {
     /// [`Parallelism::Threads`]`(n)` output is bit-identical to
     /// [`Parallelism::Sequential`] output.
     pub parallelism: Parallelism,
-    /// Cube-and-conquer splitting for the per-target BMC runs (see
-    /// [`BmcOptions::cube`]). Off by default; [`CubeMode::Reproducible`]
-    /// preserves `prove_all`'s bit-identity contract.
-    pub cube: CubeOptions,
 }
 
 impl ProveOptions {
@@ -677,7 +638,6 @@ impl ProveOptions {
         BmcOptions {
             max_depth: bound.saturating_sub(1),
             conflict_budget: self.conflict_budget,
-            cube: self.cube.clone(),
             ..BmcOptions::default()
         }
     }
@@ -1298,132 +1258,5 @@ mod tests {
     fn sanity_check_accepts_valid_netlists() {
         let n = counter(3, 1);
         assert!(sanity_check(&n).is_ok());
-    }
-
-    #[test]
-    fn cube_modes_agree_with_monolithic_check() {
-        // A hit at depth 11 and an unreachable target: both verdicts must
-        // survive cube splitting at every thread count.
-        for (bits, value, hit) in [(4, 11, Some(11u64)), (3, 6, Some(6))] {
-            let n = counter(bits, value);
-            for par in [Parallelism::Sequential, Parallelism::Threads(4)] {
-                let opts = BmcOptions {
-                    max_depth: 16,
-                    parallelism: par,
-                    cube: CubeOptions {
-                        mode: CubeMode::Reproducible,
-                        vars: 2,
-                        min_depth: 2,
-                    },
-                    ..Default::default()
-                };
-                match (hit, check(&n, 0, &opts)) {
-                    (Some(d), BmcOutcome::Counterexample { depth, witness }) => {
-                        assert_eq!(depth, d, "{par}");
-                        assert!(witness.replays_to(&n, n.targets()[0].lit), "{par}");
-                    }
-                    (None, BmcOutcome::NoHitUpTo(16)) => {}
-                    (want, got) => panic!("{par}: want {want:?}, got {got:?}"),
-                }
-            }
-        }
-        // Unreachable: two lock-step registers never differ.
-        let mut n = Netlist::new();
-        let i = n.input("i");
-        let a = n.reg("a", Init::Zero);
-        let b = n.reg("b", Init::Zero);
-        n.set_next(a, i.lit());
-        n.set_next(b, i.lit());
-        let t = n.xor(a.lit(), b.lit());
-        n.add_target(t, "differ");
-        let opts = BmcOptions {
-            max_depth: 12,
-            parallelism: Parallelism::Threads(3),
-            cube: CubeOptions {
-                mode: CubeMode::Reproducible,
-                vars: 3,
-                min_depth: 0,
-            },
-            ..Default::default()
-        };
-        assert_eq!(check(&n, 0, &opts), BmcOutcome::NoHitUpTo(12));
-    }
-
-    #[test]
-    fn reproducible_cubes_are_bit_identical_across_thread_counts() {
-        let n = counter(4, 13);
-        let base = BmcOptions {
-            max_depth: 20,
-            cube: CubeOptions {
-                mode: CubeMode::Reproducible,
-                vars: 3,
-                min_depth: 1,
-            },
-            ..Default::default()
-        };
-        let seq = check(&n, 0, &base);
-        for workers in [2usize, 8] {
-            let got = check(
-                &n,
-                0,
-                &BmcOptions {
-                    parallelism: Parallelism::Threads(workers),
-                    ..base.clone()
-                },
-            );
-            // PartialEq covers the witness: bit-for-bit identity.
-            assert_eq!(seq, got, "{workers} workers");
-        }
-    }
-
-    #[test]
-    fn cube_check_all_matches_plain_check_all() {
-        let mut n = Netlist::new();
-        let b: Vec<Gate> = (0..4).map(|k| n.reg(format!("b{k}"), Init::Zero)).collect();
-        let mut carry = Lit::TRUE;
-        for r in &b {
-            let nk = n.xor(r.lit(), carry);
-            carry = n.and(r.lit(), carry);
-            n.set_next(*r, nk);
-        }
-        for v in [3u64, 9, 14] {
-            let lits: Vec<Lit> = (0..4)
-                .map(|k| b[k].lit().xor_complement(v >> k & 1 == 0))
-                .collect();
-            let t = n.and_many(lits);
-            n.add_target(t, format!("is_{v}"));
-        }
-        let plain = check_all(
-            &n,
-            &BmcOptions {
-                max_depth: 16,
-                ..Default::default()
-            },
-        );
-        let cubed = check_all(
-            &n,
-            &BmcOptions {
-                max_depth: 16,
-                cube: CubeOptions {
-                    mode: CubeMode::Reproducible,
-                    vars: 2,
-                    min_depth: 3,
-                },
-                ..Default::default()
-            },
-        );
-        for (i, (p, c)) in plain.iter().zip(&cubed).enumerate() {
-            match (p, c) {
-                (
-                    BmcOutcome::Counterexample { depth: a, .. },
-                    BmcOutcome::Counterexample { depth: b, witness },
-                ) => {
-                    assert_eq!(a, b, "target {i}");
-                    assert!(witness.replays_to(&n, n.targets()[i].lit));
-                }
-                (BmcOutcome::NoHitUpTo(a), BmcOutcome::NoHitUpTo(b)) => assert_eq!(a, b),
-                other => panic!("target {i}: {other:?}"),
-            }
-        }
     }
 }

@@ -588,7 +588,9 @@ pub fn component_cert(n: &Netlist, comp: &[Gate], opts: &EccOptions) -> Option<E
 #[cfg(test)]
 mod tests {
     use super::*;
+    use diam_netlist::sim::SplitMix64;
     use diam_netlist::Init;
+    use proptest::prelude::*;
 
     /// `len`-stage one-hot token ring: exactly `len` reachable states on a
     /// directed cycle, diameter `len − 1`.
@@ -688,6 +690,94 @@ mod tests {
         assert!(s.exact, "full budget converges on the 14-state graph");
         for par in [Parallelism::Threads(2), Parallelism::Threads(8)] {
             assert_eq!(s, sum_sweep(&g, 16, par));
+        }
+    }
+
+    /// A random SCC DAG built from the shapes that break sweep updates:
+    /// one to four blocks joined in a line by single bridges, each block a
+    /// branch vertex feeding a clique and a chain, a cycle SCC, or a clique
+    /// SCC, with self-loops sprinkled over every vertex. Each bridge leaves
+    /// a random vertex of the previous block and enters the next block at
+    /// its entry vertex.
+    fn scc_dag(seed: u64) -> StateGraph {
+        let mut rng = SplitMix64::new(seed);
+        let mut edges: Vec<(u32, u32)> = Vec::new();
+        let mut nv = 0u32;
+        let mut prev: Option<std::ops::Range<u32>> = None;
+        for _ in 0..1 + rng.below(4) {
+            let first = nv;
+            let entry = match rng.below(3) {
+                0 => {
+                    let clique = 2 + rng.below(7) as u32;
+                    let chain = 1 + rng.below(6) as u32;
+                    let branch = first;
+                    let (c0, h0) = (first + 1, first + 1 + clique);
+                    complete(&mut edges, c0..h0);
+                    edges.push((branch, c0));
+                    edges.push((branch, h0));
+                    edges.extend((h0..h0 + chain - 1).map(|v| (v, v + 1)));
+                    nv = h0 + chain;
+                    branch
+                }
+                1 => {
+                    let len = 1 + rng.below(7) as u32;
+                    nv = first + len;
+                    if len > 1 {
+                        edges.extend((first..nv).map(|v| (v, first + (v - first + 1) % len)));
+                    }
+                    first + rng.below(u64::from(len)) as u32
+                }
+                _ => {
+                    let size = 1 + rng.below(6) as u32;
+                    nv = first + size;
+                    complete(&mut edges, first..nv);
+                    first + rng.below(u64::from(size)) as u32
+                }
+            };
+            if let Some(p) = prev {
+                let exit = p.start + rng.below(u64::from(p.end - p.start)) as u32;
+                edges.push((exit, entry));
+            }
+            prev = Some(first..nv);
+        }
+        for v in 0..nv {
+            if rng.below(4) == 0 {
+                edges.push((v, v));
+            }
+        }
+        StateGraph::from_edges(nv as usize, &edges)
+    }
+
+    /// Adds the edges of the complete digraph on `vs` (a clique SCC).
+    fn complete(edges: &mut Vec<(u32, u32)>, vs: std::ops::Range<u32>) {
+        for a in vs.clone() {
+            edges.extend(vs.clone().filter(|&b| b != a).map(|b| (a, b)));
+        }
+    }
+
+    proptest! {
+        /// On every generated SCC DAG and at every sweep budget, the
+        /// certified diameter covers the true one, and an `exact`
+        /// certificate equals it.
+        #[test]
+        fn scc_dag_shapes_stay_sound(seed in any::<u64>()) {
+            let g = scc_dag(seed);
+            let truth = exact_diameter(&g);
+            for budget in 0..=16 {
+                let s = sum_sweep(&g, budget, Parallelism::Sequential);
+                prop_assert!(
+                    s.diameter >= truth,
+                    "seed {seed}, budget {budget}: certified {} below true diameter {truth}",
+                    s.diameter
+                );
+                if s.exact {
+                    prop_assert_eq!(
+                        s.diameter,
+                        truth,
+                        "seed {seed}, budget {budget}: exact but wrong"
+                    );
+                }
+            }
         }
     }
 

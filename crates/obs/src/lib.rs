@@ -1584,14 +1584,19 @@ mod tests {
 
     #[test]
     fn disabled_hooks_are_noops() {
-        // No session: nothing records, guards are inert.
-        assert!(!enabled());
-        let mut g = span!("nope", x = 1u64);
-        g.record("y", 2u64);
-        event!("nope.event", z = 3u64);
-        counter_add("nope.counter", 1);
-        charge_sat(1, 2, 3);
-        drop(g);
+        // No session: nothing records, guards are inert. The install lock
+        // keeps concurrently running tests from installing a session while
+        // this half runs; it must be released before `quiet_session` takes it.
+        {
+            let _no_session = unpoison(INSTALL.lock());
+            assert!(!enabled());
+            let mut g = span!("nope", x = 1u64);
+            g.record("y", 2u64);
+            event!("nope.event", z = 3u64);
+            counter_add("nope.counter", 1);
+            charge_sat(1, 2, 3);
+            drop(g);
+        }
         // Installing afterwards sees a clean slate.
         let session = quiet_session();
         let report = session.finish();

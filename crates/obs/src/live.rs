@@ -3,17 +3,16 @@
 //!
 //! When a session is installed with a live mode, every recorded event also
 //! streams through a [`LiveState`]: per-worker open-span stacks are mirrored
-//! as events arrive, selected counters (`cube.refuted`, `par.queue_depth`) are
-//! mirrored into atomics, and a background thread
-//! drives two sinks:
+//! as events arrive, the `par.queue_depth` gauge is mirrored into an atomic,
+//! and a background thread drives two sinks:
 //!
 //! * **human** ([`ObsMode::Live`](crate::ObsMode::Live)) — stderr lines:
 //!   heartbeats every [`LiveOptions::heartbeat`] showing each busy worker's
 //!   innermost spans, the current BMC depth (from `sat.solve` point events),
 //!   a naive linear ETA when the span advertises its depth range
-//!   (`max_depth` / `hi` open fields), and cube progress;
-//!   plus a one-shot stall dump of every worker's open span stack when no
-//!   event has arrived for [`LiveOptions::stall`].
+//!   (`max_depth` / `hi` open fields); plus a one-shot stall dump of every
+//!   worker's open span stack when no event has arrived for
+//!   [`LiveOptions::stall`].
 //! * **machine** ([`ObsMode::LiveJson`](crate::ObsMode::LiveJson) → stderr,
 //!   or [`ObsConfig::live_out`](crate::ObsConfig::live_out) → a file) — the
 //!   same information as schema-versioned JSONL events
@@ -34,7 +33,7 @@ use std::time::Instant;
 /// object with `"v"` set to this, an `"ev"` discriminator
 /// (`live_start` / `heartbeat` / `progress` / `stall` / `finish`), and a
 /// `"ts_ns"` timestamp (nanoseconds since session start).
-pub const LIVE_SCHEMA_VERSION: u64 = 2;
+pub const LIVE_SCHEMA_VERSION: u64 = 3;
 
 /// Where the machine-readable live JSONL stream goes.
 pub(crate) enum MachineSink {
@@ -110,12 +109,9 @@ pub(crate) struct LiveState {
     /// events resume (see [`LiveState::check_stall`]).
     stalled: AtomicBool,
     workers: Mutex<BTreeMap<u32, WorkerLive>>,
-    /// Mirrors of the `cube.refuted` counter and the `par.queue_depth` gauge
-    /// (see `with_metric` in the crate root).
-    cube_refuted: AtomicU64,
+    /// Mirror of the `par.queue_depth` gauge (see `with_metric` in the
+    /// crate root).
     queue_depth: AtomicI64,
-    /// Total cubes announced by `cube.split` open events (`cubes` field).
-    cube_total: AtomicU64,
     /// Last sampled `VmRSS` in KiB (0 = not sampled yet); refreshed by the
     /// watchdog on every heartbeat so live consumers see memory growth
     /// during the run, not only the final `peak_rss_kb`.
@@ -165,9 +161,7 @@ impl LiveState {
             stop: AtomicBool::new(false),
             stalled: AtomicBool::new(false),
             workers: Mutex::new(BTreeMap::new()),
-            cube_refuted: AtomicU64::new(0),
             queue_depth: AtomicI64::new(0),
-            cube_total: AtomicU64::new(0),
             rss_kb: AtomicU64::new(0),
         }
     }
@@ -185,11 +179,6 @@ impl LiveState {
         let w = workers.entry(ev.worker).or_default();
         match &ev.kind {
             EventKind::Open { name, fields, .. } => {
-                if *name == "cube.split" {
-                    if let Some(cubes) = field_u64(fields, "cubes") {
-                        self.cube_total.fetch_add(cubes, Ordering::Relaxed);
-                    }
-                }
                 w.stack.push(OpenSpan {
                     name,
                     detail: detail_from(fields),
@@ -220,18 +209,9 @@ impl LiveState {
     /// Mirrors a counter/gauge update into the live atomics (called from
     /// `with_metric` with the post-update value).
     pub(crate) fn on_scalar(&self, name: &str, value: i64) {
-        match name {
-            "cube.refuted" => self.cube_refuted.store(value as u64, Ordering::Relaxed),
-            "par.queue_depth" => self.queue_depth.store(value, Ordering::Relaxed),
-            _ => {}
+        if name == "par.queue_depth" {
+            self.queue_depth.store(value, Ordering::Relaxed);
         }
-    }
-
-    fn cube_counts(&self) -> (u64, u64) {
-        (
-            self.cube_refuted.load(Ordering::Relaxed),
-            self.cube_total.load(Ordering::Relaxed),
-        )
     }
 
     /// The deepest BMC depth any worker has reported (the depth frontier).
@@ -263,8 +243,8 @@ impl LiveState {
         }
     }
 
-    /// Renders the heartbeat lines for every worker with open spans, plus a
-    /// cube-progress line once cube solving is underway.
+    /// Renders the heartbeat lines for every worker with open spans, plus an
+    /// RSS line once memory has been sampled.
     fn heartbeat_lines(&self, now_ns: u64) -> Vec<String> {
         let workers = unpoison(self.workers.lock());
         let mut lines = Vec::new();
@@ -310,13 +290,6 @@ impl LiveState {
             }
         }
         drop(workers);
-        let (refuted, total) = self.cube_counts();
-        if refuted > 0 || total > 0 {
-            lines.push(format!(
-                "diam-obs live: {:>7.1}s cubes {refuted}/{total} refuted",
-                now_ns as f64 / 1e9
-            ));
-        }
         let rss_kb = self.rss_kb.load(Ordering::Relaxed);
         if rss_kb > 0 {
             lines.push(format!(
@@ -355,13 +328,6 @@ impl LiveState {
     }
 
     // --- machine-readable JSONL events -----------------------------------
-
-    fn json_cubes(&self, out: &mut String) {
-        let (refuted, total) = self.cube_counts();
-        out.push_str(&format!(
-            "\"cubes\":{{\"refuted\":{refuted},\"total\":{total}}}"
-        ));
-    }
 
     fn machine_start_json(&self) -> String {
         format!(
@@ -411,10 +377,8 @@ impl LiveState {
                 out.push('}');
             }
         }
-        out.push_str("],");
-        self.json_cubes(&mut out);
         out.push_str(&format!(
-            ",\"queue_depth\":{}",
+            "],\"queue_depth\":{}",
             self.queue_depth.load(Ordering::Relaxed)
         ));
         let rss_kb = self.rss_kb.load(Ordering::Relaxed);
@@ -431,8 +395,6 @@ impl LiveState {
         if let Some(d) = depth {
             out.push_str(&format!(",\"depth\":{d}"));
         }
-        out.push(',');
-        self.json_cubes(&mut out);
         out.push_str(&format!(
             ",\"queue_depth\":{}}}",
             self.queue_depth.load(Ordering::Relaxed)
@@ -471,12 +433,9 @@ impl LiveState {
     }
 
     fn machine_finish_json(&self, wall_ns: u64, events: u64) -> String {
-        let mut out = format!(
-            "{{\"v\":{LIVE_SCHEMA_VERSION},\"ev\":\"finish\",\"ts_ns\":{wall_ns},\"events\":{events},"
-        );
-        self.json_cubes(&mut out);
-        out.push('}');
-        out
+        format!(
+            "{{\"v\":{LIVE_SCHEMA_VERSION},\"ev\":\"finish\",\"ts_ns\":{wall_ns},\"events\":{events}}}"
+        )
     }
 
     /// Writes one line to the machine sink, if configured. Errors are
@@ -522,7 +481,7 @@ fn watchdog_loop(state: &LiveState) {
     let tick = state.opts.heartbeat.min(state.opts.stall).div_f64(4.0);
     let tick = tick.max(std::time::Duration::from_millis(10));
     let mut last_beat_ns = 0u64;
-    let mut last_progress = (None, 0u64);
+    let mut last_progress = None;
     while !state.stop.load(Ordering::Acquire) {
         std::thread::sleep(tick);
         let now_ns = state.start.elapsed().as_nanos() as u64;
@@ -540,16 +499,13 @@ fn watchdog_loop(state: &LiveState) {
             }
         }
         if state.sinks.machine.is_some() {
-            // A `progress` event whenever the depth frontier or the refuted
-            // count moved since the last tick — finer-grained than the
-            // heartbeat, but still bounded by the tick rate.
-            let cur = (
-                state.frontier_depth(),
-                state.cube_refuted.load(Ordering::Relaxed),
-            );
-            if cur != last_progress && (cur.0.is_some() || cur.1 > 0) {
+            // A `progress` event whenever the depth frontier moved since the
+            // last tick — finer-grained than the heartbeat, but still bounded
+            // by the tick rate.
+            let cur = state.frontier_depth();
+            if cur.is_some() && cur != last_progress {
                 last_progress = cur;
-                state.write_machine(&state.machine_progress_json(now_ns, cur.0));
+                state.write_machine(&state.machine_progress_json(now_ns, cur));
             }
         }
         if now_ns.saturating_sub(last_beat_ns) >= state.opts.heartbeat.as_nanos() as u64 {
@@ -612,6 +568,14 @@ mod tests {
         }
     }
 
+    /// The keys of a machine event, in sorted order.
+    fn keys(v: &json::JsonValue) -> Vec<&str> {
+        match v {
+            json::JsonValue::Object(m) => m.keys().map(String::as_str).collect(),
+            _ => Vec::new(),
+        }
+    }
+
     /// Live mode records like summary mode and the watchdog thread starts,
     /// beats, and shuts down cleanly with the session.
     #[test]
@@ -639,7 +603,8 @@ mod tests {
     }
 
     /// A `live_out` file receives schema-versioned JSONL: at least the
-    /// `live_start` and `finish` events, each parseable with v/ev/ts_ns.
+    /// `live_start` and `finish` events, each parseable with v/ev/ts_ns, and
+    /// `finish` carries nothing but the event count.
     #[test]
     fn live_out_file_gets_machine_events() {
         let path = std::env::temp_dir().join(format!("diam-live-{}.jsonl", std::process::id()));
@@ -653,7 +618,6 @@ mod tests {
         );
         {
             let _sp = crate::span!("live.outer", target = "t0");
-            crate::counter_add("cube.refuted", 2);
         }
         drop(session);
         let text = std::fs::read_to_string(&path).expect("live stream written");
@@ -675,13 +639,7 @@ mod tests {
         );
         let finish = json::parse(lines.last().unwrap()).unwrap();
         assert_eq!(finish.get("ev").unwrap().as_str(), Some("finish"));
-        assert_eq!(
-            finish
-                .get("cubes")
-                .and_then(|c| c.get("refuted"))
-                .and_then(json::JsonValue::as_u64),
-            Some(2)
-        );
+        assert_eq!(keys(&finish), ["ev", "events", "ts_ns", "v"]);
     }
 
     /// The stack mirror pairs opens/closes and picks up depth from
@@ -791,32 +749,16 @@ mod tests {
         assert_eq!(state.check_stall(9_500_000_000), None);
     }
 
-    /// Cube counters mirrored from the metrics layer and `cube.split` opens
-    /// show up on heartbeat lines and in every machine event.
+    /// The `par.queue_depth` gauge mirrored from the metrics layer shows up
+    /// in the machine heartbeat and progress events, and the heartbeat,
+    /// progress and stall events carry exactly their documented keys.
     #[test]
-    fn cube_progress_surfaces_in_heartbeats() {
+    fn queue_depth_and_progress_surface_in_machine_events() {
         let state = LiveState::new(LiveOptions::default(), SinkConfig::default());
-        state.on_event(&open_ev(
-            1,
-            1000,
-            "cube.split",
-            vec![("cubes", Value::U64(8))],
-        ));
-        state.on_scalar("cube.refuted", 3);
+        state.on_event(&open_ev(1, 1000, "bmc.check", vec![]));
         state.on_scalar("par.queue_depth", 2);
-        let beat = state.heartbeat_lines(2000).join("\n");
-        assert!(beat.contains("cubes 3/8 refuted"), "{beat}");
         let hb = json::parse(&state.machine_heartbeat_json(2000)).unwrap();
-        let cubes = hb.get("cubes").unwrap();
-        assert_eq!(
-            cubes.get("refuted").and_then(json::JsonValue::as_u64),
-            Some(3)
-        );
-        assert_eq!(
-            cubes.get("total").and_then(json::JsonValue::as_u64),
-            Some(8)
-        );
-        assert!(cubes.get("share_dropped").is_none());
+        assert_eq!(keys(&hb), ["ev", "queue_depth", "ts_ns", "v", "workers"]);
         assert_eq!(
             hb.get("queue_depth").and_then(json::JsonValue::as_i64),
             Some(2)
@@ -824,11 +766,16 @@ mod tests {
         let progress = json::parse(&state.machine_progress_json(2000, Some(7))).unwrap();
         assert_eq!(progress.get("ev").unwrap().as_str(), Some("progress"));
         assert_eq!(
+            keys(&progress),
+            ["depth", "ev", "queue_depth", "ts_ns", "v"]
+        );
+        assert_eq!(
             progress.get("depth").and_then(json::JsonValue::as_u64),
             Some(7)
         );
         let stall = json::parse(&state.machine_stall_json(2000, 4.5)).unwrap();
         assert_eq!(stall.get("ev").unwrap().as_str(), Some("stall"));
+        assert_eq!(keys(&stall), ["ev", "quiet_s", "stacks", "ts_ns", "v"]);
         assert!(stall.get("stacks").is_some_and(|s| s.as_array().is_some()));
     }
 

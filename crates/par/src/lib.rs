@@ -162,19 +162,8 @@ impl Drop for PendingGuard<'_> {
     }
 }
 
-/// Runs `f` over `jobs` with a fresh [`CancelToken`]; see [`run_with_token`].
-pub fn run<T, R, W, F>(par: Parallelism, jobs: Vec<T>, weight: W, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    W: Fn(&T) -> u64,
-    F: Fn(usize, T, &CancelToken) -> R + Sync,
-{
-    run_with_token(par, &CancelToken::new(), jobs, weight, f)
-}
-
 /// Runs `f(index, job, token)` for every job and returns the results **in
-/// original job order**.
+/// original job order**. All jobs share one fresh [`CancelToken`].
 ///
 /// * `weight` prioritizes scheduling (largest first — for per-target proof
 ///   jobs this is "largest cone first", so the long pole starts
@@ -188,19 +177,14 @@ where
 ///   [`diam_obs::crash`] unless the process panic hook already did), then is
 ///   re-raised after all workers drain. Sibling workers keep draining the
 ///   queue, but with the token cancelled cooperative jobs finish early.
-pub fn run_with_token<T, R, W, F>(
-    par: Parallelism,
-    token: &CancelToken,
-    jobs: Vec<T>,
-    weight: W,
-    f: F,
-) -> Vec<R>
+pub fn run<T, R, W, F>(par: Parallelism, jobs: Vec<T>, weight: W, f: F) -> Vec<R>
 where
     T: Send,
     R: Send,
     W: Fn(&T) -> u64,
     F: Fn(usize, T, &CancelToken) -> R + Sync,
 {
+    let token = &CancelToken::new();
     let total = jobs.len();
     let workers = par.workers().min(total.max(1));
     if matches!(par, Parallelism::Sequential) || workers <= 1 || total <= 1 {
@@ -421,26 +405,6 @@ mod tests {
     }
 
     #[test]
-    fn pre_cancelled_token_short_circuits_everything() {
-        let token = CancelToken::new();
-        token.cancel();
-        let ran = AtomicUsize::new(0);
-        let out = run_with_token(
-            Parallelism::Threads(4),
-            &token,
-            (0..50).collect::<Vec<u64>>(),
-            |_| 0,
-            |_, _, t| {
-                if !t.is_cancelled() {
-                    ran.fetch_add(1, Ordering::AcqRel);
-                }
-            },
-        );
-        assert_eq!(out.len(), 50);
-        assert_eq!(ran.load(Ordering::Acquire), 0);
-    }
-
-    #[test]
     fn parallelism_parses_jobs_flags() {
         assert_eq!(Parallelism::parse("seq"), Ok(Parallelism::Sequential));
         assert_eq!(Parallelism::parse("0"), Ok(Parallelism::Sequential));
@@ -487,14 +451,12 @@ mod tests {
     #[test]
     fn worker_panic_writes_dump_and_cancels_siblings() {
         let dir = crash_dir_for_tests();
-        let token = CancelToken::new();
         let cancelled_seen = AtomicUsize::new(0);
         let before: usize = std::fs::read_dir(&dir).map(|d| d.count()).unwrap_or(0);
 
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_with_token(
+            run(
                 Parallelism::Threads(3),
-                &token,
                 (0..24).collect::<Vec<u64>>(),
                 |_| 0,
                 |_, v, tok| {
@@ -517,8 +479,6 @@ mod tests {
 
         // The panic is re-raised after the drain...
         assert!(result.is_err());
-        // ...the shared token is left cancelled for the caller...
-        assert!(token.is_cancelled());
         // ...sibling jobs observed it and exited cleanly...
         assert!(cancelled_seen.load(Ordering::Relaxed) > 0);
         // ...and exactly this panic produced a crash dump naming the worker

@@ -284,7 +284,7 @@ impl SolverStats {
 /// s.add_clause([!b]);
 /// assert_eq!(s.solve(), SolveResult::Unsat);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Solver {
     ca: Arena,
     /// Problem (original) clause references, insertion order.

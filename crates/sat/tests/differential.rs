@@ -238,46 +238,6 @@ proptest! {
     }
 
     #[test]
-    fn cube_split_agrees_with_monolithic(
-        seed in proptest::arbitrary::any::<u64>(),
-        num_vars in 4usize..=30,
-        ratio_pct in 250u64..=550,
-        k in 1u32..=3,
-    ) {
-        // The cube-and-conquer invariant at the SAT level: splitting a solve
-        // into 2^k assumption cubes over the first k variables, each solved
-        // on a clone of one base solver, reaches the monolithic verdict (any
-        // cube Sat ⇔ formula Sat, since the split is exhaustive). Mirrors
-        // `diam_bmc::cube` with sequential workers.
-        let num_clauses = ((num_vars as u64 * ratio_pct) / 100).max(1) as usize;
-        let cnf = build_cnf(seed, num_vars, num_clauses);
-        let mut mono = load(&cnf);
-        let want = mono.solve();
-
-        let base = load(&cnf);
-        let mut any_sat = false;
-        for m in 0..(1usize << k) {
-            let mut s = base.clone();
-            let assumps: Vec<Lit> = (0..k)
-                .map(|b| Var::from_index(b as usize).lit(m >> b & 1 == 0))
-                .collect();
-            match s.solve_with(&assumps) {
-                SolveResult::Sat => {
-                    prop_assert!(model_satisfies(&cnf, &s), "cube {m} model falsifies a clause");
-                    any_sat = true;
-                }
-                SolveResult::Unsat => {}
-                SolveResult::Unknown => prop_assert!(false, "unbudgeted solve returned Unknown"),
-            }
-        }
-        prop_assert_eq!(
-            any_sat,
-            want == SolveResult::Sat,
-            "cube verdicts disagree with monolithic on {:?}", cnf
-        );
-    }
-
-    #[test]
     fn inprocessing_never_changes_the_verdict(
         seed in proptest::arbitrary::any::<u64>(),
         num_vars in 4usize..=24,

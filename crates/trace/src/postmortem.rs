@@ -7,7 +7,7 @@
 //! [`CrashDump::parse`] strictly validates a dump against that schema and
 //! [`render_postmortem`] turns it into the human report behind
 //! `diam-trace postmortem <dump>` — which worker died, in which span stack
-//! (target / depth / cube), what the recorder saw last, and what the
+//! (target / depth), what the recorder saw last, and what the
 //! allocation state looked like at death.
 
 use diam_obs::json::{self, JsonValue};

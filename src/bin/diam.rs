@@ -26,9 +26,6 @@
 //!                    on, cutoff 16; mf caps free signals, ms the sweep
 //!                    budget). Sound either way; `off` reproduces the
 //!                    paper's blanket bounds
-//!   --cube <M>       off | repro — cube-and-conquer splitting of deep
-//!                    BMC obligations (default off); `repro` keeps output
-//!                    bit-identical at any worker count
 //!   --explain        for `bound`: print the dominant component chain of
 //!                    every target that stays over the threshold
 //!   --obs <M>        off | summary | json | live | live-json — structured
@@ -41,7 +38,7 @@
 //!                    off costs one relaxed atomic load per allocation)
 //! ```
 
-use diam::bmc::{prove_all, CubeMode, CubeOptions, ProveOptions, ProveOutcome};
+use diam::bmc::{prove_all, ProveOptions, ProveOutcome};
 use diam::core::classify::{classify, ClassifyOptions};
 use diam::core::{EccOptions, Pipeline, StructuralOptions};
 use diam::netlist::{aiger, Netlist};
@@ -82,7 +79,6 @@ struct Options {
     pipeline_name: String,
     threshold: u64,
     depth_cap: u64,
-    cube: CubeMode,
     explain: bool,
     ecc: EccOptions,
     obs: ObsConfig,
@@ -91,13 +87,6 @@ struct Options {
 }
 
 impl Options {
-    fn cube_options(&self) -> CubeOptions {
-        CubeOptions {
-            mode: self.cube,
-            ..CubeOptions::default()
-        }
-    }
-
     fn structural(&self) -> StructuralOptions {
         StructuralOptions {
             ecc: self.ecc,
@@ -110,7 +99,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
     let mut pipeline_name = "com-ret-com".to_string();
     let mut threshold = 50u64;
     let mut depth_cap = 10_000u64;
-    let mut cube = CubeMode::Off;
     let mut explain = false;
     let mut ecc = EccOptions::on();
     let mut obs = ObsConfig::default();
@@ -144,9 +132,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
                     .ok_or("--depth-cap needs a value")?
                     .parse()
                     .map_err(|_| "bad --depth-cap value")?;
-            }
-            "--cube" => {
-                cube = CubeMode::parse(it.next().ok_or("--cube needs a value")?)?;
             }
             "--ecc" => {
                 ecc = EccOptions::parse(it.next().ok_or("--ecc needs a value")?)?;
@@ -182,7 +167,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
         pipeline_name,
         threshold,
         depth_cap,
-        cube,
         explain,
         ecc,
         obs,
@@ -251,7 +235,6 @@ fn cmd_prove(opts: &Options) -> Result<(), String> {
     let n = load(path)?;
     let prove_opts = ProveOptions {
         depth_cap: opts.depth_cap,
-        cube: opts.cube_options(),
         structural: opts.structural(),
         ..Default::default()
     };
@@ -404,7 +387,6 @@ fn install_session(cmd: &str, opts: &Options) -> Session {
         .option("pipeline", &opts.pipeline_name)
         .option("threshold", opts.threshold.to_string())
         .option("depth_cap", opts.depth_cap.to_string())
-        .option("cube", format!("{:?}", opts.cube).to_lowercase())
         .option("ecc", opts.ecc.render())
         .option("obs", opts.obs.mode.to_string());
     if opts.mem {

@@ -56,20 +56,22 @@ fn prove_separates_failing_and_proved() {
     assert!(out.contains("1 proved, 1 failed, 0 open"), "{out}");
 }
 
-/// `--cube repro` splits deep depths but never changes a verdict; the
-/// clause-sharing mode no longer exists.
+/// Options of deleted features are rejected like any unknown option: exit
+/// status 1, one error line on stderr, nothing on stdout.
 #[test]
-fn prove_cube_flag_takes_off_or_repro() {
+fn prove_rejects_removed_options() {
     let dir = std::env::temp_dir();
-    let f = fixture(&dir, "diam_cli_prove_cube.aag", LOCKSTEP);
-    let (plain, ok) = run(&["prove", f.to_str().unwrap()]);
-    assert!(ok, "{plain}");
-    let (cubed, ok) = run(&["prove", "--cube", "repro", f.to_str().unwrap()]);
-    assert!(ok, "{cubed}");
-    assert_eq!(plain, cubed);
-    let (out, ok) = run(&["prove", "--cube", "fast", f.to_str().unwrap()]);
-    assert!(!ok);
-    assert!(out.contains("bad --cube value"), "{out}");
+    let f = fixture(&dir, "diam_cli_prove_removed.aag", LOCKSTEP);
+    for (flag, value) in [("--cube", "repro"), ("--portfolio", "on")] {
+        let out = Command::new(env!("CARGO_BIN_EXE_diam"))
+            .args(["prove", flag, value, f.to_str().unwrap()])
+            .output()
+            .expect("binary runs");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{flag}: {err}");
+        assert!(err.contains(&format!("unknown option {flag}")), "{err}");
+        assert!(out.stdout.is_empty(), "{flag}");
+    }
 }
 
 #[test]
