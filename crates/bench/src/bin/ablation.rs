@@ -24,6 +24,12 @@ use diam_gen::iscas;
 use diam_netlist::{Lit, Netlist};
 use diam_transform::fold::{c_slow, detect, fold};
 
+// Memory accounting (`--mem on`) needs the counting allocator installed
+// process-wide; while `--mem off` (the default) it costs one relaxed
+// atomic load per allocation.
+#[global_allocator]
+static ALLOC: diam_obs::alloc::CountingAlloc = diam_obs::alloc::CountingAlloc::new();
+
 fn main() {
     let cli = parse_cli(
         "ablation [--jobs <N|seq|auto>] [--obs off|summary|json|live] [--trace-out <path.jsonl>]",

@@ -79,8 +79,7 @@ fn main() {
         );
     }
 
-    let report = session.finish();
-    if !obs.mode.is_off() {
-        println!("\n{}", report.render_summary());
+    if let Some(report) = diam_trace::session_report(&session.finish()) {
+        print!("\n{report}");
     }
 }

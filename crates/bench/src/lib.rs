@@ -19,7 +19,7 @@ use diam_core::classify::{classify, ClassCounts, ClassifyOptions};
 use diam_core::{Bound, EccOptions, Pipeline, StructuralOptions};
 use diam_gen::profile::DesignProfile;
 use diam_netlist::Netlist;
-use diam_obs::{ObsConfig, ObsMode, RunManifest, Session};
+use diam_obs::{FlagError, ObsConfig, RunManifest, Session};
 use diam_par::Parallelism;
 use std::time::Instant;
 
@@ -30,17 +30,14 @@ pub struct BenchCli {
     pub seed: u64,
     /// `--jobs <N|seq|auto>` — per-target fan-out.
     pub jobs: Parallelism,
-    /// `--obs <off|summary|json|live|live-json>` + `--trace-out <path.jsonl>`
-    /// + `--live-out <path.jsonl>`.
+    /// The observability flags `--obs`, `--trace-out`, `--live-out` and
+    /// `--mem`, parsed by [`ObsConfig::from_args`]. `--mem on` measures only
+    /// in binaries that declare `diam_obs::alloc::CountingAlloc` as their
+    /// `#[global_allocator]` (all three do).
     pub obs: ObsConfig,
     /// `--limit <N>` — truncate the suite to its first `N` designs (CI and
     /// smoke runs).
     pub limit: Option<usize>,
-    /// `--mem <on|off>` — allocation accounting via the counting global
-    /// allocator (off by default; the binary must declare
-    /// `diam_obs::alloc::CountingAlloc` as its `#[global_allocator]` for
-    /// `on` to measure anything).
-    pub mem: bool,
     /// `--ecc <on|off|k=N>` — eccentricity-certified GC bounds. Off by
     /// default so the tables reproduce the paper's blanket-bound Σ; `on`
     /// demonstrates (and CI cross-checks) the tightened bounds.
@@ -55,10 +52,10 @@ impl BenchCli {
     /// an uninstrumented binary.
     pub fn session(&self, tool: &str) -> Session {
         // Crash forensics are always armed: a panic anywhere in the run
-        // writes a `.diam/crash/<id>.json` dump (manifest, open spans,
-        // flight-recorder tail, allocator state) whatever the `--obs` mode.
+        // writes a crash dump (manifest, open spans, flight-recorder tail,
+        // allocator state) under the temp directory, whatever the `--obs`
+        // mode.
         diam_obs::crash::install_panic_hook();
-        diam_obs::alloc::set_mem_enabled(self.mem);
         let mut manifest = RunManifest::capture(tool)
             .option("seed", self.seed.to_string())
             .option("jobs", self.jobs.to_string())
@@ -66,22 +63,17 @@ impl BenchCli {
         if let Some(limit) = self.limit {
             manifest = manifest.option("limit", limit.to_string());
         }
-        if self.mem {
-            manifest = manifest.option("mem", "on".to_string());
-        }
         if self.ecc.enabled {
             manifest = manifest.option("ecc", self.ecc.render());
         }
         Session::install(self.obs.clone(), manifest)
     }
 
-    /// Finishes `session`; in `summary` / `json` modes prints the per-phase
-    /// breakdown tree (and the trace file has already been written when
-    /// `--trace-out` was given).
+    /// Finishes `session`; in recording modes prints a blank line and the
+    /// run report ([`diam_trace::session_report`]) after the tables.
     pub fn finish(&self, session: Session) {
-        let report = session.finish();
-        if !self.obs.mode.is_off() {
-            println!("\n{}", report.render_summary());
+        if let Some(report) = diam_trace::session_report(&session.finish()) {
+            print!("\n{report}");
         }
     }
 
@@ -96,25 +88,36 @@ impl BenchCli {
 
 /// Shared CLI parsing for the table/ablation binaries: a positional seed
 /// (default 1) plus `--jobs <N|seq|auto>` (per-target fan-out),
-/// `--obs <off|summary|json|live|live-json>`, `--trace-out <path.jsonl>`,
-/// `--live-out <path.jsonl>` (machine-readable live stream; implies
-/// `--obs live` when no mode was chosen), `--mem <on|off>` (allocation
-/// accounting), and `--limit <N>`. Unrecognized arguments abort with a
-/// usage message.
+/// `--limit <N>`, `--ecc <on|off|k=N>` and the observability flags of
+/// [`ObsConfig::from_args`]. Every flag also takes the `--flag=value`
+/// form. Unrecognized arguments abort with a usage message.
 pub fn parse_cli(usage: &str) -> BenchCli {
-    let mut cli = BenchCli {
-        seed: 1,
-        jobs: Parallelism::Sequential,
-        obs: ObsConfig::default(),
-        limit: None,
-        mem: false,
-        ecc: EccOptions::default(),
-    };
     let fail = |what: &str| -> ! {
         eprintln!("{what}\nusage: {usage}");
         std::process::exit(2);
     };
-    let mut args = std::env::args().skip(1);
+    // The shared parser takes `--flag value`; these binaries also accept
+    // `--flag=value`, so that spelling of its flags is split first.
+    let args = std::env::args()
+        .skip(1)
+        .flat_map(|arg| match arg.split_once('=') {
+            Some((flag, value)) if ObsConfig::FLAGS.contains(&flag) => {
+                vec![flag.to_string(), value.to_string()]
+            }
+            _ => vec![arg],
+        });
+    let (obs, rest) = ObsConfig::from_args(args).unwrap_or_else(|e| match e {
+        FlagError::MissingValue(flag) => fail(&format!("{flag} expects a value")),
+        FlagError::BadValue { flag, expected, .. } => fail(&format!("{flag} expects {expected}")),
+    });
+    let mut cli = BenchCli {
+        seed: 1,
+        jobs: Parallelism::Sequential,
+        obs,
+        limit: None,
+        ecc: EccOptions::default(),
+    };
+    let mut args = rest.into_iter();
     while let Some(arg) = args.next() {
         // `--flag value` and `--flag=value` both work.
         let mut flag_value = |name: &str, short: Option<&str>| -> Option<String> {
@@ -129,19 +132,6 @@ pub fn parse_cli(usage: &str) -> BenchCli {
         if let Some(v) = flag_value("--jobs", Some("-j")) {
             cli.jobs =
                 Parallelism::parse(&v).unwrap_or_else(|_| fail("--jobs expects <N|seq|auto>"));
-        } else if let Some(v) = flag_value("--obs", None) {
-            cli.obs.mode = ObsMode::parse(&v)
-                .unwrap_or_else(|_| fail("--obs expects off|summary|json|live|live-json"));
-        } else if let Some(v) = flag_value("--trace-out", None) {
-            cli.obs.trace_out = Some(v.into());
-        } else if let Some(v) = flag_value("--live-out", None) {
-            cli.obs.live_out = Some(v.into());
-        } else if let Some(v) = flag_value("--mem", None) {
-            cli.mem = match v.as_str() {
-                "on" => true,
-                "off" => false,
-                _ => fail("--mem expects on|off"),
-            };
         } else if let Some(v) = flag_value("--ecc", None) {
             cli.ecc = EccOptions::parse(&v).unwrap_or_else(|_| fail("--ecc expects on|off|k=<N>"));
         } else if let Some(v) = flag_value("--limit", None) {
@@ -154,15 +144,6 @@ pub fn parse_cli(usage: &str) -> BenchCli {
         } else {
             fail(&format!("unrecognized argument `{arg}`"));
         }
-    }
-    // `--trace-out` without a recording mode means the user wants the trace:
-    // promote to `json` rather than silently writing nothing. Likewise
-    // `--live-out` alone means the user wants the live stream.
-    if cli.obs.trace_out.is_some() && cli.obs.mode.is_off() {
-        cli.obs.mode = ObsMode::Json;
-    }
-    if cli.obs.live_out.is_some() && cli.obs.mode.is_off() {
-        cli.obs.mode = ObsMode::Live;
     }
     cli
 }

@@ -34,12 +34,23 @@ fn obs_off_is_byte_identical() {
     assert!(!a.stdout.is_empty());
 }
 
-/// `--obs summary` appends the per-phase breakdown after the unchanged
-/// table; the table portion stays identical to an off run.
+/// `--obs summary` appends, after the unchanged table and one blank line,
+/// exactly the run report `diam-trace report` renders for the run's own
+/// trace — one renderer for both views.
 #[test]
 fn obs_summary_appends_breakdown() {
+    let path = std::env::temp_dir().join("diam_obs_cli_summary.jsonl");
+    let path_s = path.to_str().unwrap().to_string();
     let off = table1(&["1", "--limit", "1"]);
-    let sum = table1(&["1", "--limit", "1", "--obs", "summary"]);
+    let sum = table1(&[
+        "1",
+        "--limit",
+        "1",
+        "--obs",
+        "summary",
+        "--trace-out",
+        &path_s,
+    ]);
     assert!(off.status.success() && sum.status.success());
     let off_s = String::from_utf8_lossy(&off.stdout);
     let sum_s = String::from_utf8_lossy(&sum.stdout);
@@ -47,8 +58,12 @@ fn obs_summary_appends_breakdown() {
         sum_s.starts_with(off_s.as_ref()),
         "summary output must begin with the unchanged table"
     );
-    assert!(sum_s.contains("observability summary"), "{sum_s}");
-    assert!(sum_s.contains("per-phase breakdown"), "{sum_s}");
+    let trace = diam_trace::Trace::parse(&std::fs::read_to_string(&path).expect("trace written"))
+        .expect("trace parses");
+    let _ = std::fs::remove_file(&path);
+    // What `diam-trace report` prints: `render_report` at its default top.
+    let report = diam_trace::render_report(&trace, diam_trace::analyze::DEFAULT_TOP);
+    assert_eq!(sum_s[off_s.len()..], format!("\n{report}"));
     assert!(sum_s.contains("pass.apply"), "{sum_s}");
 }
 
@@ -87,16 +102,20 @@ fn trace_out_passes_the_trace_parser() {
 }
 
 /// `--trace-out` alone implies `--obs json` — the trace is written even
-/// without an explicit mode flag.
+/// without an explicit mode flag, in either spelling of the flag.
 #[test]
 fn trace_out_implies_json_mode() {
     let path = std::env::temp_dir().join("diam_obs_cli_implied.jsonl");
     let path_s = path.to_str().unwrap().to_string();
-    let out = table1(&["1", "--limit", "1", "--trace-out", &path_s]);
-    assert!(out.status.success());
-    let text = std::fs::read_to_string(&path).expect("trace written");
-    assert!(text.lines().count() >= 3, "manifest + events + metrics");
-    assert!(text.lines().next().unwrap().contains("\"ev\":\"manifest\""));
+    let joined = format!("--trace-out={path_s}");
+    for flag in [vec!["--trace-out", path_s.as_str()], vec![joined.as_str()]] {
+        let _ = std::fs::remove_file(&path);
+        let out = table1(&[&["1", "--limit", "1"], flag.as_slice()].concat());
+        assert!(out.status.success(), "{flag:?}");
+        let text = std::fs::read_to_string(&path).expect("trace written");
+        assert!(text.lines().count() >= 3, "manifest + events + metrics");
+        assert!(text.lines().next().unwrap().contains("\"ev\":\"manifest\""));
+    }
     let _ = std::fs::remove_file(&path);
 }
 

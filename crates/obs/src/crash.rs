@@ -4,15 +4,17 @@
 //! scrollback. This module maintains always-available crash context — the
 //! installed session's manifest, per-thread open-span stacks, the flight
 //! recorder ([`crate::ring`]), and allocator counters — and writes it to
-//! `.diam/crash/<id>.json` when the process panics ([`install_panic_hook`])
-//! or a `diam-par` worker job panics ([`record_worker_panic`]). The dump is
-//! schema-versioned ([`CRASH_SCHEMA_VERSION`]) and rendered by
-//! `diam-trace postmortem`.
+//! `<temp dir>/diam-crash/<id>.json` (see [`set_crash_dir`]) when the
+//! process panics ([`install_panic_hook`]) or a `diam-par` worker job
+//! panics ([`record_worker_panic`]). The dump is schema-versioned
+//! ([`CRASH_SCHEMA_VERSION`]) and rendered by `diam-trace postmortem`.
 //!
 //! Nothing here produces output on a healthy run, whatever the `--obs` mode.
 
 use std::cell::Cell;
-use std::path::PathBuf;
+use std::fs::{File, OpenOptions};
+use std::io::Write;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
@@ -81,22 +83,8 @@ fn with_thread_spans(f: impl FnOnce(&ThreadSpans)) {
 
 /// Formats a span's open fields into a compact `k=v k=v` detail string.
 pub(crate) fn format_detail(fields: &[(&'static str, Value)]) -> String {
-    let mut out = String::new();
-    for (k, v) in fields {
-        if !out.is_empty() {
-            out.push(' ');
-        }
-        out.push_str(k);
-        out.push('=');
-        match v {
-            Value::U64(n) => out.push_str(&n.to_string()),
-            Value::I64(n) => out.push_str(&n.to_string()),
-            Value::F64(n) => out.push_str(&format!("{n}")),
-            Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Value::Str(s) => out.push_str(s),
-        }
-    }
-    out
+    let pairs: Vec<String> = fields.iter().map(|(k, v)| format!("{k}={v}")).collect();
+    pairs.join(" ")
 }
 
 /// Records a span open on this thread's crash stack.
@@ -156,21 +144,20 @@ pub(crate) fn set_manifest_json(rendered: String) {
 
 /// Overrides where crash dumps are written (tests point this at a temp
 /// directory). `None` restores the default resolution: the
-/// `DIAM_CRASH_DIR` environment variable, falling back to `.diam/crash`
-/// under the current directory.
+/// `DIAM_CRASH_DIR` environment variable, falling back to `diam-crash`
+/// under [`std::env::temp_dir`] — never the working directory.
 pub fn set_crash_dir(dir: Option<PathBuf>) {
     *unpoison(CRASH_DIR.lock()) = dir;
 }
 
-/// The directory crash dumps are written to.
-pub fn crash_dir() -> PathBuf {
-    if let Some(dir) = unpoison(CRASH_DIR.lock()).clone() {
-        return dir;
-    }
-    match std::env::var_os("DIAM_CRASH_DIR") {
-        Some(dir) if !dir.is_empty() => PathBuf::from(dir),
-        _ => PathBuf::from(".diam").join("crash"),
-    }
+/// The directory set by [`set_crash_dir`] or `DIAM_CRASH_DIR`, if any.
+fn chosen_crash_dir() -> Option<PathBuf> {
+    let dir = unpoison(CRASH_DIR.lock()).clone();
+    dir.or_else(|| {
+        std::env::var_os("DIAM_CRASH_DIR")
+            .filter(|d| !d.is_empty())
+            .map(PathBuf::from)
+    })
 }
 
 fn unix_ms() -> u64 {
@@ -278,23 +265,88 @@ fn render_dump(
     out
 }
 
+/// Creates `<dir>/<id>.json` exclusively (mode 0600), so a file or symlink
+/// already planted at that name is never followed or truncated. `shared`
+/// marks the temp-dir fallback, which another user may have made first: it
+/// is used only if it is a real directory (not a symlink) owned by this
+/// user, and otherwise a private `<dir>-<pid>` beside it takes its place.
+fn create_dump_file(dir: &Path, shared: bool, id: &str) -> std::io::Result<(PathBuf, File)> {
+    let mut dir = dir.to_path_buf();
+    if !shared {
+        std::fs::create_dir_all(&dir)?;
+    } else if !private_dir(&dir) {
+        let mut own = dir.into_os_string();
+        own.push(format!("-{}", std::process::id()));
+        dir = PathBuf::from(own);
+        if !private_dir(&dir) {
+            let why = format!("{} is not a private directory", dir.display());
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::PermissionDenied,
+                why,
+            ));
+        }
+    }
+    let path = dir.join(format!("{id}.json"));
+    let mut options = OpenOptions::new();
+    options.write(true).create_new(true);
+    #[cfg(unix)]
+    std::os::unix::fs::OpenOptionsExt::mode(&mut options, 0o600);
+    let file = options.open(&path)?;
+    Ok((path, file))
+}
+
+/// Creates `dir` (mode 0700) if it is missing, and reports whether it is
+/// now a real directory owned by this process's user.
+#[cfg(unix)]
+fn private_dir(dir: &Path) -> bool {
+    use std::os::unix::fs::{DirBuilderExt, MetadataExt};
+    let _ = std::fs::DirBuilder::new()
+        .recursive(true)
+        .mode(0o700)
+        .create(dir);
+    // `/proc/self` belongs to the process's effective user.
+    match (
+        std::fs::symlink_metadata(dir),
+        std::fs::metadata("/proc/self"),
+    ) {
+        (Ok(d), Ok(me)) => d.is_dir() && d.uid() == me.uid(),
+        _ => false,
+    }
+}
+
+#[cfg(not(unix))]
+fn private_dir(dir: &Path) -> bool {
+    std::fs::create_dir_all(dir).is_ok()
+}
+
+/// Writes one dump and reports its path (or the failure) on stderr.
 fn write_dump(
     reason: &str,
     message: &str,
     location: Option<&str>,
     worker: u32,
     job: Option<u64>,
-) -> std::io::Result<PathBuf> {
+) -> Option<PathBuf> {
     let n = DUMP_COUNTER.fetch_add(1, Ordering::Relaxed);
     let id = format!("crash-{}-{}-{n}", unix_ms(), std::process::id());
     let thread = std::thread::current();
     let thread_name = thread.name().unwrap_or("unnamed").to_string();
     let body = render_dump(&id, reason, message, location, &thread_name, worker, job);
-    let dir = crash_dir();
-    std::fs::create_dir_all(&dir)?;
-    let path = dir.join(format!("{id}.json"));
-    std::fs::write(&path, body)?;
-    Ok(path)
+    let file = match chosen_crash_dir() {
+        Some(dir) => create_dump_file(&dir, false, &id),
+        // The fallback is shared by every user of the machine.
+        None => create_dump_file(&std::env::temp_dir().join("diam-crash"), true, &id),
+    };
+    match file.and_then(|(path, mut file)| file.write_all(body.as_bytes()).map(|()| path)) {
+        Ok(path) => {
+            eprintln!("diam-obs: crash dump written to {}", path.display());
+            Some(path)
+        }
+        Err(e) => {
+            eprintln!("diam-obs: cannot write crash dump: {e}");
+            None
+        }
+    }
 }
 
 /// Extracts a printable message from a panic payload.
@@ -331,16 +383,8 @@ pub fn install_panic_hook() {
                 .location()
                 .map(|l| format!("{}:{}", l.file(), l.line()));
             ring::note(ring::RingKind::Panic, "panic", 0, 0);
-            match write_dump(
-                "panic",
-                &message,
-                location.as_deref(),
-                ring::ring_worker(),
-                None,
-            ) {
-                Ok(path) => eprintln!("diam-obs: crash dump written to {}", path.display()),
-                Err(e) => eprintln!("diam-obs: cannot write crash dump: {e}"),
-            }
+            let worker = ring::ring_worker();
+            write_dump("panic", &message, location.as_deref(), worker, None);
             // Re-arm: a caught-and-handled panic must not suppress the dump
             // of a later, genuinely fatal one on this thread.
             let _ = TL_DUMPED.try_with(|c| c.set(false));
@@ -369,16 +413,7 @@ pub fn record_worker_panic(
         return None;
     }
     let message = payload_message(payload);
-    match write_dump("worker_panic", &message, None, worker, Some(job)) {
-        Ok(path) => {
-            eprintln!("diam-obs: crash dump written to {}", path.display());
-            Some(path)
-        }
-        Err(e) => {
-            eprintln!("diam-obs: cannot write crash dump: {e}");
-            None
-        }
-    }
+    write_dump("worker_panic", &message, None, worker, Some(job))
 }
 
 #[cfg(test)]
@@ -418,6 +453,40 @@ mod tests {
         assert!(!stacks
             .iter()
             .any(|(_, s)| s.iter().any(|(n, _)| *n == "crash.test.outer")));
+    }
+
+    /// Dumps never follow a planted symlink: not one standing in for the
+    /// shared temp-dir fallback (the dump goes to a private directory
+    /// beside it), and not one planted at a dump's own name.
+    #[cfg(unix)]
+    #[test]
+    fn planted_symlinks_are_not_followed() {
+        use std::os::unix::fs::{symlink, MetadataExt};
+        let root = std::env::temp_dir().join(format!("diam_crash_plant_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let victim = root.join("victim");
+        std::fs::create_dir_all(&victim).unwrap();
+        let shared = root.join("diam-crash");
+        symlink(&victim, &shared).unwrap();
+
+        let fresh = root.join("fresh");
+        let (path, _) = create_dump_file(&fresh, true, "crash-0").expect("dump created");
+        assert_eq!(path, fresh.join("crash-0.json"));
+        assert_eq!(std::fs::metadata(&fresh).unwrap().mode() & 0o777, 0o700);
+
+        let (path, _) = create_dump_file(&shared, true, "crash-a").expect("dump created");
+        let own = root.join(format!("diam-crash-{}", std::process::id()));
+        assert_eq!(path, own.join("crash-a.json"));
+        assert_eq!(std::fs::metadata(&own).unwrap().mode() & 0o777, 0o700);
+        assert_eq!(std::fs::metadata(&path).unwrap().mode() & 0o777, 0o600);
+        // A second dump of the same process reuses its private directory.
+        let (again, _) = create_dump_file(&shared, true, "crash-b").expect("dump created");
+        assert_eq!(again, own.join("crash-b.json"));
+
+        symlink(victim.join("owned"), own.join("crash-c.json")).unwrap();
+        assert!(create_dump_file(&own, false, "crash-c").is_err());
+        assert_eq!(std::fs::read_dir(&victim).unwrap().count(), 0);
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]

@@ -100,6 +100,14 @@ pub fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// Pushes the `,` that separates a JSON array element or object member
+/// from the one before it — nothing right after the opening `[` or `{`.
+pub fn comma(out: &mut String) {
+    if !out.ends_with(['[', '{']) {
+        out.push(',');
+    }
+}
+
 /// A JSON parse error with a byte offset.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseError {

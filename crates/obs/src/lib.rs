@@ -2,10 +2,16 @@
 //!
 //! A **std-only, thread-safe** structured tracing + metrics layer for the
 //! `diam` workspace: hierarchical spans with monotonic timings, typed
-//! counters / gauges / histograms, per-thread event buffers that drain to
-//! pluggable outputs (a JSONL trace file, a human-readable summary tree, or
-//! nothing at all), and a [`RunManifest`] capturing what was run, with which
-//! options, by which build, for how long, and at what peak RSS.
+//! counters / gauges / histograms, per-thread event buffers, and a
+//! [`RunManifest`] capturing what was run, with which options, by which
+//! build, for how long, and at what peak RSS.
+//!
+//! This crate is the *recorder* and owns every writer: the JSONL trace
+//! ([`Report::to_jsonl`], the only serializer of the format), the live
+//! stream ([`LIVE_SCHEMA_VERSION`]) and the crash dumps ([`crash`]). It
+//! renders no end-of-run view: binaries print `diam_trace::render_report`
+//! of the session's own JSONL, the same text `diam-trace report` prints for
+//! the `--trace-out` file.
 //!
 //! ## Model
 //!
@@ -26,8 +32,8 @@
 //! * **Events buffer per thread.** Each recording thread owns a buffer
 //!   registered with the session; an event append only touches that buffer's
 //!   (uncontended) lock. [`Session::finish`] drains all buffers, orders
-//!   events by a global sequence number, renders the summary tree, and
-//!   writes the JSONL trace if configured.
+//!   events by a global sequence number, and writes the JSONL trace if
+//!   configured.
 //! * **SAT attribution.** Callers of `diam-sat` report per-solve statistic
 //!   deltas through [`charge_sat`]; every span automatically records the
 //!   SAT work (solves / conflicts / decisions / propagations) performed on
@@ -53,7 +59,7 @@
 //! }
 //! let report = session.finish();
 //! assert_eq!(report.events.len(), 8); // 4 opens/closes
-//! assert!(report.render_summary().contains("work.outer"));
+//! assert!(report.to_jsonl().contains("\"name\":\"work.outer\""));
 //! ```
 
 pub mod alloc;
@@ -81,10 +87,10 @@ pub enum ObsMode {
     /// Record nothing; every hook is a no-op (a single atomic load).
     #[default]
     Off,
-    /// Record events; render the human-readable summary tree at the end.
+    /// Record events; the binary prints the run report at the end.
     Summary,
-    /// Record events; render the summary **and** expect a JSONL trace file
-    /// (see [`ObsConfig::trace_out`]).
+    /// Record events like [`ObsMode::Summary`] **and** expect a JSONL trace
+    /// file (see [`ObsConfig::trace_out`]).
     Json,
     /// Record events like [`ObsMode::Summary`] **and** run the live
     /// watchdog: per-target heartbeat lines on stderr while the run is in
@@ -97,6 +103,9 @@ pub enum ObsMode {
     /// [`ObsConfig::live_out`] to redirect the stream to a file.
     LiveJson,
 }
+
+/// The `--obs` values, as usage and error texts list them.
+const MODES: &str = "off|summary|json|live|live-json";
 
 impl ObsMode {
     /// Parses a `--obs` flag value.
@@ -111,20 +120,13 @@ impl ObsMode {
             "json" => Ok(ObsMode::Json),
             "live" => Ok(ObsMode::Live),
             "live-json" => Ok(ObsMode::LiveJson),
-            _ => Err(format!(
-                "bad --obs value {s:?} (expected off|summary|json|live|live-json)"
-            )),
+            _ => Err(format!("bad --obs value {s:?} (expected {MODES})")),
         }
     }
 
     /// Whether this mode records nothing.
     pub fn is_off(self) -> bool {
         matches!(self, ObsMode::Off)
-    }
-
-    /// Whether this mode runs the live watchdog.
-    pub fn is_live(self) -> bool {
-        matches!(self, ObsMode::Live | ObsMode::LiveJson)
     }
 }
 
@@ -175,6 +177,102 @@ pub struct ObsConfig {
     /// addition to whatever the mode itself does; [`ObsMode::LiveJson`]
     /// without a path streams the same lines to stderr.
     pub live_out: Option<PathBuf>,
+    /// Allocator accounting (`--mem on`): [`Session::install`] switches it
+    /// on for the session and adds `mem=on` to the manifest. It measures
+    /// only in binaries whose `#[global_allocator]` is
+    /// [`alloc::CountingAlloc`].
+    pub mem: bool,
+}
+
+/// Why [`ObsConfig::from_args`] rejected a command line. `Display` gives
+/// the `diam` CLI's wording; other binaries may phrase it their own way.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum FlagError {
+    /// The flag ended the command line.
+    MissingValue(&'static str),
+    /// The flag's value is none of `expected`.
+    BadValue {
+        /// The flag.
+        flag: &'static str,
+        /// What it was given.
+        value: String,
+        /// The accepted values, `|`-separated.
+        expected: &'static str,
+    },
+}
+
+impl std::fmt::Display for FlagError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            FlagError::MissingValue(flag) => write!(f, "{flag} needs a value"),
+            FlagError::BadValue {
+                flag: "--obs",
+                value,
+                expected,
+            } => write!(f, "bad --obs value {value:?} (expected {expected})"),
+            FlagError::BadValue {
+                flag,
+                value,
+                expected,
+            } => write!(f, "{flag} expects {expected}, got {value}"),
+        }
+    }
+}
+
+impl std::error::Error for FlagError {}
+
+impl ObsConfig {
+    /// The observability flags every binary shares.
+    pub const FLAGS: [&'static str; 4] = ["--obs", "--trace-out", "--live-out", "--mem"];
+
+    /// Takes the observability flags every binary shares out of a command
+    /// line: `--obs <off|summary|json|live|live-json>`, `--trace-out
+    /// <path>`, `--live-out <path>` and `--mem <on|off>`, each followed by
+    /// its value as the next argument. Returns the configuration and the
+    /// other arguments, in order.
+    ///
+    /// Two promotion rules apply when no recording mode was chosen:
+    /// `--trace-out` alone means `json` (the user wants the trace), and
+    /// `--live-out` alone means `live`.
+    ///
+    /// # Errors
+    ///
+    /// A flag without a value, or an `--obs` / `--mem` value outside its
+    /// set.
+    pub fn from_args(
+        args: impl IntoIterator<Item = String>,
+    ) -> Result<(ObsConfig, Vec<String>), FlagError> {
+        let mut config = ObsConfig::default();
+        let mut rest = Vec::new();
+        let mut args = args.into_iter();
+        while let Some(arg) = args.next() {
+            let Some(flag) = ObsConfig::FLAGS.into_iter().find(|f| *f == arg) else {
+                rest.push(arg);
+                continue;
+            };
+            let value = args.next().ok_or(FlagError::MissingValue(flag))?;
+            let bad = FlagError::BadValue {
+                flag,
+                value: value.clone(),
+                expected: if flag == "--obs" { MODES } else { "on|off" },
+            };
+            match (flag, value.as_str(), ObsMode::parse(&value)) {
+                ("--trace-out", ..) => config.trace_out = Some(value.into()),
+                ("--live-out", ..) => config.live_out = Some(value.into()),
+                ("--obs", _, Ok(mode)) => config.mode = mode,
+                ("--mem", "on" | "off", _) => config.mem = value == "on",
+                _ => return Err(bad),
+            }
+        }
+        if config.mode.is_off() {
+            if config.trace_out.is_some() {
+                config.mode = ObsMode::Json;
+            } else if config.live_out.is_some() {
+                config.mode = ObsMode::Live;
+            }
+        }
+        Ok((config, rest))
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -225,15 +323,27 @@ impl From<String> for Value {
     }
 }
 
+impl std::fmt::Display for Value {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Value::U64(v) => write!(f, "{v}"),
+            Value::I64(v) => write!(f, "{v}"),
+            Value::F64(v) => write!(f, "{v}"),
+            Value::Bool(v) => write!(f, "{v}"),
+            Value::Str(s) => f.write_str(s),
+        }
+    }
+}
+
 impl Value {
     fn write_json(&self, out: &mut String) {
         match self {
-            Value::U64(v) => out.push_str(&v.to_string()),
-            Value::I64(v) => out.push_str(&v.to_string()),
-            Value::F64(v) if v.is_finite() => out.push_str(&format!("{v}")),
+            // `Debug` keeps the float type: `2.0`, not `2`, which a reader
+            // would parse back as an integer.
+            Value::F64(v) if v.is_finite() => out.push_str(&format!("{v:?}")),
             Value::F64(_) => out.push_str("null"),
-            Value::Bool(v) => out.push_str(if *v { "true" } else { "false" }),
             Value::Str(s) => json::write_escaped(out, s),
+            other => out.push_str(&other.to_string()),
         }
     }
 }
@@ -335,13 +445,33 @@ pub enum Metric {
 }
 
 impl Metric {
-    fn new_histogram() -> Metric {
+    /// An empty histogram.
+    pub fn new_histogram() -> Metric {
         Metric::Histogram {
             count: 0,
             sum: 0,
             min: u64::MAX,
             max: 0,
             buckets: Box::new([0; HIST_BUCKETS]),
+        }
+    }
+
+    /// Records `n` occurrences of `value` into a histogram (counters and
+    /// gauges are left alone).
+    pub fn record_n(&mut self, value: u64, n: u64) {
+        if let Metric::Histogram {
+            count,
+            sum,
+            min,
+            max,
+            buckets,
+        } = self
+        {
+            *count += n;
+            *sum = sum.saturating_add(value.saturating_mul(n));
+            *min = (*min).min(value);
+            *max = (*max).max(value);
+            buckets[(64 - value.leading_zeros()) as usize] += n;
         }
     }
 
@@ -365,7 +495,7 @@ impl Metric {
 
     /// The inclusive upper bound of histogram bucket `b` (bucket 0 holds
     /// zeros; bucket `b ≥ 1` holds values with `b` significant bits).
-    pub fn bucket_upper_bound(b: usize) -> u64 {
+    fn bucket_upper_bound(b: usize) -> u64 {
         match b {
             0 => 0,
             64.. => u64::MAX,
@@ -730,10 +860,19 @@ pub fn current_span() -> u64 {
 }
 
 /// Sets the parent span used by this thread's *root* spans (worker threads
-/// inherit the submitting thread's open span so the summary tree stays
+/// inherit the submitting thread's open span so the span tree stays
 /// connected across `diam-par` fan-outs).
 pub fn set_ambient_parent(span: u64) {
     with_tls(|t| t.ambient_parent = span);
+}
+
+/// How a worker tag reads in every rendered view: `main` for 0, `w<n>`
+/// otherwise.
+pub fn worker_label(worker: u64) -> String {
+    match worker {
+        0 => "main".to_string(),
+        w => format!("w{w}"),
+    }
 }
 
 /// Tags this thread's events with a worker id (0 = main; `diam-par` workers
@@ -803,26 +942,7 @@ pub fn gauge_set(name: &'static str, value: i64) {
 
 /// Records a value into a named power-of-two-bucketed histogram.
 pub fn histogram_record(name: &'static str, value: u64) {
-    if !enabled() {
-        return;
-    }
-    with_metric(name, Metric::new_histogram, |m| {
-        if let Metric::Histogram {
-            count,
-            sum,
-            min,
-            max,
-            buckets,
-        } = m
-        {
-            *count += 1;
-            *sum = sum.saturating_add(value);
-            *min = (*min).min(value);
-            *max = (*max).max(value);
-            let b = (64 - value.leading_zeros()) as usize;
-            buckets[b] += 1;
-        }
-    });
+    histogram_record_n(name, value, 1);
 }
 
 /// Records `n` occurrences of `value` into a named power-of-two-bucketed
@@ -833,23 +953,7 @@ pub fn histogram_record_n(name: &'static str, value: u64, n: u64) {
     if !enabled() || n == 0 {
         return;
     }
-    with_metric(name, Metric::new_histogram, |m| {
-        if let Metric::Histogram {
-            count,
-            sum,
-            min,
-            max,
-            buckets,
-        } = m
-        {
-            *count += n;
-            *sum = sum.saturating_add(value.saturating_mul(n));
-            *min = (*min).min(value);
-            *max = (*max).max(value);
-            let b = (64 - value.leading_zeros()) as usize;
-            buckets[b] += n;
-        }
-    });
+    with_metric(name, Metric::new_histogram, |m| m.record_n(value, n));
 }
 
 /// Reports clause-arena maintenance deltas from one SAT solve: GC runs,
@@ -896,7 +1000,7 @@ pub fn charge_sat(conflicts: u64, decisions: u64, propagations: u64) {
 // ---------------------------------------------------------------------------
 
 /// What was run: inputs, options, build info, and end-of-run resource usage.
-/// Emitted as the first JSONL record and in the summary header.
+/// Emitted as the first JSONL record (the run report's header).
 #[derive(Debug, Clone, Default)]
 pub struct RunManifest {
     /// Tool name (e.g. `table1`).
@@ -1088,9 +1192,13 @@ impl Session {
     /// watchdog thread prints heartbeat/stall lines to stderr until finish;
     /// with [`ObsMode::LiveJson`] or [`ObsConfig::live_out`] it streams
     /// machine-readable JSONL progress events instead of / alongside them.
-    pub fn install(config: ObsConfig, manifest: RunManifest) -> Session {
+    pub fn install(config: ObsConfig, mut manifest: RunManifest) -> Session {
         let lock = unpoison(INSTALL.lock());
         let epoch = EPOCH.fetch_add(1, Ordering::AcqRel) + 1;
+        if config.mem {
+            alloc::set_mem_enabled(true);
+            manifest.options.push(("mem".to_string(), "on".to_string()));
+        }
         // Crash context: dumps from this point on name this run; span
         // stacks left over from a previous session are invalidated.
         crash::reset_span_stacks();
@@ -1112,10 +1220,7 @@ impl Session {
         };
         let human = config.mode == ObsMode::Live;
         let live_state = if human || machine.is_some() {
-            Some(Arc::new(live::LiveState::new(
-                config.live,
-                live::SinkConfig { human, machine },
-            )))
+            Some(Arc::new(live::LiveState::new(config.live, human, machine)))
         } else {
             None
         };
@@ -1143,6 +1248,9 @@ impl Session {
     fn finish_inner(&mut self) -> Report {
         self.finished = true;
         ENABLED.store(false, Ordering::Release);
+        if self.config.mem {
+            alloc::set_mem_enabled(false);
+        }
         *unpoison(RECORDER.lock()) = None;
         EPOCH.fetch_add(1, Ordering::AcqRel);
         if let Some(live) = &self.recorder.live {
@@ -1201,107 +1309,56 @@ pub struct Report {
     pub metrics: BTreeMap<&'static str, Metric>,
 }
 
-fn write_fields_json(out: &mut String, fields: &[Field]) {
-    out.push('{');
-    for (i, (k, v)) in fields.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        json::write_escaped(out, k);
-        out.push(':');
-        v.write_json(out);
-    }
-    out.push('}');
-}
-
 impl Report {
     /// Renders the full JSONL trace: one manifest line, one line per event,
     /// one final metrics line. Every line is an object carrying `ts`, `span`,
     /// `ev`, and `fields`.
     pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
-        // Manifest line.
-        out.push_str("{\"ts\":0,\"span\":0,\"ev\":\"manifest\",\"fields\":{");
-        out.push_str("\"tool\":");
-        json::write_escaped(&mut out, &self.manifest.tool);
-        out.push_str(",\"args\":[");
-        for (i, a) in self.manifest.args.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            json::write_escaped(&mut out, a);
-        }
-        out.push_str("],\"input\":");
-        match &self.manifest.input {
-            Some(s) => json::write_escaped(&mut out, s),
-            None => out.push_str("null"),
-        }
-        out.push_str(",\"options\":{");
-        for (i, (k, v)) in self.manifest.options.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            json::write_escaped(&mut out, k);
-            out.push(':');
-            json::write_escaped(&mut out, v);
-        }
-        out.push_str("},\"build\":");
-        json::write_escaped(&mut out, &self.manifest.build);
-        out.push_str(&format!(
-            ",\"started_unix_ms\":{},\"wall_ns\":{}",
-            self.manifest.started_unix_ms, self.manifest.wall_ns
-        ));
-        // `peak_rss_kb` is simply absent when `/proc/self/status` was
-        // unreadable or malformed — consumers treat a missing key as `None`.
+        // The manifest line extends the crash dumps' manifest object with
+        // the end-of-run fields. `peak_rss_kb` is simply absent when
+        // `/proc/self/status` was unreadable — readers treat it as `None`.
+        let identity = self.manifest.to_json_object();
+        let mut out = format!(
+            "{{\"ts\":0,\"span\":0,\"ev\":\"manifest\",\"fields\":{},\"wall_ns\":{}",
+            &identity[..identity.len() - 1],
+            self.manifest.wall_ns
+        );
         if let Some(kb) = self.manifest.peak_rss_kb {
             out.push_str(&format!(",\"peak_rss_kb\":{kb}"));
         }
         out.push_str("}}\n");
 
-        // Event lines.
         for e in &self.events {
-            match &e.kind {
+            let (ev, span, link, name, fields) = match &e.kind {
                 EventKind::Open {
                     span,
                     parent,
                     name,
                     fields,
-                } => {
-                    out.push_str(&format!(
-                        "{{\"ts\":{},\"seq\":{},\"worker\":{},\"ev\":\"open\",\"span\":{span},\"parent\":{parent},\"name\":",
-                        e.ts_ns, e.seq, e.worker
-                    ));
-                    json::write_escaped(&mut out, name);
-                    out.push_str(",\"fields\":");
-                    write_fields_json(&mut out, fields);
-                    out.push_str("}\n");
-                }
+                } => ("open", span, format!(",\"parent\":{parent}"), name, fields),
                 EventKind::Close {
                     span,
                     name,
                     dur_ns,
                     fields,
-                } => {
-                    out.push_str(&format!(
-                        "{{\"ts\":{},\"seq\":{},\"worker\":{},\"ev\":\"close\",\"span\":{span},\"dur_ns\":{dur_ns},\"name\":",
-                        e.ts_ns, e.seq, e.worker
-                    ));
-                    json::write_escaped(&mut out, name);
-                    out.push_str(",\"fields\":");
-                    write_fields_json(&mut out, fields);
-                    out.push_str("}\n");
-                }
+                } => ("close", span, format!(",\"dur_ns\":{dur_ns}"), name, fields),
                 EventKind::Point { span, name, fields } => {
-                    out.push_str(&format!(
-                        "{{\"ts\":{},\"seq\":{},\"worker\":{},\"ev\":\"point\",\"span\":{span},\"name\":",
-                        e.ts_ns, e.seq, e.worker
-                    ));
-                    json::write_escaped(&mut out, name);
-                    out.push_str(",\"fields\":");
-                    write_fields_json(&mut out, fields);
-                    out.push_str("}\n");
+                    ("point", span, String::new(), name, fields)
                 }
+            };
+            out.push_str(&format!(
+                "{{\"ts\":{},\"seq\":{},\"worker\":{},\"ev\":\"{ev}\",\"span\":{span}{link},\"name\":",
+                e.ts_ns, e.seq, e.worker
+            ));
+            json::write_escaped(&mut out, name);
+            out.push_str(",\"fields\":{");
+            for (k, v) in fields.iter() {
+                json::comma(&mut out);
+                json::write_escaped(&mut out, k);
+                out.push(':');
+                v.write_json(&mut out);
             }
+            out.push_str("}}\n");
         }
 
         // Metrics line.
@@ -1335,242 +1392,23 @@ impl Report {
         out.push_str("}}\n");
         out
     }
-
-    /// Renders the human-readable summary: manifest header, per-phase span
-    /// tree (count, total time, share of wall time), per-worker busy time,
-    /// and the metrics table.
-    pub fn render_summary(&self) -> String {
-        let mut out = String::new();
-        let wall_s = self.manifest.wall_ns as f64 / 1e9;
-        out.push_str("── observability summary ──────────────────────────────\n");
-        out.push_str(&format!(
-            "run      {} [{}]\n",
-            self.manifest.tool, self.manifest.build
-        ));
-        if let Some(input) = &self.manifest.input {
-            out.push_str(&format!("input    {input}\n"));
-        }
-        if !self.manifest.options.is_empty() {
-            let opts: Vec<String> = self
-                .manifest
-                .options
-                .iter()
-                .map(|(k, v)| format!("{k}={v}"))
-                .collect();
-            out.push_str(&format!("options  {}\n", opts.join("  ")));
-        }
-        out.push_str(&format!("wall     {wall_s:.3}s"));
-        if let Some(kb) = self.manifest.peak_rss_kb {
-            out.push_str(&format!("   peak rss {:.1} MiB", kb as f64 / 1024.0));
-        }
-        out.push_str(&format!("   events {}\n", self.events.len()));
-
-        // --- span tree ---------------------------------------------------
-        let tree = SpanTree::build(&self.events);
-        out.push_str("\nper-phase breakdown (count × total, % of wall):\n");
-        tree.render(&mut out, self.manifest.wall_ns);
-
-        // --- per-worker busy time ----------------------------------------
-        let busy = tree.worker_busy();
-        if busy.len() > 1 {
-            out.push_str("\nworker busy time (span self-time per worker):\n");
-            for (w, ns) in &busy {
-                let label = if *w == 0 {
-                    "main".to_string()
-                } else {
-                    format!("w{w}")
-                };
-                out.push_str(&format!(
-                    "  {label:<6} {:>9.3}s  ({:.0}% of wall)\n",
-                    *ns as f64 / 1e9,
-                    100.0 * *ns as f64 / self.manifest.wall_ns.max(1) as f64
-                ));
-            }
-        }
-
-        // --- metrics ------------------------------------------------------
-        if !self.metrics.is_empty() {
-            out.push_str("\ncounters / gauges / histograms:\n");
-            for (name, m) in &self.metrics {
-                match m {
-                    Metric::Counter(v) => out.push_str(&format!("  {name:<28} {v}\n")),
-                    Metric::Gauge(v) => out.push_str(&format!("  {name:<28} {v} (gauge)\n")),
-                    Metric::Histogram { count, sum, .. } => {
-                        let avg = if *count == 0 {
-                            0.0
-                        } else {
-                            *sum as f64 / *count as f64
-                        };
-                        out.push_str(&format!("  {name:<28} n={count} sum={sum} avg={avg:.1}"));
-                        if let (Some(min), Some(max)) = (m.observed_min(), m.observed_max()) {
-                            out.push_str(&format!(" min={min} max={max}"));
-                        }
-                        if let (Some(p50), Some(p90), Some(p99)) =
-                            (m.quantile(0.50), m.quantile(0.90), m.quantile(0.99))
-                        {
-                            out.push_str(&format!(" p50≤{p50} p90≤{p90} p99≤{p99}"));
-                        }
-                        out.push('\n');
-                    }
-                }
-            }
-        }
-        out.push_str("───────────────────────────────────────────────────────");
-        out
-    }
-
-    /// The total duration of all *root* spans (direct children of span 0) in
-    /// nanoseconds — the quantity that should reconcile with
-    /// `manifest.wall_ns` for a sequentially orchestrated top level.
-    pub fn root_span_total_ns(&self) -> u64 {
-        let mut total = 0u64;
-        let mut roots = std::collections::HashSet::new();
-        for e in &self.events {
-            if let EventKind::Open {
-                span, parent: 0, ..
-            } = e.kind
-            {
-                roots.insert(span);
-            }
-        }
-        for e in &self.events {
-            if let EventKind::Close { span, dur_ns, .. } = e.kind {
-                if roots.contains(&span) {
-                    total += dur_ns;
-                }
-            }
-        }
-        total
-    }
-}
-
-// --- summary tree aggregation ----------------------------------------------
-
-struct SpanInfo {
-    name: &'static str,
-    parent: u64,
-    worker: u32,
-    dur_ns: u64,
-    child_ns: u64,
-}
-
-struct SpanTree {
-    spans: BTreeMap<u64, SpanInfo>,
-}
-
-#[derive(Default)]
-struct AggNode {
-    count: u64,
-    total_ns: u64,
-    children: BTreeMap<&'static str, AggNode>,
-}
-
-impl SpanTree {
-    fn build(events: &[Event]) -> SpanTree {
-        let mut spans: BTreeMap<u64, SpanInfo> = BTreeMap::new();
-        for e in events {
-            match &e.kind {
-                EventKind::Open {
-                    span, parent, name, ..
-                } => {
-                    spans.insert(
-                        *span,
-                        SpanInfo {
-                            name,
-                            parent: *parent,
-                            worker: e.worker,
-                            dur_ns: 0,
-                            child_ns: 0,
-                        },
-                    );
-                }
-                EventKind::Close { span, dur_ns, .. } => {
-                    if let Some(info) = spans.get_mut(span) {
-                        info.dur_ns = *dur_ns;
-                    }
-                }
-                EventKind::Point { .. } => {}
-            }
-        }
-        // Accumulate child time for self-time computation.
-        let parent_durs: Vec<(u64, u64)> = spans
-            .iter()
-            .filter(|(_, i)| i.parent != 0)
-            .map(|(_, i)| (i.parent, i.dur_ns))
-            .collect();
-        for (parent, dur) in parent_durs {
-            if let Some(p) = spans.get_mut(&parent) {
-                p.child_ns = p.child_ns.saturating_add(dur);
-            }
-        }
-        SpanTree { spans }
-    }
-
-    /// Aggregates spans into a name tree (children keyed by name under their
-    /// parent's aggregate node).
-    fn aggregate(&self) -> AggNode {
-        let mut root = AggNode::default();
-        // Path from each span to the root, memoized shallowly: spans are
-        // few (thousands), recompute is fine.
-        for info in self.spans.values() {
-            let mut path: Vec<&'static str> = vec![info.name];
-            let mut p = info.parent;
-            let mut hops = 0;
-            while p != 0 && hops < 64 {
-                match self.spans.get(&p) {
-                    Some(pi) => {
-                        path.push(pi.name);
-                        p = pi.parent;
-                    }
-                    None => break,
-                }
-                hops += 1;
-            }
-            path.reverse();
-            let mut node = &mut root;
-            for name in path {
-                node = node.children.entry(name).or_default();
-            }
-            node.count += 1;
-            node.total_ns += info.dur_ns;
-        }
-        root
-    }
-
-    fn render(&self, out: &mut String, wall_ns: u64) {
-        fn rec(out: &mut String, node: &AggNode, depth: usize, wall_ns: u64) {
-            let mut kids: Vec<(&&'static str, &AggNode)> = node.children.iter().collect();
-            kids.sort_by(|a, b| b.1.total_ns.cmp(&a.1.total_ns).then(a.0.cmp(b.0)));
-            for (name, child) in kids {
-                let indent = "  ".repeat(depth);
-                out.push_str(&format!(
-                    "  {indent}{:<width$} {:>6}× {:>10.3}s  {:>5.1}%\n",
-                    name,
-                    child.count,
-                    child.total_ns as f64 / 1e9,
-                    100.0 * child.total_ns as f64 / wall_ns.max(1) as f64,
-                    width = 30usize.saturating_sub(2 * depth),
-                ));
-                rec(out, child, depth + 1, wall_ns);
-            }
-        }
-        rec(out, &self.aggregate(), 0, wall_ns);
-    }
-
-    /// Self-time (duration minus child duration) summed per worker.
-    fn worker_busy(&self) -> BTreeMap<u32, u64> {
-        let mut busy: BTreeMap<u32, u64> = BTreeMap::new();
-        for info in self.spans.values() {
-            let self_ns = info.dur_ns.saturating_sub(info.child_ns);
-            *busy.entry(info.worker).or_default() += self_ns;
-        }
-        busy
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The close fields of the span named `span`.
+    fn closed<'r>(report: &'r Report, span: &str) -> &'r [Field] {
+        report
+            .events
+            .iter()
+            .find_map(|e| match &e.kind {
+                EventKind::Close { name, fields, .. } if *name == span => Some(fields.as_slice()),
+                _ => None,
+            })
+            .expect("span closed")
+    }
 
     fn quiet_session() -> Session {
         Session::install(
@@ -1631,16 +1469,11 @@ mod tests {
             }
             _ => panic!("expected open"),
         }
-        match &report.events[3].kind {
-            EventKind::Close { fields, .. } => {
-                assert!(fields.contains(&("done", Value::Bool(true))));
-            }
-            _ => panic!("expected close"),
-        }
+        assert!(closed(&report, "outer").contains(&("done", Value::Bool(true))));
     }
 
     #[test]
-    fn metrics_accumulate_and_render() {
+    fn metrics_accumulate() {
         let session = quiet_session();
         counter_add("c", 2);
         counter_add("c", 3);
@@ -1669,9 +1502,6 @@ mod tests {
             }
             other => panic!("expected histogram, got {other:?}"),
         }
-        let text = report.render_summary();
-        assert!(text.contains("n=3 sum=1005"));
-        assert!(text.contains("min=0 max=1000"), "{text}");
     }
 
     #[test]
@@ -1683,15 +1513,11 @@ mod tests {
             charge_sat(1, 2, 3);
         }
         let report = session.finish();
-        match &report.events[1].kind {
-            EventKind::Close { fields, .. } => {
-                assert!(fields.contains(&("sat_solves", Value::U64(2))));
-                assert!(fields.contains(&("sat_conflicts", Value::U64(11))));
-                assert!(fields.contains(&("sat_decisions", Value::U64(22))));
-                assert!(fields.contains(&("sat_propagations", Value::U64(33))));
-            }
-            other => panic!("expected close, got {other:?}"),
-        }
+        let fields = closed(&report, "job");
+        assert!(fields.contains(&("sat_solves", Value::U64(2))));
+        assert!(fields.contains(&("sat_conflicts", Value::U64(11))));
+        assert!(fields.contains(&("sat_decisions", Value::U64(22))));
+        assert!(fields.contains(&("sat_propagations", Value::U64(33))));
         assert_eq!(report.metrics["sat.solves"], Metric::Counter(2));
     }
 
@@ -1704,13 +1530,9 @@ mod tests {
             charge_sat_gc(2, 4096, 1024);
         }
         let report = session.finish();
-        match &report.events[1].kind {
-            EventKind::Close { fields, .. } => {
-                assert!(fields.contains(&("sat_gc_runs", Value::U64(2))));
-                assert!(fields.contains(&("sat_gc_freed_bytes", Value::U64(4096))));
-            }
-            other => panic!("expected close, got {other:?}"),
-        }
+        let fields = closed(&report, "job");
+        assert!(fields.contains(&("sat_gc_runs", Value::U64(2))));
+        assert!(fields.contains(&("sat_gc_freed_bytes", Value::U64(4096))));
         assert_eq!(report.metrics["sat.gc_runs"], Metric::Counter(2));
         assert_eq!(report.metrics["sat.gc_freed_bytes"], Metric::Counter(4096));
         assert_eq!(report.metrics["sat.arena_bytes"], Metric::Gauge(1024));
@@ -1743,36 +1565,8 @@ mod tests {
         }
     }
 
-    #[test]
-    fn jsonl_lines_all_parse_with_required_keys() {
-        let session = Session::install(
-            ObsConfig {
-                mode: ObsMode::Json,
-                ..ObsConfig::default()
-            },
-            RunManifest::capture("jsonl-test").option("seed", "1"),
-        );
-        {
-            let _sp = span!("phase.one", k = "v\"with\nnasties\\");
-            event!("tick", n = 1u64);
-            counter_add("ticks", 1);
-        }
-        let report = session.finish();
-        let jsonl = report.to_jsonl();
-        let lines: Vec<&str> = jsonl.lines().collect();
-        assert_eq!(lines.len(), 2 + report.events.len()); // manifest + events + metrics
-        for line in &lines {
-            let v = json::parse(line).expect("line parses");
-            assert!(v.get("ts").is_some(), "ts missing: {line}");
-            assert!(v.get("span").is_some(), "span missing: {line}");
-            assert!(v.get("fields").is_some_and(json::JsonValue::is_object));
-        }
-        assert_eq!(
-            json::parse(lines[0]).unwrap().get("ev").unwrap().as_str(),
-            Some("manifest")
-        );
-    }
-
+    /// Recorded durations reflect real elapsed time: a root span around a
+    /// 20 ms sleep accounts for most, and no more than all, of the session.
     #[test]
     fn root_span_total_reconciles_with_wall_time() {
         let session = quiet_session();
@@ -1781,8 +1575,25 @@ mod tests {
             std::thread::sleep(std::time::Duration::from_millis(20));
         }
         let report = session.finish();
-        let root = report.root_span_total_ns() as f64;
-        let wall = report.manifest.wall_ns as f64;
+        let roots: Vec<u64> = report
+            .events
+            .iter()
+            .filter_map(|e| match e.kind {
+                EventKind::Open {
+                    span, parent: 0, ..
+                } => Some(span),
+                _ => None,
+            })
+            .collect();
+        let root: u64 = report
+            .events
+            .iter()
+            .filter_map(|e| match e.kind {
+                EventKind::Close { span, dur_ns, .. } if roots.contains(&span) => Some(dur_ns),
+                _ => None,
+            })
+            .sum();
+        let (root, wall) = (root as f64, report.manifest.wall_ns as f64);
         assert!(root > 0.0 && wall > 0.0);
         assert!(root <= wall * 1.05, "root {root} wall {wall}");
         assert!(root >= wall * 0.5, "root {root} wall {wall}");
@@ -1814,23 +1625,6 @@ mod tests {
         assert_eq!(h.observed_max(), Some(100_000));
         assert_eq!(Metric::Counter(3).observed_min(), None);
         assert_eq!(Metric::new_histogram().observed_max(), None);
-        // Rendered everywhere a histogram shows up.
-        let summary = report.render_summary();
-        assert!(summary.contains("min=3 max=100000"), "{summary}");
-        assert!(summary.contains("p50≤3"), "{summary}");
-        assert!(summary.contains("p99≤255"), "{summary}");
-        let jsonl = report.to_jsonl();
-        let metrics_line = jsonl.lines().last().unwrap();
-        let v = json::parse(metrics_line).unwrap();
-        let q = v.get("fields").unwrap().get("q").unwrap();
-        assert_eq!(q.get("min").and_then(json::JsonValue::as_u64), Some(3));
-        assert_eq!(
-            q.get("max").and_then(json::JsonValue::as_u64),
-            Some(100_000)
-        );
-        assert_eq!(q.get("p50").and_then(json::JsonValue::as_u64), Some(3));
-        assert_eq!(q.get("p90").and_then(json::JsonValue::as_u64), Some(3));
-        assert_eq!(q.get("p99").and_then(json::JsonValue::as_u64), Some(255));
     }
 
     /// `parse_peak_rss_kb` is total: malformed `/proc/self/status` content
@@ -1892,14 +1686,7 @@ mod tests {
         }
         alloc::set_mem_enabled(false);
         let report = session.finish();
-        let close_fields = report
-            .events
-            .iter()
-            .find_map(|e| match &e.kind {
-                EventKind::Close { name, fields, .. } if *name == "job.alloc" => Some(fields),
-                _ => None,
-            })
-            .expect("span closed");
+        let close_fields = closed(&report, "job.alloc");
         let get = |key: &str| {
             close_fields.iter().find_map(|(k, v)| match v {
                 Value::U64(n) if *k == key => Some(*n),
@@ -1926,14 +1713,7 @@ mod tests {
             let _v: Vec<u64> = Vec::with_capacity(100);
         }
         let report = session.finish();
-        let close_fields = report
-            .events
-            .iter()
-            .find_map(|e| match &e.kind {
-                EventKind::Close { name, fields, .. } if *name == "job.noalloc" => Some(fields),
-                _ => None,
-            })
-            .expect("span closed");
+        let close_fields = closed(&report, "job.noalloc");
         assert!(!close_fields.iter().any(|(k, _)| k.starts_with("alloc_")));
     }
 
@@ -1970,13 +1750,61 @@ mod tests {
         assert_eq!(ObsMode::Live.to_string(), "live");
         assert_eq!(ObsMode::LiveJson.to_string(), "live-json");
         assert!(!ObsMode::Live.is_off());
-        assert!(ObsMode::Live.is_live() && ObsMode::LiveJson.is_live());
-        assert!(!ObsMode::Json.is_live());
         assert!(ObsMode::parse("verbose").is_err());
         assert_eq!(ObsMode::Json.to_string(), "json");
         let m = RunManifest::capture("t").input("file.aag").option("k", "v");
         assert_eq!(m.input.as_deref(), Some("file.aag"));
         assert_eq!(m.options, vec![("k".to_string(), "v".to_string())]);
         assert!(m.build.starts_with("diam "));
+    }
+
+    /// One parser for the four observability flags: both spellings, both
+    /// promotion rules, `--mem`, and the `diam` CLI's error wording.
+    #[test]
+    fn obs_flags_parse_in_one_place() {
+        let args = |a: &[&str]| ObsConfig::from_args(a.iter().map(|s| s.to_string()));
+        let (c, rest) = args(&["1", "--obs", "summary", "--mem", "on", "--limit", "2"]).unwrap();
+        assert_eq!((c.mode, c.mem), (ObsMode::Summary, true));
+        assert_eq!(rest, ["1", "--limit", "2"]);
+        // `--flag=value` is not this parser's spelling: it passes through.
+        let (c, rest) = args(&["--obs=json"]).unwrap();
+        assert_eq!(
+            (c.mode, rest),
+            (ObsMode::Off, vec!["--obs=json".to_string()])
+        );
+        let (c, _) = args(&["--trace-out", "t.jsonl", "--live-out", "l.jsonl"]).unwrap();
+        assert_eq!(c.mode, ObsMode::Json);
+        assert_eq!(c.trace_out, Some(PathBuf::from("t.jsonl")));
+        assert_eq!(c.live_out, Some(PathBuf::from("l.jsonl")));
+        assert_eq!(args(&["--live-out", "l"]).unwrap().0.mode, ObsMode::Live);
+        let (c, _) = args(&["--trace-out", "t", "--obs", "summary"]).unwrap();
+        assert_eq!(c.mode, ObsMode::Summary);
+        let err = |a: &[&str]| args(a).unwrap_err().to_string();
+        assert_eq!(err(&["--trace-out"]), "--trace-out needs a value");
+        assert_eq!(
+            err(&["--obs", "loud"]),
+            "bad --obs value \"loud\" (expected off|summary|json|live|live-json)"
+        );
+        assert_eq!(err(&["--mem", "maybe"]), "--mem expects on|off, got maybe");
+    }
+
+    /// `mem` turns allocator accounting on for the session's lifetime and
+    /// records `mem=on` in the manifest.
+    #[test]
+    fn mem_config_spans_the_session() {
+        let _serial = alloc::test_lock();
+        let session = Session::install(
+            ObsConfig {
+                mode: ObsMode::Summary,
+                mem: true,
+                ..ObsConfig::default()
+            },
+            RunManifest::capture("mem-test"),
+        );
+        assert!(alloc::mem_enabled());
+        let report = session.finish();
+        assert!(!alloc::mem_enabled());
+        let mem_on = ("mem".to_string(), "on".to_string());
+        assert!(report.manifest.options.contains(&mem_on));
     }
 }

@@ -4,7 +4,9 @@
 //! When a session is installed with a live mode, every recorded event also
 //! streams through a [`LiveState`]: per-worker open-span stacks are mirrored
 //! as events arrive, the `par.queue_depth` gauge is mirrored into an atomic,
-//! and a background thread drives two sinks:
+//! and a background thread snapshots the stacks once per tick. Each live
+//! event is one frame (`live_start` / `heartbeat` / `progress` / `stall` /
+//! `finish`) built from that snapshot and handed to both sinks:
 //!
 //! * **human** ([`ObsMode::Live`](crate::ObsMode::Live)) — stderr lines:
 //!   heartbeats every [`LiveOptions::heartbeat`] showing each busy worker's
@@ -15,19 +17,18 @@
 //!   [`LiveOptions::stall`].
 //! * **machine** ([`ObsMode::LiveJson`](crate::ObsMode::LiveJson) → stderr,
 //!   or [`ObsConfig::live_out`](crate::ObsConfig::live_out) → a file) — the
-//!   same information as schema-versioned JSONL events
-//!   (`live_start` / `heartbeat` / `progress` / `stall` / `finish`, see
+//!   same frames as schema-versioned JSONL lines (see
 //!   [`LIVE_SCHEMA_VERSION`]) that a server can relay verbatim.
 //!
 //! The sink costs one mutex-protected stack update per event and only
 //! exists in live modes; all other modes never allocate a [`LiveState`].
 
-use crate::{json, Event, EventKind, LiveOptions, Value};
+use crate::{json, unpoison, Event, EventKind, Field, LiveOptions, Value};
 use std::collections::BTreeMap;
 use std::io::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Version of the machine-readable live JSONL schema: every line is an
 /// object with `"v"` set to this, an `"ev"` discriminator
@@ -43,23 +44,6 @@ pub(crate) enum MachineSink {
     File(Mutex<std::fs::File>),
 }
 
-/// Which sinks a [`LiveState`] drives.
-pub(crate) struct SinkConfig {
-    /// Human-readable stderr lines (`--obs live`).
-    pub human: bool,
-    /// Machine-readable JSONL stream, when configured.
-    pub machine: Option<MachineSink>,
-}
-
-impl Default for SinkConfig {
-    fn default() -> SinkConfig {
-        SinkConfig {
-            human: true,
-            machine: None,
-        }
-    }
-}
-
 /// One mirrored open span on a worker's live stack.
 struct OpenSpan {
     name: &'static str,
@@ -73,10 +57,12 @@ struct OpenSpan {
     max_depth: Option<u64>,
 }
 
+/// Depth/ETA annotation: `(depth, Some((max, eta_s)))` when the span
+/// advertises its range, `(depth, None)` otherwise.
+type Progress = (u64, Option<(u64, f64)>);
+
 impl OpenSpan {
-    /// Depth/ETA annotation: `Some((depth, Some((max, eta_s))))` when the
-    /// span advertises its range, `Some((depth, None))` otherwise.
-    fn progress(&self, now_ns: u64) -> Option<(u64, Option<(u64, f64)>)> {
+    fn progress(&self, now_ns: u64) -> Option<Progress> {
         let depth = self.depth?;
         match self.max_depth {
             Some(max) if max > 0 && depth <= max => {
@@ -90,15 +76,13 @@ impl OpenSpan {
     }
 }
 
-#[derive(Default)]
-struct WorkerLive {
-    stack: Vec<OpenSpan>,
-}
-
 /// Shared state between the recording threads and the watchdog thread.
 pub(crate) struct LiveState {
     opts: LiveOptions,
-    sinks: SinkConfig,
+    /// Human-readable stderr lines (`--obs live`).
+    human: bool,
+    /// The machine-readable JSONL stream, when configured.
+    machine: Option<MachineSink>,
     start: Instant,
     /// `ts_ns` of the most recent event (nanoseconds since session start).
     last_event_ns: AtomicU64,
@@ -108,7 +92,8 @@ pub(crate) struct LiveState {
     /// One-shot stall latch: set on the first stall detection, cleared when
     /// events resume (see [`LiveState::check_stall`]).
     stalled: AtomicBool,
-    workers: Mutex<BTreeMap<u32, WorkerLive>>,
+    /// Each worker's open spans, outermost first.
+    workers: Mutex<BTreeMap<u32, Vec<OpenSpan>>>,
     /// Mirror of the `par.queue_depth` gauge (see `with_metric` in the
     /// crate root).
     queue_depth: AtomicI64,
@@ -118,32 +103,11 @@ pub(crate) struct LiveState {
     rss_kb: AtomicU64,
 }
 
-fn unpoison<T>(r: Result<T, std::sync::PoisonError<T>>) -> T {
-    r.unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
 /// Fields worth showing next to a span name on a heartbeat line, in
 /// preference order.
 const DETAIL_KEYS: [&str; 5] = ["target", "design", "engine", "column", "index"];
 
-fn detail_from(fields: &[(&'static str, Value)]) -> String {
-    for key in DETAIL_KEYS {
-        for (k, v) in fields {
-            if *k == key {
-                return match v {
-                    Value::Str(s) => s.clone(),
-                    Value::U64(n) => n.to_string(),
-                    Value::I64(n) => n.to_string(),
-                    Value::F64(n) => format!("{n}"),
-                    Value::Bool(b) => b.to_string(),
-                };
-            }
-        }
-    }
-    String::new()
-}
-
-fn field_u64(fields: &[(&'static str, Value)], key: &str) -> Option<u64> {
+fn field_u64(fields: &[Field], key: &str) -> Option<u64> {
     fields.iter().find_map(|(k, v)| match v {
         Value::U64(n) if *k == key => Some(*n),
         _ => None,
@@ -151,10 +115,11 @@ fn field_u64(fields: &[(&'static str, Value)], key: &str) -> Option<u64> {
 }
 
 impl LiveState {
-    pub(crate) fn new(opts: LiveOptions, sinks: SinkConfig) -> LiveState {
+    pub(crate) fn new(opts: LiveOptions, human: bool, machine: Option<MachineSink>) -> LiveState {
         LiveState {
             opts,
-            sinks,
+            human,
+            machine,
             start: Instant::now(),
             last_event_ns: AtomicU64::new(0),
             events: AtomicU64::new(0),
@@ -176,33 +141,32 @@ impl LiveState {
         self.last_event_ns.store(ev.ts_ns, Ordering::Relaxed);
         self.events.fetch_add(1, Ordering::Relaxed);
         let mut workers = unpoison(self.workers.lock());
-        let w = workers.entry(ev.worker).or_default();
+        let stack = workers.entry(ev.worker).or_default();
         match &ev.kind {
-            EventKind::Open { name, fields, .. } => {
-                w.stack.push(OpenSpan {
-                    name,
-                    detail: detail_from(fields),
-                    opened_ns: ev.ts_ns,
-                    depth: None,
-                    max_depth: field_u64(fields, "max_depth").or(field_u64(fields, "hi")),
-                });
-            }
+            EventKind::Open { name, fields, .. } => stack.push(OpenSpan {
+                name,
+                detail: DETAIL_KEYS
+                    .iter()
+                    .find_map(|key| fields.iter().find(|(k, _)| k == key))
+                    .map(|(_, v)| v.to_string())
+                    .unwrap_or_default(),
+                opened_ns: ev.ts_ns,
+                depth: None,
+                max_depth: field_u64(fields, "max_depth").or(field_u64(fields, "hi")),
+            }),
             EventKind::Close { name, .. } => {
                 // Pop the innermost span with this name (defensive against
                 // out-of-order guard drops, mirroring the recorder).
-                if let Some(pos) = w.stack.iter().rposition(|s| s.name == *name) {
-                    w.stack.remove(pos);
+                if let Some(pos) = stack.iter().rposition(|s| s.name == *name) {
+                    stack.remove(pos);
                 }
             }
-            EventKind::Point { name, fields, .. } => {
-                if *name == "sat.solve" {
-                    if let (Some(depth), Some(top)) =
-                        (field_u64(fields, "depth"), w.stack.last_mut())
-                    {
-                        top.depth = Some(depth);
-                    }
+            EventKind::Point { name, fields, .. } if *name == "sat.solve" => {
+                if let (Some(depth), Some(top)) = (field_u64(fields, "depth"), stack.last_mut()) {
+                    top.depth = Some(depth);
                 }
             }
+            EventKind::Point { .. } => {}
         }
     }
 
@@ -214,13 +178,40 @@ impl LiveState {
         }
     }
 
-    /// The deepest BMC depth any worker has reported (the depth frontier).
-    fn frontier_depth(&self) -> Option<u64> {
+    /// Walks the per-worker stacks once: every worker with open spans, and
+    /// the depth frontier over all of them.
+    fn snapshot(&self, now_ns: u64) -> Snapshot {
         let workers = unpoison(self.workers.lock());
-        workers
-            .values()
-            .flat_map(|w| w.stack.iter().filter_map(|s| s.depth))
-            .max()
+        Snapshot {
+            frontier: workers.values().flatten().filter_map(|s| s.depth).max(),
+            workers: workers
+                .iter()
+                .filter(|(_, stack)| !stack.is_empty())
+                .map(|(&worker, stack)| WorkerFrame {
+                    worker: u64::from(worker),
+                    stack: stack.iter().map(|s| (s.name, s.detail.clone())).collect(),
+                    // Depth + ETA from the innermost span that reports it.
+                    progress: stack.iter().rev().find_map(|s| s.progress(now_ns)),
+                })
+                .collect(),
+        }
+    }
+
+    fn heartbeat<'a>(&self, now_ns: u64, snap: &'a Snapshot) -> Frame<'a> {
+        Frame::Heartbeat {
+            ts_ns: now_ns,
+            workers: &snap.workers,
+            queue_depth: self.queue_depth.load(Ordering::Relaxed),
+            rss_kb: self.rss_kb.load(Ordering::Relaxed),
+        }
+    }
+
+    fn progress(&self, now_ns: u64, depth: u64) -> Frame<'static> {
+        Frame::Progress {
+            ts_ns: now_ns,
+            depth,
+            queue_depth: self.queue_depth.load(Ordering::Relaxed),
+        }
     }
 
     /// One-shot stall detection: returns the quiet time on the *first* tick
@@ -243,234 +234,244 @@ impl LiveState {
         }
     }
 
-    /// Renders the heartbeat lines for every worker with open spans, plus an
-    /// RSS line once memory has been sampled.
-    fn heartbeat_lines(&self, now_ns: u64) -> Vec<String> {
-        let workers = unpoison(self.workers.lock());
+    /// Hands one frame to both sinks. Machine-sink write errors are
+    /// swallowed: a full disk must not take down the run being observed.
+    fn emit(&self, frame: &Frame<'_>) {
+        if self.human {
+            for line in frame.human() {
+                eprintln!("{line}");
+            }
+        }
+        match &self.machine {
+            None => {}
+            Some(MachineSink::Stderr) => eprintln!("{}", frame.json()),
+            Some(MachineSink::File(f)) => {
+                let mut f = unpoison(f.lock());
+                let _ = writeln!(f, "{}", frame.json());
+                let _ = f.flush();
+            }
+        }
+    }
+
+    /// Emits the final frame (called from `Session::finish`).
+    pub(crate) fn emit_finish(&self, wall_ns: u64, events: u64) {
+        self.emit(&Frame::Finish {
+            ts_ns: wall_ns,
+            events,
+        });
+    }
+}
+
+/// The per-worker stacks as one watchdog tick sees them.
+struct Snapshot {
+    /// Every worker with open spans, by worker id.
+    workers: Vec<WorkerFrame>,
+    /// The deepest BMC depth any open span has reported.
+    frontier: Option<u64>,
+}
+
+/// One busy worker's open-span stack.
+struct WorkerFrame {
+    worker: u64,
+    /// `(name, detail)` per open span, outermost first.
+    stack: Vec<(&'static str, String)>,
+    progress: Option<Progress>,
+}
+
+impl WorkerFrame {
+    fn names(&self) -> Vec<&'static str> {
+        self.stack.iter().map(|(name, _)| *name).collect()
+    }
+}
+
+/// One live event, built once and rendered by both sinks: [`Frame::human`]
+/// for the `--obs live` stderr lines, [`Frame::json`] for the machine
+/// stream.
+enum Frame<'a> {
+    Start {
+        heartbeat: Duration,
+        stall: Duration,
+    },
+    Heartbeat {
+        ts_ns: u64,
+        workers: &'a [WorkerFrame],
+        queue_depth: i64,
+        /// Last sampled RSS in KiB (0 = not sampled yet).
+        rss_kb: u64,
+    },
+    /// The depth frontier moved since the last tick.
+    Progress {
+        ts_ns: u64,
+        depth: u64,
+        queue_depth: i64,
+    },
+    /// No event for the stall threshold.
+    Stall {
+        ts_ns: u64,
+        quiet_s: f64,
+        workers: &'a [WorkerFrame],
+    },
+    Finish {
+        ts_ns: u64,
+        events: u64,
+    },
+}
+
+impl Frame<'_> {
+    /// The human stderr lines (none for `progress` and `finish`).
+    fn human(&self) -> Vec<String> {
         let mut lines = Vec::new();
-        for (id, w) in workers.iter() {
-            if w.stack.is_empty() {
-                continue;
-            }
-            let label = if *id == 0 {
-                "main".to_string()
-            } else {
-                format!("w{id}")
-            };
-            let path: Vec<String> = w
-                .stack
-                .iter()
-                .map(|s| {
-                    if s.detail.is_empty() {
-                        s.name.to_string()
-                    } else {
-                        format!("{}({})", s.name, s.detail)
+        match self {
+            Frame::Start { heartbeat, stall } => lines.push(format!(
+                "diam-obs live: armed — heartbeat every {:.1}s, stall threshold {:.1}s",
+                heartbeat.as_secs_f64(),
+                stall.as_secs_f64()
+            )),
+            Frame::Heartbeat {
+                ts_ns,
+                workers,
+                rss_kb,
+                ..
+            } => {
+                let t = *ts_ns as f64 / 1e9;
+                for w in workers.iter() {
+                    let path: Vec<String> = w
+                        .stack
+                        .iter()
+                        .map(|(name, detail)| match detail.as_str() {
+                            "" => name.to_string(),
+                            d => format!("{name}({d})"),
+                        })
+                        .collect();
+                    let mut line = format!(
+                        "diam-obs live: {t:>7.1}s {:<5} {}",
+                        crate::worker_label(w.worker),
+                        path.join(" > ")
+                    );
+                    match w.progress {
+                        Some((depth, Some((max, eta_s)))) => {
+                            line.push_str(&format!(" depth {depth}/{max} eta {eta_s:.1}s"));
+                        }
+                        Some((depth, None)) => line.push_str(&format!(" depth {depth}")),
+                        None => {}
                     }
-                })
-                .collect();
-            let mut line = format!(
-                "diam-obs live: {:>7.1}s {label:<5} {}",
-                now_ns as f64 / 1e9,
-                path.join(" > ")
-            );
-            // Depth + ETA from the innermost span that reports progress.
-            if let Some(sp) = w.stack.iter().rev().find(|s| s.depth.is_some()) {
-                match sp.progress(now_ns) {
-                    Some((depth, Some((max, eta_s)))) => {
-                        line.push_str(&format!(" depth {depth}/{max} eta {eta_s:.1}s"));
+                    lines.push(line);
+                    if lines.len() >= 16 {
+                        lines.push("diam-obs live: … (more workers elided)".to_string());
+                        break;
                     }
-                    Some((depth, None)) => line.push_str(&format!(" depth {depth}")),
-                    None => {}
+                }
+                if *rss_kb > 0 {
+                    let mib = *rss_kb as f64 / 1024.0;
+                    lines.push(format!("diam-obs live: {t:>7.1}s rss {mib:.1} MiB"));
                 }
             }
-            lines.push(line);
-            if lines.len() >= 16 {
-                lines.push("diam-obs live: … (more workers elided)".to_string());
-                break;
+            Frame::Stall {
+                quiet_s, workers, ..
+            } => {
+                lines.push(format!(
+                    "diam-obs live: STALL — no event for {quiet_s:.1}s; open span stacks:"
+                ));
+                for w in workers.iter() {
+                    let path = w.names().join(" > ");
+                    lines.push(format!(
+                        "diam-obs live:   {}: {path}",
+                        crate::worker_label(w.worker)
+                    ));
+                }
+                if workers.is_empty() {
+                    lines.push("diam-obs live:   (no open spans)".to_string());
+                }
             }
-        }
-        drop(workers);
-        let rss_kb = self.rss_kb.load(Ordering::Relaxed);
-        if rss_kb > 0 {
-            lines.push(format!(
-                "diam-obs live: {:>7.1}s rss {:.1} MiB",
-                now_ns as f64 / 1e9,
-                rss_kb as f64 / 1024.0
-            ));
+            Frame::Progress { .. } | Frame::Finish { .. } => {}
         }
         lines
     }
 
-    /// Renders the one-shot stall dump.
-    fn stall_lines(&self, quiet_s: f64) -> Vec<String> {
-        let workers = unpoison(self.workers.lock());
-        let mut lines = vec![format!(
-            "diam-obs live: STALL — no event for {quiet_s:.1}s; open span stacks:"
-        )];
-        let mut any = false;
-        for (id, w) in workers.iter() {
-            if w.stack.is_empty() {
-                continue;
+    /// The machine JSONL line (schema [`LIVE_SCHEMA_VERSION`]).
+    fn json(&self) -> String {
+        let (ev, ts_ns) = match self {
+            Frame::Start { .. } => ("live_start", 0),
+            Frame::Heartbeat { ts_ns, .. } => ("heartbeat", *ts_ns),
+            Frame::Progress { ts_ns, .. } => ("progress", *ts_ns),
+            Frame::Stall { ts_ns, .. } => ("stall", *ts_ns),
+            Frame::Finish { ts_ns, .. } => ("finish", *ts_ns),
+        };
+        let mut out = format!("{{\"v\":{LIVE_SCHEMA_VERSION},\"ev\":\"{ev}\",\"ts_ns\":{ts_ns}");
+        let stack = |out: &mut String, w: &WorkerFrame| {
+            out.push_str(",\"stack\":[");
+            for name in w.names() {
+                json::comma(out);
+                json::write_escaped(out, name);
             }
-            any = true;
-            let label = if *id == 0 {
-                "main".to_string()
-            } else {
-                format!("w{id}")
-            };
-            let path: Vec<&str> = w.stack.iter().map(|s| s.name).collect();
-            lines.push(format!("diam-obs live:   {label}: {}", path.join(" > ")));
-        }
-        if !any {
-            lines.push("diam-obs live:   (no open spans)".to_string());
-        }
-        lines
-    }
-
-    // --- machine-readable JSONL events -----------------------------------
-
-    fn machine_start_json(&self) -> String {
-        format!(
-            "{{\"v\":{LIVE_SCHEMA_VERSION},\"ev\":\"live_start\",\"ts_ns\":0,\
-             \"heartbeat_ms\":{},\"stall_ms\":{}}}",
-            self.opts.heartbeat.as_millis(),
-            self.opts.stall.as_millis()
-        )
-    }
-
-    fn machine_heartbeat_json(&self, now_ns: u64) -> String {
-        let mut out = format!(
-            "{{\"v\":{LIVE_SCHEMA_VERSION},\"ev\":\"heartbeat\",\"ts_ns\":{now_ns},\"workers\":["
-        );
-        {
-            let workers = unpoison(self.workers.lock());
-            let mut first = true;
-            for (id, w) in workers.iter() {
-                let Some(top) = w.stack.last() else { continue };
-                if !first {
-                    out.push(',');
-                }
-                first = false;
-                out.push_str(&format!("{{\"worker\":{id},\"span\":"));
-                json::write_escaped(&mut out, top.name);
-                if !top.detail.is_empty() {
-                    out.push_str(",\"detail\":");
-                    json::write_escaped(&mut out, &top.detail);
-                }
-                out.push_str(",\"stack\":[");
-                for (i, s) in w.stack.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
+            out.push(']');
+        };
+        match self {
+            Frame::Start { heartbeat, stall } => out.push_str(&format!(
+                ",\"heartbeat_ms\":{},\"stall_ms\":{}",
+                heartbeat.as_millis(),
+                stall.as_millis()
+            )),
+            Frame::Heartbeat {
+                workers,
+                queue_depth,
+                rss_kb,
+                ..
+            } => {
+                out.push_str(",\"workers\":[");
+                for w in workers.iter() {
+                    json::comma(&mut out);
+                    out.push_str(&format!("{{\"worker\":{},\"span\":", w.worker));
+                    let (top, detail) = w.stack.last().expect("busy workers have open spans");
+                    json::write_escaped(&mut out, top);
+                    if !detail.is_empty() {
+                        out.push_str(",\"detail\":");
+                        json::write_escaped(&mut out, detail);
                     }
-                    json::write_escaped(&mut out, s.name);
-                }
-                out.push(']');
-                if let Some(sp) = w.stack.iter().rev().find(|s| s.depth.is_some()) {
-                    match sp.progress(now_ns) {
+                    stack(&mut out, w);
+                    match w.progress {
                         Some((depth, Some((max, eta_s)))) => out.push_str(&format!(
                             ",\"depth\":{depth},\"max_depth\":{max},\"eta_s\":{eta_s:.3}"
                         )),
                         Some((depth, None)) => out.push_str(&format!(",\"depth\":{depth}")),
                         None => {}
                     }
+                    out.push('}');
                 }
-                out.push('}');
+                out.push_str(&format!("],\"queue_depth\":{queue_depth}"));
+                if *rss_kb > 0 {
+                    out.push_str(&format!(",\"rss_kb\":{rss_kb}"));
+                }
             }
-        }
-        out.push_str(&format!(
-            "],\"queue_depth\":{}",
-            self.queue_depth.load(Ordering::Relaxed)
-        ));
-        let rss_kb = self.rss_kb.load(Ordering::Relaxed);
-        if rss_kb > 0 {
-            out.push_str(&format!(",\"rss_kb\":{rss_kb}"));
+            Frame::Progress {
+                depth, queue_depth, ..
+            } => out.push_str(&format!(",\"depth\":{depth},\"queue_depth\":{queue_depth}")),
+            Frame::Stall {
+                quiet_s, workers, ..
+            } => {
+                out.push_str(&format!(",\"quiet_s\":{quiet_s:.3},\"stacks\":["));
+                for w in workers.iter() {
+                    json::comma(&mut out);
+                    out.push_str(&format!("{{\"worker\":{}", w.worker));
+                    stack(&mut out, w);
+                    out.push('}');
+                }
+                out.push(']');
+            }
+            Frame::Finish { events, .. } => out.push_str(&format!(",\"events\":{events}")),
         }
         out.push('}');
         out
-    }
-
-    fn machine_progress_json(&self, now_ns: u64, depth: Option<u64>) -> String {
-        let mut out =
-            format!("{{\"v\":{LIVE_SCHEMA_VERSION},\"ev\":\"progress\",\"ts_ns\":{now_ns}");
-        if let Some(d) = depth {
-            out.push_str(&format!(",\"depth\":{d}"));
-        }
-        out.push_str(&format!(
-            ",\"queue_depth\":{}}}",
-            self.queue_depth.load(Ordering::Relaxed)
-        ));
-        out
-    }
-
-    fn machine_stall_json(&self, now_ns: u64, quiet_s: f64) -> String {
-        let mut out = format!(
-            "{{\"v\":{LIVE_SCHEMA_VERSION},\"ev\":\"stall\",\"ts_ns\":{now_ns},\
-             \"quiet_s\":{quiet_s:.3},\"stacks\":["
-        );
-        {
-            let workers = unpoison(self.workers.lock());
-            let mut first = true;
-            for (id, w) in workers.iter() {
-                if w.stack.is_empty() {
-                    continue;
-                }
-                if !first {
-                    out.push(',');
-                }
-                first = false;
-                out.push_str(&format!("{{\"worker\":{id},\"stack\":["));
-                for (i, s) in w.stack.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    json::write_escaped(&mut out, s.name);
-                }
-                out.push_str("]}");
-            }
-        }
-        out.push_str("]}");
-        out
-    }
-
-    fn machine_finish_json(&self, wall_ns: u64, events: u64) -> String {
-        format!(
-            "{{\"v\":{LIVE_SCHEMA_VERSION},\"ev\":\"finish\",\"ts_ns\":{wall_ns},\"events\":{events}}}"
-        )
-    }
-
-    /// Writes one line to the machine sink, if configured. Errors are
-    /// swallowed: a full disk must not take down the run being observed.
-    fn write_machine(&self, line: &str) {
-        match &self.sinks.machine {
-            None => {}
-            Some(MachineSink::Stderr) => eprintln!("{line}"),
-            Some(MachineSink::File(f)) => {
-                let mut f = unpoison(f.lock());
-                let _ = writeln!(f, "{line}");
-                let _ = f.flush();
-            }
-        }
-    }
-
-    /// Emits the final machine event (called from `Session::finish`).
-    pub(crate) fn emit_finish(&self, wall_ns: u64, events: u64) {
-        if self.sinks.machine.is_some() {
-            self.write_machine(&self.machine_finish_json(wall_ns, events));
-        }
     }
 }
 
 /// Spawns the watchdog thread for `state`; it runs until
 /// [`LiveState::request_stop`] and is joined by `Session::finish`.
 pub(crate) fn spawn_watchdog(state: Arc<LiveState>) -> std::thread::JoinHandle<()> {
-    if state.sinks.human {
-        eprintln!(
-            "diam-obs live: armed — heartbeat every {:.1}s, stall threshold {:.1}s",
-            state.opts.heartbeat.as_secs_f64(),
-            state.opts.stall.as_secs_f64()
-        );
-    }
-    state.write_machine(&state.machine_start_json());
+    state.emit(&Frame::Start {
+        heartbeat: state.opts.heartbeat,
+        stall: state.opts.stall,
+    });
     std::thread::Builder::new()
         .name("diam-obs-live".to_string())
         .spawn(move || watchdog_loop(&state))
@@ -479,7 +480,7 @@ pub(crate) fn spawn_watchdog(state: Arc<LiveState>) -> std::thread::JoinHandle<(
 
 fn watchdog_loop(state: &LiveState) {
     let tick = state.opts.heartbeat.min(state.opts.stall).div_f64(4.0);
-    let tick = tick.max(std::time::Duration::from_millis(10));
+    let tick = tick.max(Duration::from_millis(10));
     let mut last_beat_ns = 0u64;
     let mut last_progress = None;
     while !state.stop.load(Ordering::Acquire) {
@@ -488,43 +489,30 @@ fn watchdog_loop(state: &LiveState) {
         if state.events.load(Ordering::Relaxed) == 0 {
             continue; // nothing recorded yet — stay quiet
         }
+        let snap = state.snapshot(now_ns);
         if let Some(quiet_s) = state.check_stall(now_ns) {
-            if state.sinks.human {
-                for line in state.stall_lines(quiet_s) {
-                    eprintln!("{line}");
-                }
-            }
-            if state.sinks.machine.is_some() {
-                state.write_machine(&state.machine_stall_json(now_ns, quiet_s));
-            }
+            state.emit(&Frame::Stall {
+                ts_ns: now_ns,
+                quiet_s,
+                workers: &snap.workers,
+            });
         }
-        if state.sinks.machine.is_some() {
-            // A `progress` event whenever the depth frontier moved since the
-            // last tick — finer-grained than the heartbeat, but still bounded
-            // by the tick rate.
-            let cur = state.frontier_depth();
-            if cur.is_some() && cur != last_progress {
-                last_progress = cur;
-                state.write_machine(&state.machine_progress_json(now_ns, cur));
-            }
+        // A `progress` frame whenever the depth frontier moved since the
+        // last tick — finer-grained than the heartbeat, but still bounded
+        // by the tick rate.
+        if let Some(depth) = snap.frontier.filter(|_| snap.frontier != last_progress) {
+            last_progress = snap.frontier;
+            state.emit(&state.progress(now_ns, depth));
         }
         if now_ns.saturating_sub(last_beat_ns) >= state.opts.heartbeat.as_nanos() as u64 {
             last_beat_ns = now_ns;
-            // Sample current RSS once per heartbeat: cheap (one /proc read
-            // per heartbeat interval) and exported both as the `mem.rss_kb`
-            // gauge and on the heartbeat lines / JSON below.
+            // Sample current RSS once per heartbeat: one /proc read, exported
+            // as the `mem.rss_kb` gauge and on the heartbeat frame.
             if let Some(kb) = crate::current_rss_kb() {
                 state.rss_kb.store(kb, Ordering::Relaxed);
                 crate::gauge_set("mem.rss_kb", kb as i64);
             }
-            if state.sinks.human {
-                for line in state.heartbeat_lines(now_ns) {
-                    eprintln!("{line}");
-                }
-            }
-            if state.sinks.machine.is_some() {
-                state.write_machine(&state.machine_heartbeat_json(now_ns));
-            }
+            state.emit(&state.heartbeat(now_ns, &snap));
         }
     }
 }
@@ -532,15 +520,10 @@ fn watchdog_loop(state: &LiveState) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::JsonValue;
     use crate::{ObsConfig, ObsMode, RunManifest, Session};
-    use std::time::Duration;
 
-    fn open_ev(
-        span: u64,
-        ts_ns: u64,
-        name: &'static str,
-        fields: Vec<(&'static str, Value)>,
-    ) -> Event {
+    fn open_ev(span: u64, ts_ns: u64, name: &'static str, fields: Vec<Field>) -> Event {
         Event {
             seq: 0,
             ts_ns,
@@ -554,12 +537,7 @@ mod tests {
         }
     }
 
-    fn point_ev(
-        span: u64,
-        ts_ns: u64,
-        name: &'static str,
-        fields: Vec<(&'static str, Value)>,
-    ) -> Event {
+    fn point_ev(span: u64, ts_ns: u64, name: &'static str, fields: Vec<Field>) -> Event {
         Event {
             seq: 0,
             ts_ns,
@@ -568,10 +546,28 @@ mod tests {
         }
     }
 
+    /// The heartbeat at `now_ns`: its human lines and its machine line.
+    fn render_beat(state: &LiveState, now_ns: u64) -> (String, String) {
+        let snap = state.snapshot(now_ns);
+        let frame = state.heartbeat(now_ns, &snap);
+        (frame.human().join("\n"), frame.json())
+    }
+
+    /// The stall frame at `now_ns`: its human lines and its machine line.
+    fn render_stall(state: &LiveState, now_ns: u64, quiet_s: f64) -> (String, String) {
+        let snap = state.snapshot(now_ns);
+        let frame = Frame::Stall {
+            ts_ns: now_ns,
+            quiet_s,
+            workers: &snap.workers,
+        };
+        (frame.human().join("\n"), frame.json())
+    }
+
     /// The keys of a machine event, in sorted order.
-    fn keys(v: &json::JsonValue) -> Vec<&str> {
+    fn keys(v: &JsonValue) -> Vec<&str> {
         match v {
-            json::JsonValue::Object(m) => m.keys().map(String::as_str).collect(),
+            JsonValue::Object(m) => m.keys().map(String::as_str).collect(),
             _ => Vec::new(),
         }
     }
@@ -602,71 +598,27 @@ mod tests {
         assert_eq!(report.mode, ObsMode::Live);
     }
 
-    /// A `live_out` file receives schema-versioned JSONL: at least the
-    /// `live_start` and `finish` events, each parseable with v/ev/ts_ns, and
-    /// `finish` carries nothing but the event count.
-    #[test]
-    fn live_out_file_gets_machine_events() {
-        let path = std::env::temp_dir().join(format!("diam-live-{}.jsonl", std::process::id()));
-        let session = Session::install(
-            ObsConfig {
-                mode: ObsMode::LiveJson,
-                live_out: Some(path.clone()),
-                ..ObsConfig::default()
-            },
-            RunManifest::capture("live-json-test"),
-        );
-        {
-            let _sp = crate::span!("live.outer", target = "t0");
-        }
-        drop(session);
-        let text = std::fs::read_to_string(&path).expect("live stream written");
-        let _ = std::fs::remove_file(&path);
-        let lines: Vec<&str> = text.lines().collect();
-        assert!(lines.len() >= 2, "{text}");
-        for line in &lines {
-            let v = json::parse(line).expect("machine line parses");
-            assert_eq!(
-                v.get("v").and_then(json::JsonValue::as_u64),
-                Some(LIVE_SCHEMA_VERSION)
-            );
-            assert!(v.get("ev").is_some_and(|e| e.as_str().is_some()), "{line}");
-            assert!(v.get("ts_ns").is_some(), "{line}");
-        }
-        assert_eq!(
-            json::parse(lines[0]).unwrap().get("ev").unwrap().as_str(),
-            Some("live_start")
-        );
-        let finish = json::parse(lines.last().unwrap()).unwrap();
-        assert_eq!(finish.get("ev").unwrap().as_str(), Some("finish"));
-        assert_eq!(keys(&finish), ["ev", "events", "ts_ns", "v"]);
-    }
-
     /// The stack mirror pairs opens/closes and picks up depth from
     /// `sat.solve` points; heartbeat and stall renderers see it.
     #[test]
     fn live_state_mirrors_stacks() {
-        let state = LiveState::new(LiveOptions::default(), SinkConfig::default());
-        state.on_event(&open_ev(
-            1,
-            1000,
-            "bmc.check",
-            vec![
-                ("index", Value::U64(4)),
-                ("max_depth", Value::U64(49)),
-                ("target", Value::Str("t4".into())),
-            ],
-        ));
+        let state = LiveState::new(LiveOptions::default(), true, None);
+        let fields = vec![
+            ("index", Value::U64(4)),
+            ("max_depth", Value::U64(49)),
+            ("target", Value::from("t4")),
+        ];
+        state.on_event(&open_ev(1, 1000, "bmc.check", fields));
         state.on_event(&point_ev(
             1,
             2000,
             "sat.solve",
             vec![("depth", Value::U64(12))],
         ));
-        let beat = state.heartbeat_lines(3000).join("\n");
+        let (beat, _) = render_beat(&state, 3000);
         assert!(beat.contains("bmc.check(t4)"), "{beat}");
         assert!(beat.contains("depth 12/49"), "{beat}");
-        let stall = state.stall_lines(9.0).join("\n");
+        let (stall, _) = render_stall(&state, 3000, 9.0);
         assert!(stall.contains("STALL"), "{stall}");
         assert!(stall.contains("w1: bmc.check"), "{stall}");
         state.on_event(&Event {
@@ -680,8 +632,8 @@ mod tests {
                 fields: vec![],
             },
         });
-        assert!(state.heartbeat_lines(5000).is_empty());
-        assert!(state.stall_lines(9.0).join("\n").contains("no open spans"));
+        assert!(render_beat(&state, 5000).0.is_empty());
+        assert!(render_stall(&state, 5000, 9.0).0.contains("no open spans"));
     }
 
     /// Heartbeat ETA on a synthetic slow trace: a span opened at t=0 with
@@ -689,16 +641,12 @@ mod tests {
     /// ETA is exactly the elapsed 10 s again.
     #[test]
     fn heartbeat_eta_extrapolates_linearly() {
-        let state = LiveState::new(LiveOptions::default(), SinkConfig::default());
-        state.on_event(&open_ev(
-            1,
-            0,
-            "bmc.check",
-            vec![
-                ("target", Value::Str("slow".into())),
-                ("max_depth", Value::U64(9)),
-            ],
-        ));
+        let state = LiveState::new(LiveOptions::default(), true, None);
+        let fields = vec![
+            ("target", Value::from("slow")),
+            ("max_depth", Value::U64(9)),
+        ];
+        state.on_event(&open_ev(1, 0, "bmc.check", fields));
         state.on_event(&point_ev(
             1,
             1000,
@@ -706,23 +654,14 @@ mod tests {
             vec![("depth", Value::U64(4))],
         ));
         let now_ns = 10_000_000_000; // 10 s in
-        let beat = state.heartbeat_lines(now_ns).join("\n");
+        let (beat, machine) = render_beat(&state, now_ns);
         assert!(beat.contains("depth 4/9 eta 10.0s"), "{beat}");
         // Machine heartbeat carries the same numbers.
-        let hb = json::parse(&state.machine_heartbeat_json(now_ns)).unwrap();
+        let hb = json::parse(&machine).unwrap();
         let worker = &hb.get("workers").unwrap().as_array().unwrap()[0];
-        assert_eq!(
-            worker.get("depth").and_then(json::JsonValue::as_u64),
-            Some(4)
-        );
-        assert_eq!(
-            worker.get("max_depth").and_then(json::JsonValue::as_u64),
-            Some(9)
-        );
-        let eta = worker
-            .get("eta_s")
-            .and_then(json::JsonValue::as_f64)
-            .unwrap();
+        assert_eq!(worker.get("depth").and_then(JsonValue::as_u64), Some(4));
+        assert_eq!(worker.get("max_depth").and_then(JsonValue::as_u64), Some(9));
+        let eta = worker.get("eta_s").and_then(JsonValue::as_f64).unwrap();
         assert!((eta - 10.0).abs() < 1e-6, "eta {eta}");
     }
 
@@ -734,7 +673,7 @@ mod tests {
             heartbeat: Duration::from_secs(1),
             stall: Duration::from_secs(1),
         };
-        let state = LiveState::new(opts, SinkConfig::default());
+        let state = LiveState::new(opts, true, None);
         // No events yet → never stalls, however long the quiet time.
         assert_eq!(state.check_stall(10_000_000_000), None);
         state.on_event(&open_ev(1, 1_000, "bmc.check", vec![]));
@@ -754,26 +693,20 @@ mod tests {
     /// progress and stall events carry exactly their documented keys.
     #[test]
     fn queue_depth_and_progress_surface_in_machine_events() {
-        let state = LiveState::new(LiveOptions::default(), SinkConfig::default());
+        let state = LiveState::new(LiveOptions::default(), true, None);
         state.on_event(&open_ev(1, 1000, "bmc.check", vec![]));
         state.on_scalar("par.queue_depth", 2);
-        let hb = json::parse(&state.machine_heartbeat_json(2000)).unwrap();
+        let hb = json::parse(&render_beat(&state, 2000).1).unwrap();
         assert_eq!(keys(&hb), ["ev", "queue_depth", "ts_ns", "v", "workers"]);
-        assert_eq!(
-            hb.get("queue_depth").and_then(json::JsonValue::as_i64),
-            Some(2)
-        );
-        let progress = json::parse(&state.machine_progress_json(2000, Some(7))).unwrap();
+        assert_eq!(hb.get("queue_depth").and_then(JsonValue::as_i64), Some(2));
+        let progress = json::parse(&state.progress(2000, 7).json()).unwrap();
         assert_eq!(progress.get("ev").unwrap().as_str(), Some("progress"));
         assert_eq!(
             keys(&progress),
             ["depth", "ev", "queue_depth", "ts_ns", "v"]
         );
-        assert_eq!(
-            progress.get("depth").and_then(json::JsonValue::as_u64),
-            Some(7)
-        );
-        let stall = json::parse(&state.machine_stall_json(2000, 4.5)).unwrap();
+        assert_eq!(progress.get("depth").and_then(JsonValue::as_u64), Some(7));
+        let stall = json::parse(&render_stall(&state, 2000, 4.5).1).unwrap();
         assert_eq!(stall.get("ev").unwrap().as_str(), Some("stall"));
         assert_eq!(keys(&stall), ["ev", "quiet_s", "stacks", "ts_ns", "v"]);
         assert!(stall.get("stacks").is_some_and(|s| s.as_array().is_some()));
@@ -784,20 +717,17 @@ mod tests {
     /// neither surfaces, keeping pre-existing consumers byte-compatible.
     #[test]
     fn rss_sample_surfaces_in_heartbeats() {
-        let state = LiveState::new(LiveOptions::default(), SinkConfig::default());
+        let state = LiveState::new(LiveOptions::default(), true, None);
         state.on_event(&open_ev(1, 1000, "bmc.check", vec![]));
-        let beat = state.heartbeat_lines(2000).join("\n");
-        assert!(!beat.contains("rss"), "{beat}");
-        let hb = json::parse(&state.machine_heartbeat_json(2000)).unwrap();
+        let (human, machine) = render_beat(&state, 2000);
+        assert!(!human.contains("rss"), "{human}");
+        let hb = json::parse(&machine).unwrap();
         assert!(hb.get("rss_kb").is_none());
 
         state.rss_kb.store(2048, Ordering::Relaxed);
-        let beat = state.heartbeat_lines(2000).join("\n");
-        assert!(beat.contains("rss 2.0 MiB"), "{beat}");
-        let hb = json::parse(&state.machine_heartbeat_json(2000)).unwrap();
-        assert_eq!(
-            hb.get("rss_kb").and_then(json::JsonValue::as_u64),
-            Some(2048)
-        );
+        let (human, machine) = render_beat(&state, 2000);
+        assert!(human.contains("rss 2.0 MiB"), "{human}");
+        let hb = json::parse(&machine).unwrap();
+        assert_eq!(hb.get("rss_kb").and_then(JsonValue::as_u64), Some(2048));
     }
 }

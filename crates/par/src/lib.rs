@@ -416,8 +416,8 @@ mod tests {
     }
 
     /// Routes crash dumps from panic tests into a per-process temp dir (set
-    /// once, shared by every panic test) instead of polluting the repo's
-    /// `.diam/crash`. Returns the directory for dump inspection.
+    /// once, shared by every panic test) instead of the shared default
+    /// `diam-crash`. Returns the directory for dump inspection.
     fn crash_dir_for_tests() -> std::path::PathBuf {
         use std::sync::OnceLock;
         static DIR: OnceLock<std::path::PathBuf> = OnceLock::new();

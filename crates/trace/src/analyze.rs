@@ -2,9 +2,10 @@
 //! critical-path extraction, hotspot tables, and the per-depth SAT work
 //! table — each rendered as text and as JSON.
 
-use crate::model::{MemAttr, SatAttr, Span, Trace};
+use crate::model::{MemAttr, MetricValue, SatAttr, Span, Trace};
+use crate::timeline::per_worker_busy_ns;
 use diam_obs::json;
-use diam_obs::{Metric, HIST_BUCKETS};
+use diam_obs::{Metric, Report};
 use std::collections::BTreeMap;
 
 /// Aggregate statistics for one span *name* across the whole trace.
@@ -176,28 +177,10 @@ pub fn sat_depth_table(trace: &Trace) -> Vec<DepthRow> {
             .get("conflicts")
             .and_then(|v| v.as_u64())
             .unwrap_or(0);
-        let m = by_depth.entry(depth).or_insert_with(|| Metric::Histogram {
-            count: 0,
-            sum: 0,
-            min: u64::MAX,
-            max: 0,
-            buckets: Box::new([0; HIST_BUCKETS]),
-        });
-        if let Metric::Histogram {
-            count,
-            sum,
-            min,
-            max,
-            buckets,
-        } = m
-        {
-            *count += 1;
-            *sum = sum.saturating_add(conflicts);
-            *min = (*min).min(conflicts);
-            *max = (*max).max(conflicts);
-            let b = (64 - conflicts.leading_zeros()) as usize;
-            buckets[b] += 1;
-        }
+        by_depth
+            .entry(depth)
+            .or_insert_with(Metric::new_histogram)
+            .record_n(conflicts, 1);
     }
     by_depth
         .into_iter()
@@ -222,8 +205,10 @@ fn fmt_s(ns: u64) -> String {
     format!("{:.3}s", ns as f64 / 1e9)
 }
 
-/// Renders the full text report: header, per-phase attribution, critical
-/// path, hotspots, and (when `sat.solve` points exist) the per-depth table.
+/// Renders the full text report: header (with the manifest's input and
+/// options), per-phase attribution, per-worker busy time when more than one
+/// worker ran, critical path, hotspots, the per-depth table (when
+/// `sat.solve` points exist) and the final metrics.
 pub fn render_report(trace: &Trace, top_k: usize) -> String {
     let wall = trace.manifest.wall_ns;
     let mut out = String::new();
@@ -235,6 +220,18 @@ pub fn render_report(trace: &Trace, top_k: usize) -> String {
         trace.span_count(),
         trace.points.len()
     ));
+    if let Some(input) = &trace.manifest.input {
+        out.push_str(&format!("input    {input}\n"));
+    }
+    if !trace.manifest.options.is_empty() {
+        let opts: Vec<String> = trace
+            .manifest
+            .options
+            .iter()
+            .map(|(k, v)| format!("{k}={v}"))
+            .collect();
+        out.push_str(&format!("options  {}\n", opts.join("  ")));
+    }
     if let Some(kb) = trace.manifest.peak_rss_kb {
         out.push_str(&format!("peak rss {:.1} MiB\n", kb as f64 / 1024.0));
     }
@@ -256,11 +253,14 @@ pub fn render_report(trace: &Trace, top_k: usize) -> String {
             r.sat.conflicts,
         ));
     }
-    // Whole-run arena-GC totals (root spans carry all nested attribution).
-    // Absent in pre-PR5 traces, so old reports render unchanged.
-    let mut gc = crate::model::SatAttr::default();
+    // Whole-run arena-GC and allocator totals (root spans carry all nested
+    // attribution). Each line is absent when its counters are: arena GC in
+    // traces recorded before the `sat_gc_*` fields existed, the allocator
+    // without `--mem on`.
+    let (mut gc, mut mem) = (SatAttr::default(), MemAttr::default());
     for id in trace.roots() {
         gc.add(&trace.spans[&id].sat);
+        mem.add(&trace.spans[&id].mem);
     }
     if gc.gc_runs > 0 {
         out.push_str(&format!(
@@ -268,12 +268,6 @@ pub fn render_report(trace: &Trace, top_k: usize) -> String {
             gc.gc_runs,
             gc.gc_freed_bytes as f64 / 1024.0
         ));
-    }
-    // Whole-run allocator totals (root spans carry all nested attribution).
-    // All-zero — and absent — unless the trace was recorded with `--mem on`.
-    let mut mem = MemAttr::default();
-    for id in trace.roots() {
-        mem.add(&trace.spans[&id].mem);
     }
     if !mem.is_zero() {
         out.push_str(&format!(
@@ -283,6 +277,19 @@ pub fn render_report(trace: &Trace, top_k: usize) -> String {
             mem.alloc_bytes as f64 / (1024.0 * 1024.0),
             mem.freed_bytes as f64 / (1024.0 * 1024.0)
         ));
+    }
+
+    let busy = per_worker_busy_ns(trace);
+    if busy.len() > 1 {
+        out.push_str("\nworker busy time (merged span coverage):\n");
+        for (w, ns) in &busy {
+            out.push_str(&format!(
+                "  {:<6} {:>12}  ({:.0}% of wall)\n",
+                diam_obs::worker_label(*w),
+                fmt_s(*ns),
+                100.0 * *ns as f64 / wall.max(1) as f64
+            ));
+        }
     }
 
     out.push_str("\ncritical path (heaviest-child chain):\n");
@@ -332,7 +339,52 @@ pub fn render_report(trace: &Trace, top_k: usize) -> String {
             ));
         }
     }
+
+    if !trace.metrics.is_empty() {
+        out.push_str("\ncounters / gauges / histograms:\n");
+        for (name, m) in &trace.metrics {
+            match m {
+                MetricValue::Scalar(v) => out.push_str(&format!("  {name:<28} {v}\n")),
+                MetricValue::Histogram {
+                    count,
+                    sum,
+                    min,
+                    max,
+                    p50,
+                    p90,
+                    p99,
+                } => {
+                    let avg = *sum as f64 / (*count).max(1) as f64;
+                    out.push_str(&format!("  {name:<28} n={count} sum={sum} avg={avg:.1}"));
+                    if let (Some(min), Some(max)) = (min, max) {
+                        out.push_str(&format!(" min={min} max={max}"));
+                    }
+                    if let (Some(p50), Some(p90), Some(p99)) = (p50, p90, p99) {
+                        out.push_str(&format!(" p50≤{p50} p90≤{p90} p99≤{p99}"));
+                    }
+                    out.push('\n');
+                }
+            }
+        }
+    }
     out
+}
+
+/// The hotspot count of the run report, and `diam-trace report`'s default.
+pub const DEFAULT_TOP: usize = 10;
+
+/// The end-of-run view of a recording session: the session's own JSONL
+/// parsed back with [`Trace::parse`] and rendered by [`render_report`] —
+/// byte for byte what `diam-trace report` prints for the `--trace-out`
+/// file. `None` when the session recorded nothing.
+pub fn session_report(report: &Report) -> Option<String> {
+    if report.mode.is_off() {
+        return None;
+    }
+    Some(match Trace::parse(&report.to_jsonl()) {
+        Ok(trace) => render_report(&trace, DEFAULT_TOP),
+        Err(e) => format!("trace report unavailable: the session's trace does not parse: {e}\n"),
+    })
 }
 
 /// Renders the report as a single JSON object (`phases`, `critical_path`,
@@ -411,7 +463,8 @@ mod tests {
             "{\"ts\":53,\"seq\":7,\"worker\":0,\"ev\":\"close\",\"span\":4,\"dur_ns\":40,\"name\":\"inner\",\"fields\":{\"sat_solves\":2,\"sat_conflicts\":105,\"sat_decisions\":0,\"sat_propagations\":0}}\n",
             "{\"ts\":72,\"seq\":8,\"worker\":0,\"ev\":\"close\",\"span\":3,\"dur_ns\":60,\"name\":\"slow\",\"fields\":{\"sat_solves\":2,\"sat_conflicts\":105,\"sat_decisions\":0,\"sat_propagations\":0}}\n",
             "{\"ts\":100,\"seq\":9,\"worker\":0,\"ev\":\"close\",\"span\":1,\"dur_ns\":100,\"name\":\"root\",\"fields\":{\"sat_solves\":2,\"sat_conflicts\":105,\"sat_decisions\":0,\"sat_propagations\":0}}\n",
-            "{\"ts\":100,\"span\":0,\"ev\":\"metrics\",\"fields\":{\"sat.solves\":2}}\n",
+            "{\"ts\":100,\"span\":0,\"ev\":\"metrics\",\"fields\":{\"sat.solves\":2,",
+            "\"h\":{\"count\":2,\"sum\":105,\"min\":5,\"max\":100,\"p50\":7,\"p90\":127,\"p99\":127}}}\n",
         );
         Trace::parse(text).expect("valid demo trace")
     }
@@ -491,6 +544,10 @@ mod tests {
         assert!(text.contains("critical path"), "{text}");
         assert!(text.contains("slow(t9)"), "{text}");
         assert!(text.contains("per-depth SAT work"), "{text}");
+        assert!(text.contains("sat.solves                   2\n"), "{text}");
+        let h =
+            "h                            n=2 sum=105 avg=52.5 min=5 max=100 p50≤7 p90≤127 p99≤127";
+        assert!(text.contains(h), "{text}");
         let j = report_to_json(&t, 3);
         let v = json::parse(&j).expect("valid json");
         assert!(v.get("phases").is_some());

@@ -3,7 +3,6 @@
 //! ```text
 //! diam-trace check <trace.jsonl>
 //! diam-trace report <trace.jsonl> [--top K] [--json]
-//! diam-trace critical-path <trace.jsonl> [--json]
 //! diam-trace diff <base.jsonl> <new.jsonl> [--rel X] [--abs-floor-ms N]
 //! diam-trace export <trace.jsonl> --format chrome|flamegraph [--out PATH]
 //! diam-trace timeline <trace.jsonl> [--width N]
@@ -24,9 +23,9 @@ commands:
       validate a trace against the JSONL schema; exit 2 with the first
       offending line if it fails
   report <trace.jsonl> [--top K] [--json]
-      per-phase attribution, critical path, hotspots, per-depth SAT table
-  critical-path <trace.jsonl> [--json]
-      just the heaviest-child chain
+      the run report every recording run prints: manifest, per-phase
+      attribution, worker busy time, critical path, hotspots, per-depth
+      SAT table, final metrics
   diff <base.jsonl> <new.jsonl> [--rel X] [--abs-floor-ms N]
       phase-wise comparison of two traces; exit 1 on regressions
   export <trace.jsonl> --format chrome|flamegraph [--out PATH]
@@ -36,7 +35,8 @@ commands:
       per-worker busy/idle lanes (default width 60)
   postmortem <crash.json>
       validate and render a crash dump written by the diam-obs panic hook
-      (.diam/crash/<id>.json); exit 2 if the dump fails schema validation
+      ($TMPDIR/diam-crash/<id>.json unless DIAM_CRASH_DIR is set); exit 2
+      if the dump fails schema validation
 
 options:
   --top K           hotspot count for `report` (default 10)
@@ -59,6 +59,14 @@ fn load_trace(path: &str) -> Result<Trace, String> {
     Trace::parse(&text).map_err(|e| format!("{path}: {e}"))
 }
 
+/// The single trace file `cmd` takes: its path and its parsed model.
+fn single_trace<'a>(flags: &'a Flags, cmd: &str) -> Result<(&'a str, Trace), String> {
+    let [path] = flags.positional.as_slice() else {
+        return Err(format!("{cmd} takes exactly one trace file"));
+    };
+    Ok((path, load_trace(path)?))
+}
+
 struct Flags {
     positional: Vec<String>,
     top: usize,
@@ -72,7 +80,7 @@ struct Flags {
 fn parse_flags(args: &[String]) -> Result<Flags, String> {
     let mut flags = Flags {
         positional: Vec::new(),
-        top: 10,
+        top: analyze::DEFAULT_TOP,
         json: false,
         opts: DiffOptions::default(),
         format: None,
@@ -136,10 +144,7 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
 }
 
 fn cmd_check(flags: &Flags) -> Result<ExitCode, String> {
-    let [path] = flags.positional.as_slice() else {
-        return Err("check takes exactly one trace file".into());
-    };
-    let trace = load_trace(path)?;
+    let (path, trace) = single_trace(flags, "check")?;
     println!(
         "{path}: OK — {} lines, {} spans, {} points, kinds: {}",
         trace.lines,
@@ -151,57 +156,11 @@ fn cmd_check(flags: &Flags) -> Result<ExitCode, String> {
 }
 
 fn cmd_report(flags: &Flags) -> Result<ExitCode, String> {
-    let [path] = flags.positional.as_slice() else {
-        return Err("report takes exactly one trace file".into());
-    };
-    let trace = load_trace(path)?;
+    let (_, trace) = single_trace(flags, "report")?;
     if flags.json {
         println!("{}", analyze::report_to_json(&trace, flags.top));
     } else {
         print!("{}", analyze::render_report(&trace, flags.top));
-    }
-    Ok(ExitCode::SUCCESS)
-}
-
-fn cmd_critical_path(flags: &Flags) -> Result<ExitCode, String> {
-    let [path] = flags.positional.as_slice() else {
-        return Err("critical-path takes exactly one trace file".into());
-    };
-    let trace = load_trace(path)?;
-    let path_steps = analyze::critical_path(&trace);
-    if flags.json {
-        let mut out = String::from("[");
-        for (i, s) in path_steps.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"name\":");
-            diam_obs::json::write_escaped(&mut out, &s.name);
-            out.push_str(",\"detail\":");
-            diam_obs::json::write_escaped(&mut out, &s.detail);
-            out.push_str(&format!(
-                ",\"dur_ns\":{},\"self_ns\":{},\"worker\":{},\"share_of_parent\":{:.4}}}",
-                s.dur_ns, s.self_ns, s.worker, s.share_of_parent
-            ));
-        }
-        out.push(']');
-        println!("{out}");
-    } else {
-        for (i, s) in path_steps.iter().enumerate() {
-            let label = if s.detail.is_empty() {
-                s.name.clone()
-            } else {
-                format!("{}({})", s.name, s.detail)
-            };
-            println!(
-                "{}{label} {:.3}s (self {:.3}s, {:.1}% of parent, w{})",
-                "  ".repeat(i),
-                s.dur_ns as f64 / 1e9,
-                s.self_ns as f64 / 1e9,
-                100.0 * s.share_of_parent,
-                s.worker
-            );
-        }
     }
     Ok(ExitCode::SUCCESS)
 }
@@ -265,10 +224,7 @@ fn cmd_export(flags: &Flags) -> Result<ExitCode, String> {
 }
 
 fn cmd_timeline(flags: &Flags) -> Result<ExitCode, String> {
-    let [path] = flags.positional.as_slice() else {
-        return Err("timeline takes exactly one trace file".into());
-    };
-    let trace = load_trace(path)?;
+    let (_, trace) = single_trace(flags, "timeline")?;
     print!("{}", timeline::render_timeline(&trace, flags.width));
     Ok(ExitCode::SUCCESS)
 }
@@ -295,7 +251,6 @@ fn main() -> ExitCode {
     let result = match cmd.as_str() {
         "check" => cmd_check(&flags),
         "report" => cmd_report(&flags),
-        "critical-path" => cmd_critical_path(&flags),
         "diff" => cmd_diff(&flags),
         "export" => cmd_export(&flags),
         "timeline" => cmd_timeline(&flags),

@@ -25,24 +25,13 @@
 //! [`total_self_ns`] so a collapsed file can be checked against the span
 //! model without re-walking the tree.
 
-use crate::model::{write_json_value, Span, Trace};
+use crate::model::{Span, Trace};
 use diam_obs::json::{self, JsonValue};
 use std::collections::BTreeMap;
 
 /// Format a nanosecond timestamp as microseconds with ns precision.
 fn us(ns: u64) -> String {
     format!("{}.{:03}", ns / 1_000, ns % 1_000)
-}
-
-fn push_kv_json(out: &mut String, fields: &BTreeMap<String, JsonValue>) {
-    for (i, (k, v)) in fields.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        json::write_escaped(out, k);
-        out.push(':');
-        write_json_value(out, v);
-    }
 }
 
 /// Merged `args` for one span: open fields, then close fields (close wins),
@@ -107,9 +96,9 @@ pub fn chrome_trace(trace: &Trace) -> String {
             us(span.dur_ns)
         ));
         json::write_escaped(&mut line, &span.name);
-        line.push_str(",\"cat\":\"span\",\"args\":{");
-        push_kv_json(&mut line, &span_args(span));
-        line.push_str("}}");
+        line.push_str(",\"cat\":\"span\",\"args\":");
+        write_json_value(&mut line, &JsonValue::Object(span_args(span)));
+        line.push('}');
         push(line, &mut out, &mut first);
     }
 
@@ -139,7 +128,8 @@ pub fn chrome_trace(trace: &Trace) -> String {
 pub fn per_worker_dur_ns(trace: &Trace) -> BTreeMap<u64, u64> {
     let mut by_tid: BTreeMap<u64, u64> = BTreeMap::new();
     for span in trace.spans.values() {
-        *by_tid.entry(span.worker).or_insert(0) += span.dur_ns;
+        let sum = by_tid.entry(span.worker).or_insert(0);
+        *sum = sum.saturating_add(span.dur_ns);
     }
     by_tid
 }
@@ -170,7 +160,8 @@ pub fn verify_chrome_trace(trace: &Trace, exported: &str) -> Result<(usize, usiz
                     .and_then(|v| v.as_f64())
                     .ok_or("complete event missing dur")?;
                 // µs with 3 decimals → exact ns.
-                *dur_by_tid.entry(tid).or_insert(0) += (dur * 1000.0).round() as u64;
+                let sum = dur_by_tid.entry(tid).or_insert(0);
+                *sum = sum.saturating_add((dur * 1000.0).round() as u64);
             }
             Some("C") => counters += 1,
             _ => {}
@@ -210,7 +201,8 @@ pub fn flamegraph(trace: &Trace) -> String {
             cur = p.parent;
         }
         names.reverse();
-        *weights.entry(names.join(";")).or_insert(0) += w;
+        let sum = weights.entry(names.join(";")).or_insert(0);
+        *sum = sum.saturating_add(w);
     }
     let mut out = String::new();
     for (stack, w) in &weights {
@@ -225,7 +217,11 @@ pub fn flamegraph(trace: &Trace) -> String {
 /// Total self time (ns) over all spans — collapsed-stack weights must sum
 /// to exactly this.
 pub fn total_self_ns(trace: &Trace) -> u64 {
-    trace.spans.values().map(|s| s.self_ns(trace)).sum()
+    trace
+        .spans
+        .values()
+        .map(|s| s.self_ns(trace))
+        .fold(0, u64::saturating_add)
 }
 
 /// Parse a collapsed-stack export back and check the weight sum against
@@ -240,9 +236,11 @@ pub fn verify_flamegraph(trace: &Trace, exported: &str) -> Result<usize, String>
         if stack.is_empty() {
             return Err(format!("empty stack in line: {line:?}"));
         }
-        sum += weight
-            .parse::<u64>()
-            .map_err(|e| format!("bad weight in {line:?}: {e}"))?;
+        sum = sum.saturating_add(
+            weight
+                .parse::<u64>()
+                .map_err(|e| format!("bad weight in {line:?}: {e}"))?,
+        );
         lines += 1;
     }
     let want = total_self_ns(trace);
@@ -252,6 +250,39 @@ pub fn verify_flamegraph(trace: &Trace, exported: &str) -> Result<usize, String>
         ));
     }
     Ok(lines)
+}
+
+fn write_json_value(out: &mut String, v: &JsonValue) {
+    match v {
+        JsonValue::Null => out.push_str("null"),
+        JsonValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+        JsonValue::Int(i) => out.push_str(&i.to_string()),
+        JsonValue::Float(f) if f.is_finite() => out.push_str(&format!("{f}")),
+        JsonValue::Float(_) => out.push_str("null"),
+        JsonValue::Str(s) => json::write_escaped(out, s),
+        JsonValue::Array(a) => {
+            out.push('[');
+            for (i, x) in a.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                write_json_value(out, x);
+            }
+            out.push(']');
+        }
+        JsonValue::Object(m) => {
+            out.push('{');
+            for (i, (k, x)) in m.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                json::write_escaped(out, k);
+                out.push(':');
+                write_json_value(out, x);
+            }
+            out.push('}');
+        }
+    }
 }
 
 #[cfg(test)]

@@ -1,14 +1,18 @@
-//! # diam-trace — trace analytics for diam-obs JSONL traces
+//! # diam-trace — the reader and renderer of diam-obs traces
 //!
-//! `diam-obs` (see `crates/obs`) records structured runs as JSONL: one
-//! manifest line, a stream of span open/close and point events, and a final
-//! metrics line. This crate is the *analytics* layer on top of that format:
+//! `diam-obs` (see `crates/obs`) records structured runs and writes them as
+//! JSONL: one manifest line, a stream of span open/close and point events,
+//! and a final metrics line. `diam-obs` is the only writer of that format;
+//! this crate is its only reader, and it renders every view of a run,
+//! including the end-of-run report each recording binary prints
+//! ([`session_report`]):
 //!
 //! * [`model`] — a typed span-tree parser ([`Trace::parse`]) with strict
 //!   validation; `diam-trace check` prints its diagnostics verbatim.
 //! * [`analyze`] — per-phase attribution rollups, critical-path extraction
 //!   (heaviest-child chains that respect `diam-par` worker overlap), top-K
-//!   hotspots, and per-depth SAT work tables.
+//!   hotspots, per-depth SAT work tables, and the run report
+//!   ([`render_report`]).
 //! * [`diff`] — noise-aware comparison of two traces: a phase regresses
 //!   only when it exceeds both a relative threshold and an absolute floor,
 //!   so micro-jitter on fast phases never trips the gate.
@@ -54,16 +58,14 @@ pub mod postmortem;
 pub mod timeline;
 
 pub use analyze::{
-    critical_path, critical_path_from, hotspots, render_report, report_to_json, rollup, DepthRow,
-    PathStep, PhaseRollup,
+    critical_path, critical_path_from, hotspots, render_report, report_to_json, rollup,
+    session_report, DepthRow, PathStep, PhaseRollup,
 };
 pub use diff::{diff_traces, has_regressions, render_diff, DiffOptions, PhaseDiff, Verdict};
 pub use export::{
     chrome_trace, flamegraph, per_worker_dur_ns, total_self_ns, verify_chrome_trace,
     verify_flamegraph,
 };
-pub use model::{
-    MemAttr, MetricValue, Point, SatAttr, Span, Trace, TraceError, TraceEvent, TraceManifest,
-};
+pub use model::{MemAttr, MetricValue, Point, SatAttr, Span, Trace, TraceError, TraceManifest};
 pub use postmortem::{render_postmortem, CrashDump};
 pub use timeline::{per_worker_busy_ns, render_timeline};

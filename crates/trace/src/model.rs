@@ -8,6 +8,9 @@
 //! SAT attribution, the point events, and the final metrics. Diagnostics
 //! are stable strings that `diam-trace check` prints verbatim, so CI logs
 //! and tests can match them byte for byte.
+//!
+//! There is no serializer here: `diam_obs::Report::to_jsonl` is the one
+//! writer, and `tests/roundtrip.rs` checks this parser against it.
 
 use diam_obs::json::{self, JsonValue};
 use std::collections::BTreeMap;
@@ -71,14 +74,14 @@ pub struct SatAttr {
 }
 
 impl SatAttr {
-    /// Element-wise sum.
+    /// Element-wise sum (saturating: trace files are untrusted input).
     pub fn add(&mut self, other: &SatAttr) {
-        self.solves += other.solves;
-        self.conflicts += other.conflicts;
-        self.decisions += other.decisions;
-        self.propagations += other.propagations;
-        self.gc_runs += other.gc_runs;
-        self.gc_freed_bytes += other.gc_freed_bytes;
+        self.solves = self.solves.saturating_add(other.solves);
+        self.conflicts = self.conflicts.saturating_add(other.conflicts);
+        self.decisions = self.decisions.saturating_add(other.decisions);
+        self.propagations = self.propagations.saturating_add(other.propagations);
+        self.gc_runs = self.gc_runs.saturating_add(other.gc_runs);
+        self.gc_freed_bytes = self.gc_freed_bytes.saturating_add(other.gc_freed_bytes);
     }
 
     /// Whether every counter is zero.
@@ -103,12 +106,12 @@ pub struct MemAttr {
 }
 
 impl MemAttr {
-    /// Element-wise sum.
+    /// Element-wise sum (saturating, like [`SatAttr::add`]).
     pub fn add(&mut self, other: &MemAttr) {
-        self.allocs += other.allocs;
-        self.frees += other.frees;
-        self.alloc_bytes += other.alloc_bytes;
-        self.freed_bytes += other.freed_bytes;
+        self.allocs = self.allocs.saturating_add(other.allocs);
+        self.frees = self.frees.saturating_add(other.frees);
+        self.alloc_bytes = self.alloc_bytes.saturating_add(other.alloc_bytes);
+        self.freed_bytes = self.freed_bytes.saturating_add(other.freed_bytes);
     }
 
     /// Whether every counter is zero.
@@ -118,7 +121,7 @@ impl MemAttr {
 }
 
 /// One span, with open/close data joined.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Span {
     /// Span id (unique, never 0).
     pub id: u64,
@@ -221,68 +224,11 @@ pub enum MetricValue {
     },
 }
 
-/// One raw event line, preserved in file order so a parsed trace can be
-/// re-serialized losslessly (modulo key-order normalization).
-#[derive(Debug, Clone, PartialEq)]
-pub enum TraceEvent {
-    /// A span opened.
-    Open {
-        /// ns since session start.
-        ts: u64,
-        /// Global sequence number.
-        seq: u64,
-        /// Worker tag.
-        worker: u64,
-        /// Span id.
-        span: u64,
-        /// Parent span id.
-        parent: u64,
-        /// Span name.
-        name: String,
-        /// Open fields.
-        fields: BTreeMap<String, JsonValue>,
-    },
-    /// A span closed.
-    Close {
-        /// ns since session start.
-        ts: u64,
-        /// Global sequence number.
-        seq: u64,
-        /// Worker tag.
-        worker: u64,
-        /// Span id.
-        span: u64,
-        /// Open→close duration.
-        dur_ns: u64,
-        /// Span name.
-        name: String,
-        /// Close fields.
-        fields: BTreeMap<String, JsonValue>,
-    },
-    /// A point event.
-    Point {
-        /// ns since session start.
-        ts: u64,
-        /// Global sequence number.
-        seq: u64,
-        /// Worker tag.
-        worker: u64,
-        /// Enclosing span id.
-        span: u64,
-        /// Event name.
-        name: String,
-        /// Fields.
-        fields: BTreeMap<String, JsonValue>,
-    },
-}
-
 /// A fully parsed and validated trace.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Trace {
     /// The manifest (first line).
     pub manifest: TraceManifest,
-    /// All event lines, in file order.
-    pub events: Vec<TraceEvent>,
     /// Joined spans, keyed by id.
     pub spans: BTreeMap<u64, Span>,
     /// Span ids in open order.
@@ -355,16 +301,7 @@ impl Trace {
     pub fn parse(text: &str) -> Result<Trace, TraceError> {
         let fail = |line: usize, message: String| -> TraceError { TraceError { line, message } };
 
-        let mut trace = Trace {
-            manifest: TraceManifest::default(),
-            events: Vec::new(),
-            spans: BTreeMap::new(),
-            open_order: Vec::new(),
-            points: Vec::new(),
-            metrics: BTreeMap::new(),
-            metrics_ts: 0,
-            lines: 0,
-        };
+        let mut trace = Trace::default();
         // open-span id → name (for pairing); `ever_opened` includes closed.
         let mut open: BTreeMap<u64, String> = BTreeMap::new();
         let mut saw_manifest = false;
@@ -438,23 +375,10 @@ impl Trace {
                             worker,
                             open_ts: ts,
                             open_seq: seq,
-                            dur_ns: 0,
-                            open_fields: fields.clone(),
-                            close_fields: BTreeMap::new(),
-                            sat: SatAttr::default(),
-                            mem: MemAttr::default(),
-                            children: Vec::new(),
+                            open_fields: fields,
+                            ..Span::default()
                         },
                     );
-                    trace.events.push(TraceEvent::Open {
-                        ts,
-                        seq,
-                        worker,
-                        span,
-                        parent,
-                        name: name.to_string(),
-                        fields,
-                    });
                 }
                 "close" => {
                     let span = v.get("span").and_then(as_u64).unwrap_or(0);
@@ -479,16 +403,7 @@ impl Trace {
                     sp.dur_ns = dur_ns;
                     sp.sat = sat_from(&fields);
                     sp.mem = mem_from(&fields);
-                    sp.close_fields = fields.clone();
-                    trace.events.push(TraceEvent::Close {
-                        ts,
-                        seq,
-                        worker,
-                        span,
-                        dur_ns,
-                        name: name.to_string(),
-                        fields,
-                    });
+                    sp.close_fields = fields;
                 }
                 "point" => {
                     let span = v.get("span").and_then(as_u64).unwrap_or(0);
@@ -497,14 +412,6 @@ impl Trace {
                     };
                     let fields = fields_of(v.get("fields").unwrap());
                     trace.points.push(Point {
-                        ts,
-                        seq,
-                        worker,
-                        span,
-                        name: name.to_string(),
-                        fields: fields.clone(),
-                    });
-                    trace.events.push(TraceEvent::Point {
                         ts,
                         seq,
                         worker,
@@ -578,140 +485,6 @@ impl Trace {
     pub fn span_count(&self) -> usize {
         self.spans.len()
     }
-
-    /// Re-serializes the model to JSONL in the exact `diam-obs` framing.
-    ///
-    /// Field/option key order is normalized (sorted); otherwise the output
-    /// is lossless: `parse(to_jsonl(parse(x))) == parse(x)` for any valid
-    /// input `x` (the round-trip property test).
-    pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
-        // Manifest line.
-        out.push_str("{\"ts\":0,\"span\":0,\"ev\":\"manifest\",\"fields\":{");
-        out.push_str("\"tool\":");
-        json::write_escaped(&mut out, &self.manifest.tool);
-        out.push_str(",\"args\":[");
-        for (i, a) in self.manifest.args.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            json::write_escaped(&mut out, a);
-        }
-        out.push_str("],\"input\":");
-        match &self.manifest.input {
-            Some(s) => json::write_escaped(&mut out, s),
-            None => out.push_str("null"),
-        }
-        out.push_str(",\"options\":{");
-        for (i, (k, v)) in self.manifest.options.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            json::write_escaped(&mut out, k);
-            out.push(':');
-            json::write_escaped(&mut out, v);
-        }
-        out.push_str("},\"build\":");
-        json::write_escaped(&mut out, &self.manifest.build);
-        out.push_str(&format!(
-            ",\"started_unix_ms\":{},\"wall_ns\":{}",
-            self.manifest.started_unix_ms, self.manifest.wall_ns
-        ));
-        if let Some(kb) = self.manifest.peak_rss_kb {
-            out.push_str(&format!(",\"peak_rss_kb\":{kb}"));
-        }
-        out.push_str("}}\n");
-
-        for e in &self.events {
-            match e {
-                TraceEvent::Open {
-                    ts,
-                    seq,
-                    worker,
-                    span,
-                    parent,
-                    name,
-                    fields,
-                } => {
-                    out.push_str(&format!(
-                        "{{\"ts\":{ts},\"seq\":{seq},\"worker\":{worker},\"ev\":\"open\",\"span\":{span},\"parent\":{parent},\"name\":"
-                    ));
-                    json::write_escaped(&mut out, name);
-                    out.push_str(",\"fields\":");
-                    write_fields(&mut out, fields);
-                    out.push_str("}\n");
-                }
-                TraceEvent::Close {
-                    ts,
-                    seq,
-                    worker,
-                    span,
-                    dur_ns,
-                    name,
-                    fields,
-                } => {
-                    out.push_str(&format!(
-                        "{{\"ts\":{ts},\"seq\":{seq},\"worker\":{worker},\"ev\":\"close\",\"span\":{span},\"dur_ns\":{dur_ns},\"name\":"
-                    ));
-                    json::write_escaped(&mut out, name);
-                    out.push_str(",\"fields\":");
-                    write_fields(&mut out, fields);
-                    out.push_str("}\n");
-                }
-                TraceEvent::Point {
-                    ts,
-                    seq,
-                    worker,
-                    span,
-                    name,
-                    fields,
-                } => {
-                    out.push_str(&format!(
-                        "{{\"ts\":{ts},\"seq\":{seq},\"worker\":{worker},\"ev\":\"point\",\"span\":{span},\"name\":"
-                    ));
-                    json::write_escaped(&mut out, name);
-                    out.push_str(",\"fields\":");
-                    write_fields(&mut out, fields);
-                    out.push_str("}\n");
-                }
-            }
-        }
-
-        out.push_str(&format!(
-            "{{\"ts\":{},\"span\":0,\"ev\":\"metrics\",\"fields\":{{",
-            self.metrics_ts
-        ));
-        for (i, (name, m)) in self.metrics.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            json::write_escaped(&mut out, name);
-            out.push(':');
-            match m {
-                MetricValue::Scalar(v) => out.push_str(&v.to_string()),
-                MetricValue::Histogram {
-                    count,
-                    sum,
-                    min,
-                    max,
-                    p50,
-                    p90,
-                    p99,
-                } => {
-                    out.push_str(&format!("{{\"count\":{count},\"sum\":{sum}"));
-                    if let (Some(min), Some(max)) = (min, max) {
-                        out.push_str(&format!(",\"min\":{min},\"max\":{max}"));
-                    }
-                    if let (Some(p50), Some(p90), Some(p99)) = (p50, p90, p99) {
-                        out.push_str(&format!(",\"p50\":{p50},\"p90\":{p90},\"p99\":{p99}"));
-                    }
-                    out.push('}');
-                }
-            }
-        }
-        out.push_str("}}\n");
-        out
-    }
 }
 
 fn parse_manifest(f: &JsonValue) -> TraceManifest {
@@ -772,52 +545,6 @@ fn parse_metrics(f: &JsonValue) -> BTreeMap<String, MetricValue> {
         }
     }
     out
-}
-
-pub(crate) fn write_json_value(out: &mut String, v: &JsonValue) {
-    match v {
-        JsonValue::Null => out.push_str("null"),
-        JsonValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        JsonValue::Int(i) => out.push_str(&i.to_string()),
-        JsonValue::Float(f) if f.is_finite() => out.push_str(&format!("{f}")),
-        JsonValue::Float(_) => out.push_str("null"),
-        JsonValue::Str(s) => json::write_escaped(out, s),
-        JsonValue::Array(a) => {
-            out.push('[');
-            for (i, x) in a.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write_json_value(out, x);
-            }
-            out.push(']');
-        }
-        JsonValue::Object(m) => {
-            out.push('{');
-            for (i, (k, x)) in m.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                json::write_escaped(out, k);
-                out.push(':');
-                write_json_value(out, x);
-            }
-            out.push('}');
-        }
-    }
-}
-
-fn write_fields(out: &mut String, fields: &BTreeMap<String, JsonValue>) {
-    out.push('{');
-    for (i, (k, v)) in fields.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        json::write_escaped(out, k);
-        out.push(':');
-        write_json_value(out, v);
-    }
-    out.push('}');
 }
 
 #[cfg(test)]
@@ -897,17 +624,5 @@ mod tests {
     fn manifest_without_peak_rss_parses_as_none() {
         let t = Trace::parse(&lines(&[])).expect("valid");
         assert_eq!(t.manifest.peak_rss_kb, None);
-        assert!(!t.to_jsonl().contains("peak_rss_kb"));
-    }
-
-    #[test]
-    fn serialization_round_trips() {
-        let text = lines(&[
-            "{\"ts\":1,\"seq\":0,\"worker\":2,\"ev\":\"open\",\"span\":1,\"parent\":0,\"name\":\"a\",\"fields\":{\"s\":\"x\\\"y\",\"f\":1.5,\"b\":true,\"n\":-3}}",
-            "{\"ts\":4,\"seq\":1,\"worker\":2,\"ev\":\"close\",\"span\":1,\"dur_ns\":3,\"name\":\"a\",\"fields\":{}}",
-        ]);
-        let t1 = Trace::parse(&text).expect("valid");
-        let t2 = Trace::parse(&t1.to_jsonl()).expect("re-parses");
-        assert_eq!(t1, t2);
     }
 }

@@ -17,7 +17,7 @@ fn busy_intervals(trace: &Trace) -> BTreeMap<u64, Vec<(u64, u64)>> {
     for span in trace.spans.values() {
         raw.entry(span.worker)
             .or_default()
-            .push((span.open_ts, span.open_ts + span.dur_ns));
+            .push((span.open_ts, span.open_ts.saturating_add(span.dur_ns)));
     }
     for intervals in raw.values_mut() {
         intervals.sort_unstable();
@@ -35,7 +35,10 @@ fn busy_intervals(trace: &Trace) -> BTreeMap<u64, Vec<(u64, u64)>> {
 
 /// Total ns covered by a merged interval list.
 fn covered_ns(intervals: &[(u64, u64)]) -> u64 {
-    intervals.iter().map(|(s, e)| e - s).sum()
+    intervals
+        .iter()
+        .map(|(s, e)| e - s)
+        .fold(0, u64::saturating_add)
 }
 
 /// Render per-worker busy/idle lanes as fixed-width text.
@@ -69,13 +72,9 @@ pub fn render_timeline(trace: &Trace, width: usize) -> String {
             lane.push(if busy { '#' } else { '.' });
         }
         let busy_ns = covered_ns(intervals);
-        let label = if *worker == 0 {
-            "main".to_string()
-        } else {
-            format!("w{worker}")
-        };
         out.push_str(&format!(
-            "  {label:<6} [{lane}] {:5.1}% busy, {} span(s)\n",
+            "  {:<6} [{lane}] {:5.1}% busy, {} span(s)\n",
+            diam_obs::worker_label(*worker),
             busy_ns as f64 * 100.0 / wall as f64,
             span_counts.get(worker).copied().unwrap_or(0),
         ));
@@ -132,6 +131,17 @@ mod tests {
         );
         assert!(
             text.contains("w1     [.....#####]  50.0% busy, 1 span(s)"),
+            "{text}"
+        );
+    }
+
+    /// The run report shows the same merged busy time, one row per worker.
+    #[test]
+    fn report_shows_busy_time_per_worker() {
+        let text = crate::analyze::render_report(&trace_two_workers(), 3);
+        assert!(text.contains("worker busy time"), "{text}");
+        assert!(
+            text.contains("  w1           0.000s  (50% of wall)"),
             "{text}"
         );
     }

@@ -134,11 +134,3 @@ fn postmortem_cli_exit_codes() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
-
-#[test]
-fn fixture_round_trips_through_the_model() {
-    // The full 598-line real trace survives parse → serialize → parse.
-    let t1 = parse_fixture("seed_run.jsonl");
-    let t2 = Trace::parse(&t1.to_jsonl()).expect("re-parses");
-    assert_eq!(t1, t2);
-}

@@ -44,7 +44,7 @@ use diam::core::{EccOptions, Pipeline, StructuralOptions};
 use diam::netlist::{aiger, Netlist};
 use diam::transform::com::{sweep, SweepOptions};
 use diam::transform::retime::retime;
-use diam_obs::{ObsConfig, ObsMode, RunManifest, Session};
+use diam_obs::{ObsConfig, RunManifest, Session};
 use std::io::BufReader;
 use std::process::ExitCode;
 
@@ -82,7 +82,6 @@ struct Options {
     explain: bool,
     ecc: EccOptions,
     obs: ObsConfig,
-    mem: bool,
     files: Vec<String>,
 }
 
@@ -101,21 +100,11 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
     let mut depth_cap = 10_000u64;
     let mut explain = false;
     let mut ecc = EccOptions::on();
-    let mut obs = ObsConfig::default();
-    let mut mem = false;
     let mut files = Vec::new();
-    let mut it = args.iter();
+    let (obs, rest) = ObsConfig::from_args(args.iter().cloned()).map_err(|e| e.to_string())?;
+    let mut it = rest.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--obs" => {
-                obs.mode = ObsMode::parse(it.next().ok_or("--obs needs a value")?)?;
-            }
-            "--trace-out" => {
-                obs.trace_out = Some(it.next().ok_or("--trace-out needs a value")?.into());
-            }
-            "--live-out" => {
-                obs.live_out = Some(it.next().ok_or("--live-out needs a value")?.into());
-            }
             "--pipeline" => {
                 pipeline_name = it.next().ok_or("--pipeline needs a value")?.clone();
             }
@@ -136,13 +125,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
             "--ecc" => {
                 ecc = EccOptions::parse(it.next().ok_or("--ecc needs a value")?)?;
             }
-            "--mem" => {
-                mem = match it.next().ok_or("--mem needs a value")?.as_str() {
-                    "on" => true,
-                    "off" => false,
-                    other => return Err(format!("--mem expects on|off, got {other}")),
-                };
-            }
             "--explain" => explain = true,
             other if other.starts_with("--") => {
                 return Err(format!("unknown option {other}"));
@@ -153,15 +135,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
     // `Pipeline::parse` owns the full grammar, including the canned
     // whole-spec aliases (`com`, `com-ret-com`).
     let pipeline = Pipeline::parse(&pipeline_name)?;
-    // `--trace-out` / `--live-out` without a mode mean the user wants that
-    // output: promote rather than silently writing nothing (same rules as
-    // the bench binaries).
-    if obs.trace_out.is_some() && obs.mode.is_off() {
-        obs.mode = ObsMode::Json;
-    }
-    if obs.live_out.is_some() && obs.mode.is_off() {
-        obs.mode = ObsMode::Live;
-    }
     Ok(Options {
         pipeline,
         pipeline_name,
@@ -170,7 +143,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
         explain,
         ecc,
         obs,
-        mem,
         files,
     })
 }
@@ -380,29 +352,28 @@ fn cmd_solve(opts: &Options) -> Result<(), String> {
 /// stays byte-identical to an uninstrumented binary.
 fn install_session(cmd: &str, opts: &Options) -> Session {
     // Crash forensics are always armed (zero output unless the process
-    // panics); allocator accounting only when asked for.
+    // panics).
     diam_obs::crash::install_panic_hook();
-    diam_obs::alloc::set_mem_enabled(opts.mem);
     let mut manifest = RunManifest::capture(&format!("diam-{cmd}"))
         .option("pipeline", &opts.pipeline_name)
         .option("threshold", opts.threshold.to_string())
         .option("depth_cap", opts.depth_cap.to_string())
         .option("ecc", opts.ecc.render())
         .option("obs", opts.obs.mode.to_string());
-    if opts.mem {
-        manifest = manifest.option("mem", "on".to_string());
-    }
     if let Some(file) = opts.files.first() {
         manifest = manifest.input(file.clone());
     }
     Session::install(opts.obs.clone(), manifest)
 }
 
-/// Finishes the session and prints the summary tree in recording modes.
-fn finish_session(opts: &Options, session: Session) {
-    let report = session.finish();
-    if !opts.obs.mode.is_off() {
-        out!("\n{}", report.render_summary());
+/// Finishes the session; in recording modes prints a blank line and the
+/// run report ([`diam_trace::session_report`]).
+fn finish_session(session: Session) {
+    use std::io::Write as _;
+    if let Some(report) = diam_trace::session_report(&session.finish()) {
+        if let Err(e) = write!(std::io::stdout(), "\n{report}") {
+            stdout_failed(e)
+        }
     }
 }
 
@@ -429,7 +400,7 @@ fn main() -> ExitCode {
         "solve" => cmd_solve(&opts),
         other => Err(format!("unknown command {other}")),
     };
-    finish_session(&opts, session);
+    finish_session(session);
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {

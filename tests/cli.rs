@@ -144,6 +144,11 @@ fn bad_arguments_fail_cleanly() {
     assert!(out.contains("error"), "{out}");
     let (_, ok) = run(&["bound", "/nonexistent.aag"]);
     assert!(!ok);
+    // Like every `diam` option, an observability flag takes its value as
+    // the next argument: `--obs=json` is an unknown option.
+    let (out, ok) = run(&["prove", "--obs=json", "/nonexistent.aag"]);
+    assert!(!ok);
+    assert!(out.contains("unknown option --obs=json"), "{out}");
 }
 
 /// A reader that closes stdout before `diam` writes (`diam solve f | head`)
@@ -254,4 +259,85 @@ fn obs_modes_write_nothing_into_the_working_directory() {
     let _ = std::fs::remove_dir_all(&dir);
     assert!(failures.is_empty(), "{failures:#?}");
     assert!(dumps.is_empty(), "crash dumps written: {dumps:?}");
+}
+
+/// Without `DIAM_CRASH_DIR`, a crash dump lands under the temp directory,
+/// never in the working directory: a forced panic exits 101, leaves the
+/// working directory as it was, and writes exactly one dump under
+/// `$TMPDIR/diam-crash` that the `diam-trace postmortem` validator accepts.
+#[test]
+fn crash_dumps_default_to_the_temp_directory() {
+    let root = std::env::temp_dir().join(format!("diam_cli_crash_tmp_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let work = root.join("work");
+    let tmp = root.join("tmp");
+    std::fs::create_dir_all(&work).expect("working directory");
+    std::fs::create_dir_all(&tmp).expect("temp directory");
+    let f = fixture(&root, "lockstep.aag", LOCKSTEP);
+    let out = Command::new(env!("CARGO_BIN_EXE_diam"))
+        .args(["prove", f.to_str().unwrap()])
+        .env("DIAM_FORCE_PANIC", "1")
+        .env("TMPDIR", &tmp)
+        .env_remove("DIAM_CRASH_DIR")
+        .current_dir(&work)
+        .output()
+        .expect("binary runs");
+    let left: Vec<_> = std::fs::read_dir(&work)
+        .expect("working directory")
+        .collect();
+    let dumps: Vec<std::path::PathBuf> = std::fs::read_dir(tmp.join("diam-crash"))
+        .map(|rd| rd.map(|e| e.expect("entry").path()).collect())
+        .unwrap_or_default();
+    let texts: Vec<String> = dumps
+        .iter()
+        .map(|p| std::fs::read_to_string(p).expect("dump readable"))
+        .collect();
+    let _ = std::fs::remove_dir_all(&root);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(101), "{stderr}");
+    assert!(left.is_empty(), "the working directory changed: {left:?}");
+    assert_eq!(dumps.len(), 1, "exactly one dump: {dumps:?}");
+    let name = dumps[0].file_name().unwrap().to_string_lossy().into_owned();
+    assert!(
+        name.starts_with("crash-") && name.ends_with(".json"),
+        "{name}"
+    );
+    let dump = diam::trace::CrashDump::parse(&texts[0]).expect("postmortem accepts the dump");
+    assert_eq!(dump.reason, "panic");
+}
+
+/// Every recording `--obs` mode ends with the run report: the `--obs off`
+/// output, one blank line, then the `diam-trace` report of the session,
+/// headed by the input file and the options.
+#[test]
+fn recording_modes_append_the_run_report() {
+    let f = fixture(&std::env::temp_dir(), "diam_cli_report.aag", LOCKSTEP);
+    let path = f.to_str().unwrap();
+    let stdout = |args: &[&str]| {
+        let out = Command::new(env!("CARGO_BIN_EXE_diam"))
+            .args(args)
+            .output()
+            .expect("binary runs");
+        assert!(out.status.success(), "{out:?}");
+        String::from_utf8_lossy(&out.stdout).into_owned()
+    };
+    let off = stdout(&["prove", path]);
+    let summary = stdout(&["prove", "--obs", "summary", path]);
+    let report = summary
+        .strip_prefix(off.as_str())
+        .and_then(|rest| rest.strip_prefix('\n'))
+        .unwrap_or_else(|| panic!("no report after the unchanged output:\n{summary}"));
+    assert!(
+        report.starts_with("trace report — tool diam-prove"),
+        "{report}"
+    );
+    assert!(report.contains(&format!("\ninput    {path}\n")), "{report}");
+    assert!(
+        report.contains("\noptions  depth_cap=10000  ecc=on  obs=summary"),
+        "{report}"
+    );
+    assert!(
+        report.contains("\ncounters / gauges / histograms:\n"),
+        "{report}"
+    );
 }

@@ -225,8 +225,9 @@ fn no_session_is_inert() {
     obs::event!("test.inert_event", y = 2u64);
 }
 
-/// The summary report reconciles: per-root-span totals never exceed the
-/// session wall time, and the rendered summary names the phases.
+/// The run report reconciles: the root spans of the parsed session total no
+/// more than the session wall time, and the report every recording binary
+/// prints (`diam_trace::session_report`) names the phases.
 #[test]
 fn summary_reconciles_with_wall_time() {
     use diam::core::{Pipeline, StructuralOptions};
@@ -235,14 +236,15 @@ fn summary_reconciles_with_wall_time() {
     let _ = Pipeline::com().bound_targets(&n, &StructuralOptions::default());
     let report = session.finish();
     assert!(report.manifest.wall_ns > 0);
+    let trace = diam::trace::Trace::parse(&report.to_jsonl()).expect("the session's trace parses");
+    let root_ns: u64 = trace.roots().iter().map(|id| trace.spans[id].dur_ns).sum();
     assert!(
-        report.root_span_total_ns() <= report.manifest.wall_ns,
-        "root span total {} exceeds wall {}",
-        report.root_span_total_ns(),
+        root_ns <= report.manifest.wall_ns,
+        "root span total {root_ns} exceeds wall {}",
         report.manifest.wall_ns
     );
-    let summary = report.render_summary();
+    let summary = diam::trace::session_report(&report).expect("json mode records");
     assert!(summary.contains("pipeline.run"), "{summary}");
     assert!(summary.contains("bound.target"), "{summary}");
-    assert!(summary.contains("per-phase breakdown"), "{summary}");
+    assert!(summary.contains("per-phase attribution"), "{summary}");
 }
