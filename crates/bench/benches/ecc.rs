@@ -11,7 +11,6 @@ use diam_core::state_graph::{StateGraph, StateGraphLimits};
 use diam_core::{eccentricity, Pipeline, StructuralOptions};
 use diam_gen::archetypes;
 use diam_netlist::Netlist;
-use diam_par::Parallelism;
 
 const BITS: [usize; 2] = [12, 16];
 
@@ -49,7 +48,7 @@ fn bench_sweep(c: &mut Criterion) {
         let g = StateGraph::build(&n, n.regs(), &StateGraphLimits::default())
             .expect("counter fits the default limits");
         group.bench_with_input(BenchmarkId::new("states", 1u64 << bits), &g, |b, g| {
-            b.iter(|| eccentricity::sum_sweep(g, 16, Parallelism::Sequential))
+            b.iter(|| eccentricity::sum_sweep(g, 16))
         });
     }
     group.finish();

@@ -1,19 +1,17 @@
-//! Benchmarks for the work-stealing orchestration layer: `prove_all` and
-//! `Pipeline::bound_targets` over multi-target designs under Sequential vs
-//! `Threads(2/4/8)`.
+//! Benchmarks for the one parallel fan-out, `Pipeline::bound_targets` over
+//! a multi-target design, under Sequential vs `Threads(2/4/8)`.
 //!
 //! The outputs are asserted identical across settings inside the benchmark
-//! bodies — the parallel paths are only allowed to change wall-clock, never
+//! body — the parallel path is only allowed to change wall-clock, never
 //! results. Numbers land in `EXPERIMENTS.md` ("Parallel orchestration").
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use diam_bmc::{prove_all, ProveOptions};
 use diam_core::{Pipeline, StructuralOptions};
 use diam_gen::random::{random_netlist, RandomDesignOptions};
 use diam_netlist::Netlist;
 use diam_par::Parallelism;
 
-/// A multi-target design large enough for per-cone slicing to matter.
+/// A multi-target design: 24 independent per-target bounding jobs.
 fn design(targets: usize) -> Netlist {
     let opts = RandomDesignOptions {
         inputs: 4,
@@ -25,52 +23,18 @@ fn design(targets: usize) -> Netlist {
     random_netlist(&opts, 0xBE7C)
 }
 
-fn settings() -> [(&'static str, Parallelism); 4] {
-    [
-        ("seq", Parallelism::Sequential),
-        ("t2", Parallelism::Threads(2)),
-        ("t4", Parallelism::Threads(4)),
-        ("t8", Parallelism::Threads(8)),
-    ]
-}
-
-fn bench_prove_all(c: &mut Criterion) {
-    let mut group = c.benchmark_group("par/prove_all");
-    group.sample_size(10);
-    let n = design(12);
-    let pipeline = Pipeline::com_ret_com();
-    let reference = prove_all(
-        &n,
-        &pipeline,
-        &ProveOptions {
-            depth_cap: 48,
-            ..Default::default()
-        },
-    );
-    for (name, par) in settings() {
-        let opts = ProveOptions {
-            depth_cap: 48,
-            parallelism: par,
-            ..Default::default()
-        };
-        group.bench_with_input(BenchmarkId::new("12_targets", name), &n, |b, n| {
-            b.iter(|| {
-                let got = prove_all(n, &pipeline, &opts);
-                assert_eq!(got, reference);
-                got
-            })
-        });
-    }
-    group.finish();
-}
-
 fn bench_bound_targets(c: &mut Criterion) {
     let mut group = c.benchmark_group("par/bound_targets");
     group.sample_size(10);
     let n = design(24);
     let pipeline = Pipeline::com();
     let reference = pipeline.bound_targets(&n, &StructuralOptions::default());
-    for (name, par) in settings() {
+    for (name, par) in [
+        ("seq", Parallelism::Sequential),
+        ("t2", Parallelism::Threads(2)),
+        ("t4", Parallelism::Threads(4)),
+        ("t8", Parallelism::Threads(8)),
+    ] {
         let opts = StructuralOptions {
             parallelism: par,
             ..Default::default()
@@ -89,5 +53,5 @@ fn bench_bound_targets(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_prove_all, bench_bound_targets);
+criterion_group!(benches, bench_bound_targets);
 criterion_main!(benches);

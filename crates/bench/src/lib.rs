@@ -86,18 +86,18 @@ impl BenchCli {
     }
 }
 
-/// Shared CLI parsing for the table/ablation binaries: a positional seed
-/// (default 1) plus `--jobs <N|seq|auto>` (per-target fan-out),
-/// `--limit <N>`, `--ecc <on|off|k=N>` and the observability flags of
-/// [`ObsConfig::from_args`]. Every flag also takes the `--flag=value`
-/// form. Unrecognized arguments abort with a usage message.
-pub fn parse_cli(usage: &str) -> BenchCli {
-    let fail = |what: &str| -> ! {
-        eprintln!("{what}\nusage: {usage}");
-        std::process::exit(2);
-    };
-    // The shared parser takes `--flag value`; these binaries also accept
-    // `--flag=value`, so that spelling of its flags is split first.
+/// Prints `what` and the usage line on stderr, then exits with status 2.
+pub fn usage_error(usage: &str, what: &str) -> ! {
+    eprintln!("{what}\nusage: {usage}");
+    std::process::exit(2);
+}
+
+/// Takes the observability flags of [`ObsConfig::from_args`] out of the
+/// process arguments; returns the configuration and the other arguments,
+/// in order. The shared parser takes `--flag value`; the bench binaries also
+/// accept `--flag=value`, so that spelling of its flags is split first. A
+/// missing or bad value aborts with a usage message (exit 2).
+pub fn parse_obs_flags(usage: &str) -> (ObsConfig, Vec<String>) {
     let args = std::env::args()
         .skip(1)
         .flat_map(|arg| match arg.split_once('=') {
@@ -106,10 +106,22 @@ pub fn parse_cli(usage: &str) -> BenchCli {
             }
             _ => vec![arg],
         });
-    let (obs, rest) = ObsConfig::from_args(args).unwrap_or_else(|e| match e {
-        FlagError::MissingValue(flag) => fail(&format!("{flag} expects a value")),
-        FlagError::BadValue { flag, expected, .. } => fail(&format!("{flag} expects {expected}")),
-    });
+    ObsConfig::from_args(args).unwrap_or_else(|e| match e {
+        FlagError::MissingValue(flag) => usage_error(usage, &format!("{flag} expects a value")),
+        FlagError::BadValue { flag, expected, .. } => {
+            usage_error(usage, &format!("{flag} expects {expected}"))
+        }
+    })
+}
+
+/// Shared CLI parsing for the table/ablation binaries: a positional seed
+/// (default 1) plus `--jobs <N|seq|auto>` (per-target fan-out),
+/// `--limit <N>`, `--ecc <on|off|k=N>` and the observability flags of
+/// [`parse_obs_flags`]. Every flag also takes the `--flag=value` form.
+/// Unrecognized arguments abort with a usage message.
+pub fn parse_cli(usage: &str) -> BenchCli {
+    let fail = |what: &str| -> ! { usage_error(usage, what) };
+    let (obs, rest) = parse_obs_flags(usage);
     let mut cli = BenchCli {
         seed: 1,
         jobs: Parallelism::Sequential,

@@ -93,7 +93,7 @@ fn certified_bound_proves_the_token_ring_under_a_depth_cap() {
             1 << bits,
             "counter visits all states"
         );
-        let summary = sum_sweep(&g, 16, Parallelism::Sequential);
+        let summary = sum_sweep(&g, 16);
         assert!(summary.diameter < 1 << bits, "certified below blanket");
     }
 

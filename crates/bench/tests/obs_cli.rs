@@ -251,6 +251,45 @@ fn live_out_streams_schema_valid_jsonl() {
     let _ = std::fs::remove_file(&path);
 }
 
+/// `probe` parses the shared observability flags wherever they appear:
+/// `--live-out` after the positional arguments streams schema-valid JSONL,
+/// and before them it is not mistaken for the design name. An unknown
+/// design exits 2 with a usage message.
+#[test]
+fn probe_takes_the_shared_obs_flags() {
+    let probe = |args: &[&str]| {
+        Command::new(env!("CARGO_BIN_EXE_probe"))
+            .args(args)
+            .output()
+            .expect("probe runs")
+    };
+    let path =
+        std::env::temp_dir().join(format!("diam_obs_cli_probe_{}.jsonl", std::process::id()));
+    let path_s = path.to_str().unwrap();
+    for args in [
+        vec!["S27", "0", "1", "--live-out", path_s],
+        vec!["--live-out", path_s, "S27"],
+    ] {
+        let _ = std::fs::remove_file(&path);
+        let out = probe(&args);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{args:?}: {err}");
+        assert!(String::from_utf8_lossy(&out.stdout).starts_with("S27: "));
+        let text = std::fs::read_to_string(&path).expect("live stream written");
+        let kinds: Vec<String> = text.lines().map(check_live_event).collect();
+        assert_eq!(kinds.first().map(String::as_str), Some("live_start"));
+        assert_eq!(kinds.last().map(String::as_str), Some("finish"));
+    }
+    let _ = std::fs::remove_file(&path);
+    let out = probe(&["S28"]);
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains("unknown design `S28`") && err.contains("usage:"),
+        "{err}"
+    );
+}
+
 /// `--obs live-json` is the pure machine mode: the stream goes to stderr,
 /// no human heartbeat lines are armed, and stdout still begins with the
 /// unchanged table.

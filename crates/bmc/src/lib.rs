@@ -52,7 +52,6 @@ use diam_core::{Bound, Pipeline, PipelineResult, StructuralOptions};
 use diam_netlist::rebuild::{slice_target, Rebuilt};
 use diam_netlist::sim::Witness;
 use diam_netlist::{GateKind, Init, Lit, Netlist};
-use diam_par::{CancelToken, Parallelism};
 use diam_sat::{Lit as SatLit, SolveResult, Solver};
 use diam_transform::unroll::{FrameZero, Unroller};
 use std::sync::OnceLock;
@@ -129,9 +128,6 @@ pub struct BmcOptions {
     pub max_depth: u64,
     /// SAT conflict budget per depth (`None` = unlimited).
     pub conflict_budget: Option<u64>,
-    /// Worker threads for [`check_all`]'s per-target fan-out. Outcomes
-    /// never depend on it.
-    pub parallelism: Parallelism,
 }
 
 impl Default for BmcOptions {
@@ -139,7 +135,6 @@ impl Default for BmcOptions {
         BmcOptions {
             max_depth: 100,
             conflict_budget: None,
-            parallelism: Parallelism::Sequential,
         }
     }
 }
@@ -235,24 +230,18 @@ impl<'a> Obligation<'a> {
 /// is one solve under the target literal of its frame, and every clean depth
 /// ends at a level-0 cleanup. A hit's witness is lifted home and
 /// replay-checked ([`Obligation::lift`]); its depth is the lifted one (a
-/// certificate chain may add a prefix). A depth that finds `token` cancelled
-/// ends the loop with `Unknown`.
+/// certificate chain may add a prefix).
 ///
 /// Returns `None` only when a certificate-chain lift fails.
-fn discharge(ob: &Obligation<'_>, opts: &BmcOptions, token: &CancelToken) -> Option<BmcOutcome> {
+fn discharge(ob: &Obligation<'_>, opts: &BmcOptions) -> Option<BmcOutcome> {
     let mut sp = diam_obs::span!("bmc.check", index = ob.index, max_depth = ob.max_depth);
     let mut solver = Solver::new();
     solver.set_conflict_budget(opts.conflict_budget);
     let mut unroller = Unroller::new(ob.netlist, FrameZero::Init);
     for depth in 0..=ob.max_depth {
         maybe_force_panic(depth);
-        let result = if token.is_cancelled() {
-            SolveResult::Unknown
-        } else {
-            let hit = unroller.lit_at(&mut solver, ob.target, depth as usize);
-            solve_traced(&mut solver, &[hit], depth)
-        };
-        match result {
+        let hit = unroller.lit_at(&mut solver, ob.target, depth as usize);
+        match solve_traced(&mut solver, &[hit], depth) {
             SolveResult::Sat => {
                 sp.record("outcome", "cex");
                 sp.record("depth", depth);
@@ -284,27 +273,17 @@ fn discharge(ob: &Obligation<'_>, opts: &BmcOptions, token: &CancelToken) -> Opt
 ///
 /// Panics if `index` is out of range.
 pub fn check(n: &Netlist, index: usize, opts: &BmcOptions) -> BmcOutcome {
-    check_under(n, index, opts, &CancelToken::new())
-}
-
-/// [`check`] under the caller's cancellation token.
-fn check_under(n: &Netlist, index: usize, opts: &BmcOptions, token: &CancelToken) -> BmcOutcome {
-    discharge(&Obligation::original(n, index, opts.max_depth), opts, token)
+    discharge(&Obligation::original(n, index, opts.max_depth), opts)
         .expect("identity lifts never fail")
 }
 
-/// Runs [`check`] on *every* target, fanned out across
-/// [`BmcOptions::parallelism`] workers and merged in original target order.
-/// Each target is its own obligation on the unsliced netlist, so every
-/// outcome — witness included — equals the per-target [`check`] at every
-/// parallelism setting.
+/// Runs [`check`] on *every* target, in target order. Each target is its own
+/// obligation on the unsliced netlist, so every outcome — witness included —
+/// equals the per-target [`check`].
 pub fn check_all(n: &Netlist, opts: &BmcOptions) -> Vec<BmcOutcome> {
-    diam_par::run(
-        opts.parallelism,
-        (0..n.targets().len()).collect(),
-        |_| 1,
-        |_, index, token| check_under(n, index, opts, token),
-    )
+    (0..n.targets().len())
+        .map(|index| check(n, index, opts))
+        .collect()
 }
 
 /// Runs BMC on every target *through* a transformation pipeline: the search
@@ -384,7 +363,7 @@ pub(crate) fn check_one_transformed(
         max_depth: opts.max_depth - p,
         lift: Lift::Chain(n, result),
     };
-    match discharge(&suffix, opts, &CancelToken::new()) {
+    match discharge(&suffix, opts) {
         Some(BmcOutcome::NoHitUpTo(_)) => BmcOutcome::NoHitUpTo(opts.max_depth),
         Some(BmcOutcome::Unknown { depth }) => BmcOutcome::Unknown { depth: depth + p },
         Some(cex) => cex,
@@ -611,12 +590,6 @@ pub struct ProveOptions {
     pub depth_cap: u64,
     /// SAT conflict budget per BMC depth.
     pub conflict_budget: Option<u64>,
-    /// Worker threads for [`prove_all`]'s per-target fan-out (also forwarded
-    /// to the structural bounding pass). Every target is proved on its own
-    /// cone slice with a fresh solver regardless of this setting, so
-    /// [`Parallelism::Threads`]`(n)` output is bit-identical to
-    /// [`Parallelism::Sequential`] output.
-    pub parallelism: Parallelism,
 }
 
 impl ProveOptions {
@@ -638,7 +611,6 @@ impl ProveOptions {
         BmcOptions {
             max_depth: bound.saturating_sub(1),
             conflict_budget: self.conflict_budget,
-            ..BmcOptions::default()
         }
     }
 }
@@ -698,42 +670,17 @@ pub fn prove(n: &Netlist, index: usize, pipeline: &Pipeline, opts: &ProveOptions
 /// pass across targets (the transformation is netlist-wide, so computing it
 /// once is both faster and what the paper's tables do).
 ///
-/// Per-target BMC jobs are independent — each slices its own cone of
-/// influence out of the original netlist ([`slice_target`]) and owns a
-/// fresh solver — and fan out across [`ProveOptions::parallelism`] workers,
-/// largest cone first. Results merge in original target order, and because
-/// the *same* job code runs in every mode, the output (witnesses included)
-/// is bit-identical across all parallelism settings.
+/// Targets are proved one after another, in target order. Each slices its
+/// own cone of influence out of the original netlist ([`slice_target`]), so
+/// the unrolling covers only that cone, and owns a fresh solver; a witness
+/// lifts back through the slice's rebuild map.
 pub fn prove_all(n: &Netlist, pipeline: &Pipeline, opts: &ProveOptions) -> Vec<ProveOutcome> {
-    let mut structural = opts.structural.clone();
-    structural.parallelism = opts.parallelism;
-    let bounds = pipeline.bound_targets(n, &structural);
-
-    // Per target: the bound to discharge (or the verdict bounding alone
-    // gives) plus a scheduling weight, cone size × depth.
-    let jobs: Vec<(Result<u64, ProveOutcome>, u64)> = bounds
+    let bounds = pipeline.bound_targets(n, &opts.structural);
+    bounds
         .iter()
         .enumerate()
-        .map(|(i, pb)| {
-            let job = opts.dischargeable(pb.original);
-            let weight = match job {
-                Ok(bound) => {
-                    let cone = diam_netlist::analysis::coi(n, [n.targets()[i].lit]);
-                    (cone.regs.len() as u64 + cone.inputs.len() as u64 + 1)
-                        .saturating_mul(bound.max(1))
-                }
-                Err(_) => 0,
-            };
-            (job, weight)
-        })
-        .collect();
-
-    diam_par::run(
-        opts.parallelism,
-        jobs,
-        |(_, weight)| *weight,
-        |index, (job, _), token| {
-            let bound = match job {
+        .map(|(index, pb)| {
+            let bound = match opts.dischargeable(pb.original) {
                 Ok(bound) => bound,
                 Err(decided) => return decided,
             };
@@ -751,8 +698,7 @@ pub fn prove_all(n: &Netlist, pipeline: &Pipeline, opts: &ProveOptions) -> Vec<P
                 max_depth: bound.saturating_sub(1),
                 lift: Lift::Slice(n, &slice),
             };
-            let bmc =
-                discharge(&obligation, &opts.bmc(bound), token).expect("slice lifts never fail");
+            let bmc = discharge(&obligation, &opts.bmc(bound)).expect("slice lifts never fail");
             let outcome = ProveOutcome::from_bmc(bmc, bound);
             sp.record(
                 "outcome",
@@ -763,8 +709,8 @@ pub fn prove_all(n: &Netlist, pipeline: &Pipeline, opts: &ProveOptions) -> Vec<P
                 },
             );
             outcome
-        },
-    )
+        })
+        .collect()
 }
 
 /// Outcome of a localization-based proof attempt.
@@ -897,7 +843,7 @@ mod tests {
 
     #[test]
     fn check_all_matches_per_target_checks() {
-        // A counter with several value targets: the per-target fan-out
+        // A counter with several value targets: the all-target check
         // must agree with individual checks.
         let mut n = Netlist::new();
         let b: Vec<Gate> = (0..3).map(|k| n.reg(format!("b{k}"), Init::Zero)).collect();

@@ -247,37 +247,6 @@ pub fn constant_registers(n: &Netlist) -> Vec<(Gate, bool)> {
         .collect()
 }
 
-/// Classifies every target's cone of influence independently, fanning the
-/// per-target jobs out across `par` workers (largest cone first).
-///
-/// Returns one [`Classification`] per target, in target order. The output is
-/// identical for every [`Parallelism`](diam_par::Parallelism) setting: each
-/// job is a pure function
-/// of the immutable netlist, and results are merged back in original order.
-pub fn classify_targets(
-    n: &Netlist,
-    opts: &ClassifyOptions,
-    par: diam_par::Parallelism,
-) -> Vec<Classification> {
-    use diam_netlist::analysis::coi;
-    let jobs: Vec<usize> = (0..n.targets().len()).collect();
-    diam_par::run(
-        par,
-        jobs,
-        |&i| coi(n, [n.targets()[i].lit]).regs.len() as u64 + 1,
-        |_, i, _| {
-            let mut sp = diam_obs::span!(
-                "classify.target",
-                index = i,
-                target = n.targets()[i].name.as_str()
-            );
-            let cone = coi(n, [n.targets()[i].lit]);
-            sp.record("cone_regs", cone.regs.len());
-            classify(n, &cone.regs, opts)
-        },
-    )
-}
-
 /// Classifies the registers `regs` of `n` (typically a target's cone of
 /// influence).
 pub fn classify(n: &Netlist, regs: &[Gate], opts: &ClassifyOptions) -> Classification {

@@ -11,8 +11,7 @@
 //! the pivot, and `d(v,w) + ecc(w)` upper bounds for the pivot's own SCC)
 //! — until the global upper bound `DU = max_v U(v)` meets the lower bound
 //! `DL` or the sweep budget runs out. Every BFS runs on the shared
-//! level-synchronous [`visit`](diam_netlist::visit) engine, so results are
-//! bit-identical at every parallelism setting.
+//! level-synchronous [`visit`](diam_netlist::visit) engine.
 //!
 //! **Why the triangle update is SCC-restricted.** `ecc(v) ≤ d(v,w) +
 //! ecc(w)` requires every vertex `v` reaches to be reachable from `w`.
@@ -38,13 +37,12 @@
 //!
 //! Certificates are memoized in a process-wide cache keyed by the netlist
 //! CSR fingerprint, the component's register set, and the engine options,
-//! so `classify_targets`/`bound_targets` sweeps and repeated targets that
-//! share a component pay for enumeration once.
+//! so `bound_targets` sweeps and repeated targets that share a component
+//! pay for enumeration once.
 
 use crate::state_graph::{StateGraph, StateGraphLimits};
 use diam_netlist::visit::bfs_graph;
 use diam_netlist::{Gate, Netlist};
-use diam_par::Parallelism;
 use std::collections::HashMap;
 use std::sync::{Condvar, Mutex, OnceLock};
 
@@ -62,8 +60,6 @@ pub struct EccOptions {
     pub max_free: usize,
     /// SumSweep pivot budget; exhausting it keeps the last certified bound.
     pub max_sweeps: usize,
-    /// Parallelism for the sweep BFS runs (bit-identical at any setting).
-    pub parallelism: Parallelism,
 }
 
 /// Default cutoff: components up to 2^16 packed states.
@@ -76,7 +72,6 @@ impl Default for EccOptions {
             cutoff: DEFAULT_CUTOFF,
             max_free: 10,
             max_sweeps: 16,
-            parallelism: Parallelism::Sequential,
         }
     }
 }
@@ -118,9 +113,7 @@ impl EccOptions {
 
     /// Renders the option back to its CLI form, losslessly: every field
     /// that differs from the default is emitted (`parse(render(o)) == o`),
-    /// so run manifests record the limits actually used. `parallelism` is
-    /// the one exception — it is injected from `--jobs`, not `--ecc`, and
-    /// never affects results (sweeps are bit-identical at any setting).
+    /// so run manifests record the limits actually used.
     pub fn render(&self) -> String {
         if !self.enabled {
             return "off".to_string();
@@ -244,8 +237,7 @@ fn tarjan(g: &StateGraph) -> (Vec<u32>, u32) {
 
 /// Runs SumSweep bound propagation over `g` and returns a certified
 /// diameter upper bound (see the module docs for the invariants).
-/// Deterministic for any `par`.
-pub fn sum_sweep(g: &StateGraph, max_sweeps: usize, par: Parallelism) -> SweepSummary {
+pub fn sum_sweep(g: &StateGraph, max_sweeps: usize) -> SweepSummary {
     let nv = g.num_states();
     if nv <= 1 {
         return SweepSummary {
@@ -297,7 +289,7 @@ pub fn sum_sweep(g: &StateGraph, max_sweeps: usize, par: Parallelism) -> SweepSu
 
         // Forward BFS: the pivot's exact forward eccentricity is a
         // diameter lower bound and pins U(w) = L(w).
-        let fwd = bfs_graph(&g.forward(), [w as u32], par);
+        let fwd = bfs_graph(&g.forward(), [w as u32]);
         let ecc_w = fwd.num_levels() as u64 - 1;
         uf[w] = ecc_w;
         lf[w] = ecc_w;
@@ -310,7 +302,7 @@ pub fn sum_sweep(g: &StateGraph, max_sweeps: usize, par: Parallelism) -> SweepSu
         // share an SCC (see the module docs); confirmed vertices are
         // already exact and must never be lowered.
         let wc = comp_of[w];
-        let bwd = bfs_graph(&g.backward(), [w as u32], par);
+        let bwd = bfs_graph(&g.backward(), [w as u32]);
         for l in 0..bwd.num_levels() {
             let level = &bwd.order[bwd.level_starts[l] as usize..bwd.level_starts[l + 1] as usize];
             let dist = l as u64;
@@ -565,7 +557,7 @@ pub fn component_cert(n: &Netlist, comp: &[Gate], opts: &EccOptions) -> Option<E
     };
     let cert = StateGraph::build(n, &regs, &limits).map(|g| {
         let mut span = diam_obs::span!("ecc.sweep", states = g.num_states() as u64,);
-        let s = sum_sweep(&g, opts.max_sweeps, opts.parallelism);
+        let s = sum_sweep(&g, opts.max_sweeps);
         check_certificate(&g, &s);
         let blanket = 1u64 << regs.len().min(63);
         let factor = (s.diameter + 1).min(blanket);
@@ -611,19 +603,9 @@ mod tests {
         let n = ring(8);
         let g = StateGraph::build(&n, n.regs(), &StateGraphLimits::default()).unwrap();
         assert_eq!(g.num_states(), 8);
-        let s = sum_sweep(&g, 16, Parallelism::Sequential);
+        let s = sum_sweep(&g, 16);
         assert_eq!(s.diameter, 7);
         assert!(s.exact);
-    }
-
-    #[test]
-    fn sweep_is_bit_identical_across_parallelism() {
-        let n = ring(12);
-        let g = StateGraph::build(&n, n.regs(), &StateGraphLimits::default()).unwrap();
-        let seq = sum_sweep(&g, 16, Parallelism::Sequential);
-        for par in [Parallelism::Threads(2), Parallelism::Threads(8)] {
-            assert_eq!(seq, sum_sweep(&g, 16, par));
-        }
     }
 
     #[test]
@@ -632,7 +614,7 @@ mod tests {
         let g = StateGraph::build(&n, n.regs(), &StateGraphLimits::default()).unwrap();
         // Zero sweeps: the DAG DP alone must certify. One 8-vertex SCC
         // gives U = 7, which here happens to be exact.
-        let s = sum_sweep(&g, 0, Parallelism::Sequential);
+        let s = sum_sweep(&g, 0);
         assert_eq!(s.sweeps, 0);
         assert!(s.diameter >= 7);
         assert!(s.diameter <= 7, "DP bound is |C|−1 on a single cycle SCC");
@@ -643,7 +625,7 @@ mod tests {
     fn exact_diameter(g: &StateGraph) -> u64 {
         let mut best = 0u64;
         for src in 0..g.num_states() as u32 {
-            let r = bfs_graph(&g.forward(), [src], Parallelism::Sequential);
+            let r = bfs_graph(&g.forward(), [src]);
             best = best.max(r.num_levels() as u64 - 1);
         }
         best
@@ -675,7 +657,7 @@ mod tests {
         let truth = exact_diameter(&g);
         assert_eq!(truth, 3, "0 → 11 → 12 → 13 is the longest shortest path");
         for budget in 0..=16 {
-            let s = sum_sweep(&g, budget, Parallelism::Sequential);
+            let s = sum_sweep(&g, budget);
             assert!(
                 s.diameter >= truth,
                 "budget {budget}: certified {} below true diameter {truth}",
@@ -685,12 +667,9 @@ mod tests {
                 assert_eq!(s.diameter, truth, "budget {budget}: exact but wrong");
             }
         }
-        let s = sum_sweep(&g, 16, Parallelism::Sequential);
+        let s = sum_sweep(&g, 16);
         assert_eq!(s.diameter, truth);
         assert!(s.exact, "full budget converges on the 14-state graph");
-        for par in [Parallelism::Threads(2), Parallelism::Threads(8)] {
-            assert_eq!(s, sum_sweep(&g, 16, par));
-        }
     }
 
     /// A random SCC DAG built from the shapes that break sweep updates:
@@ -764,7 +743,7 @@ mod tests {
             let g = scc_dag(seed);
             let truth = exact_diameter(&g);
             for budget in 0..=16 {
-                let s = sum_sweep(&g, budget, Parallelism::Sequential);
+                let s = sum_sweep(&g, budget);
                 prop_assert!(
                     s.diameter >= truth,
                     "seed {seed}, budget {budget}: certified {} below true diameter {truth}",
@@ -786,7 +765,7 @@ mod tests {
     #[test]
     fn certificate_check_rejects_an_undercut() {
         let g = branch_into_clique_and_chain();
-        let s = sum_sweep(&g, 16, Parallelism::Sequential);
+        let s = sum_sweep(&g, 16);
         check_certificate(&g, &s);
         let lowered = SweepSummary {
             diameter: s.diameter - 1,

@@ -545,7 +545,7 @@ impl PipelineResult {
                     .len() as u64
                     + 1
             },
-            |_, i, _| {
+            |_, i| {
                 let t = &self.netlist.targets()[i];
                 let mut sp = diam_obs::span!("bound.target", index = i, target = t.name.as_str());
                 let tb: TargetBound = diameter_bound(&self.netlist, t.lit, opts);

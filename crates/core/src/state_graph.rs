@@ -30,7 +30,7 @@
 //! Determinism contract: state ids are assigned in BFS discovery order with
 //! each state's successor batch sorted by packed value before id assignment,
 //! so the graph — and everything the sweep engine derives from it — is
-//! identical across runs and parallelism settings.
+//! identical across runs.
 
 use diam_netlist::csr::NodeKind;
 use diam_netlist::visit::{self, Dir, Expand, Neighbors};
@@ -195,7 +195,6 @@ impl StateGraph {
             Dir::Fanin,
             Expand::Combinational,
             next_lits.iter().map(|l| l.gate().index() as u32),
-            diam_par::Parallelism::Sequential,
         );
         let mut free: Vec<Gate> = Vec::new();
         let mut ands: Vec<Gate> = Vec::new();
@@ -473,7 +472,6 @@ mod tests {
             Dir::Fanin,
             Expand::Combinational,
             next_lits.iter().map(|l| l.gate().index() as u32),
-            diam_par::Parallelism::Sequential,
         );
         let plan: Vec<AndStep> = csr
             .and_plan()

@@ -105,8 +105,8 @@ pub fn diameter_bound(n: &Netlist, target: Lit, opts: &StructuralOptions) -> Tar
 /// and table components, components past the cutoff, engine disabled).
 ///
 /// Certificates are memoized per `(fingerprint, register set, options)` in
-/// [`crate::eccentricity`], so `classify_targets`/`bound_targets` sweeps
-/// that reach a shared component from many targets enumerate it once.
+/// [`crate::eccentricity`], so `bound_targets` sweeps that reach a shared
+/// component from many targets enumerate it once.
 pub fn gc_certificates(n: &Netlist, cl: &Classification, ecc: &EccOptions) -> Vec<Option<EccCert>> {
     let num = cl.cond.comps.len();
     if !ecc.enabled {

@@ -9,14 +9,12 @@
 //! end-to-end `d̂` with `--ecc on` must stay sound (hittable targets hit
 //! within `d̂ − 1`) and never exceed the blanket `d̂` with `--ecc off`.
 
-use diam_core::eccentricity::{cache_stats_for, component_cert, sum_sweep, EccOptions};
+use diam_core::eccentricity::{cache_stats_for, component_cert, EccOptions};
 use diam_core::exact::{explore, state_diameter, ExploreLimits};
-use diam_core::state_graph::{StateGraph, StateGraphLimits};
 use diam_core::structural::{diameter_bound, StructuralOptions};
 use diam_core::Bound;
 use diam_netlist::sim::SplitMix64;
 use diam_netlist::{Gate, Init, Lit, Netlist};
-use diam_par::Parallelism;
 use proptest::prelude::*;
 
 /// Random sequential netlist with free inputs, mixed inits (no `Init::Fn`,
@@ -131,24 +129,6 @@ proptest! {
                 );
             }
         }
-    }
-
-    /// SumSweep results are bit-identical at every parallelism setting.
-    #[test]
-    fn sweep_results_identical_across_parallelism(
-        seed in proptest::arbitrary::any::<u64>(),
-        ni in 1usize..=3,
-        nr in 1usize..=8,
-        na in 0usize..=40,
-    ) {
-        let n = build_netlist(seed, ni, nr, na);
-        let g = StateGraph::build(&n, n.regs(), &StateGraphLimits::default())
-            .expect("whole-register component fits the limits");
-        let seq = sum_sweep(&g, 16, Parallelism::Sequential);
-        let two = sum_sweep(&g, 16, Parallelism::Threads(2));
-        let eight = sum_sweep(&g, 16, Parallelism::Threads(8));
-        prop_assert_eq!(seq, two);
-        prop_assert_eq!(seq, eight);
     }
 }
 

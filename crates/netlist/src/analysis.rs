@@ -9,14 +9,11 @@
 //! Every traversal here runs over the cached CSR adjacency
 //! ([`Netlist::csr`]) through the unified visit engine
 //! ([`crate::visit`]): membership marks are dense bitvecs
-//! ([`Marks`]), scratch state is hoisted out of inner loops, and the
-//! BFS-based analyses accept a [`Parallelism`] without changing their
-//! results (bit-identical across thread counts — see the visit module).
+//! ([`Marks`]) and scratch state is hoisted out of inner loops.
 
 use crate::csr::{Marks, NodeKind};
 use crate::visit::{self, Dir, Expand};
 use crate::{Gate, Lit, Netlist};
-use diam_par::Parallelism;
 
 /// The cone of influence of a set of roots.
 #[derive(Debug, Clone)]
@@ -56,20 +53,12 @@ impl Coi {
 /// assert_eq!(coi.inputs.len(), 1);
 /// ```
 pub fn coi<I: IntoIterator<Item = Lit>>(n: &Netlist, roots: I) -> Coi {
-    coi_with(n, roots, Parallelism::Sequential)
-}
-
-/// [`coi`] with an explicit [`Parallelism`] for the underlying BFS. The
-/// result is bit-identical to the sequential one for every setting; use
-/// this on massive netlists where the frontier grows wide enough to split.
-pub fn coi_with<I: IntoIterator<Item = Lit>>(n: &Netlist, roots: I, par: Parallelism) -> Coi {
     let csr = n.csr();
     let v = visit::bfs(
         csr,
         Dir::Fanin,
         Expand::All,
         roots.into_iter().map(|l| l.gate().index() as u32),
-        par,
     );
     let in_cone = v.into_marks();
     let regs = n
@@ -110,7 +99,6 @@ pub fn support(n: &Netlist, root: Lit) -> Support {
         Dir::Fanin,
         Expand::Combinational,
         [root.gate().index() as u32],
-        Parallelism::Sequential,
     );
     let mut out = Support::default();
     for &g in &v.order {
@@ -417,18 +405,6 @@ mod tests {
         n.set_next(r, r.lit());
         let c = coi(&n, [r.lit()]);
         assert!(c.contains(i));
-    }
-
-    #[test]
-    fn coi_with_parallelism_is_identical() {
-        let (n, regs) = pipeline();
-        let seq = coi(&n, [regs[2].lit()]);
-        for par in [Parallelism::Threads(2), Parallelism::Threads(8)] {
-            let p = coi_with(&n, [regs[2].lit()], par);
-            assert_eq!(seq.in_cone, p.in_cone);
-            assert_eq!(seq.regs, p.regs);
-            assert_eq!(seq.inputs, p.inputs);
-        }
     }
 
     #[test]

@@ -119,11 +119,6 @@ impl Marks {
             })
         })
     }
-
-    pub(crate) fn from_words(words: Vec<u64>, len: usize) -> Marks {
-        debug_assert_eq!(words.len(), len.div_ceil(64));
-        Marks { words, len }
-    }
 }
 
 /// One AND gate in topological (index) order: the flat evaluation plan the

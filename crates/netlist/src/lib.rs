@@ -16,10 +16,9 @@
 //! ([`dot`]).
 //!
 //! All of these run over one substrate: a compact CSR adjacency ([`csr`])
-//! cached per netlist and a unified parallel visit engine ([`visit`]) whose
-//! results are bit-identical across every parallelism setting — see those
-//! modules for the layout, the cache invalidation contract, and the
-//! determinism argument.
+//! cached per netlist and a unified visit engine ([`visit`]) with a
+//! canonical visit order — see those modules for the layout, the cache
+//! invalidation contract, and the order.
 //!
 //! ## Example
 //!

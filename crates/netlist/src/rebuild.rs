@@ -218,14 +218,14 @@ pub fn reduce_coi(n: &Netlist) -> Rebuilt {
 ///
 /// The result is a netlist with exactly one target — target `index` of `n` —
 /// and only the logic in its cone; the [`Rebuilt::map`] translates old
-/// literals into the slice. This is the unit of work for per-target parallel
-/// proof orchestration: each slice is an independent, self-contained proof
-/// obligation that can own a fresh solver on its own thread.
+/// literals into the slice. This is the unit of work for per-target proof
+/// orchestration: each slice is an independent, self-contained proof
+/// obligation that owns a fresh solver.
 ///
 /// Because the slice is produced by the same deterministic [`rebuild`] used
 /// by cone-of-influence reduction, slicing the same `(netlist, index)` pair
 /// always yields a structurally identical result regardless of what other
-/// targets exist or which thread performs the slicing.
+/// targets exist.
 ///
 /// # Panics
 ///

@@ -1,19 +1,11 @@
-//! The unified parallel visit layer: every reachability traversal in the
-//! workspace — cone of influence, combinational supports, rebuild cone
-//! marking, BMC cone slicing — runs through this one engine over the cached
-//! [`Csr`].
+//! The unified visit layer: every reachability traversal in the workspace —
+//! cone of influence, combinational supports, rebuild cone marking, BMC cone
+//! slicing — runs through this one engine over the cached [`Csr`].
 //!
-//! The engine is a level-synchronous frontier BFS in the webgraph-algo
-//! `bfv` + atomic-bitvec style: each level's frontier is expanded by
-//! claiming unvisited neighbors with an atomic `fetch_or` bit-set, and the
-//! merged next frontier is sorted ascending before the next level starts.
-//! Because a node's BFS level is claim-order-independent (the frontier at
-//! level *l* is exactly the distance-*l* set) and each level is canonically
-//! sorted, **the visit order is bit-identical for every parallelism
-//! setting** — `Sequential`, `Threads(2)`, `Threads(8)` and `Auto` all
-//! produce the same [`Visit`]. Small frontiers are expanded inline; only
-//! levels wider than [`PAR_LEVEL_THRESHOLD`] fan out over
-//! [`diam_par::run`], so shallow or narrow cones never pay thread overhead.
+//! The engine is a level-synchronous frontier BFS: each level's frontier is
+//! expanded by claiming unvisited neighbors in a dense bitvec, and the next
+//! frontier is sorted ascending before the next level starts, so the visit
+//! order is canonical — level by level, ascending within each level.
 //!
 //! Observability: each BFS opens a `visit.bfs` span, records the live
 //! frontier width on the `visit.frontier` gauge, and counts claimed nodes
@@ -21,12 +13,6 @@
 //! traversal time per phase.
 
 use crate::csr::{Csr, Marks, NodeKind};
-use diam_par::Parallelism;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// BFS level width at which a level is expanded in parallel instead of
-/// inline. Below this, thread fan-out costs more than the expansion.
-pub const PAR_LEVEL_THRESHOLD: usize = 4096;
 
 /// Traversal direction over the [`Csr`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -53,7 +39,6 @@ pub enum Expand {
 #[derive(Debug, Clone)]
 pub struct Visit {
     /// Visited node indices, level by level, ascending within each level.
-    /// This order is identical across all [`Parallelism`] settings.
     pub order: Vec<u32>,
     /// `order[level_starts[l] as usize..level_starts[l + 1] as usize]` is
     /// BFS level `l` (distance `l` from the root set).
@@ -87,43 +72,6 @@ impl Visit {
     }
 }
 
-/// Shared atomic claim set: the bit-parallel "visited" array workers race
-/// on. A claim is an idempotent `fetch_or`; exactly one claimant wins each
-/// bit, so every frontier node is produced exactly once per level.
-struct AtomicMarks {
-    words: Vec<AtomicU64>,
-    len: usize,
-}
-
-impl AtomicMarks {
-    fn new(len: usize) -> AtomicMarks {
-        let mut words = Vec::with_capacity(len.div_ceil(64));
-        words.resize_with(len.div_ceil(64), || AtomicU64::new(0));
-        AtomicMarks { words, len }
-    }
-
-    /// Claims bit `i`; returns `true` for the unique winning claimant.
-    /// Relaxed ordering suffices: membership is the only payload, and level
-    /// barriers (the executor's join) order cross-level reads.
-    #[inline]
-    fn claim(&self, i: u32) -> bool {
-        let w = &self.words[(i >> 6) as usize];
-        let bit = 1u64 << (i & 63);
-        if w.load(Ordering::Relaxed) & bit != 0 {
-            return false;
-        }
-        w.fetch_or(bit, Ordering::Relaxed) & bit == 0
-    }
-
-    fn into_marks(self) -> Marks {
-        let len = self.len;
-        Marks::from_words(
-            self.words.into_iter().map(AtomicU64::into_inner).collect(),
-            len,
-        )
-    }
-}
-
 #[inline]
 fn expands(csr: &Csr, expand: Expand, v: u32) -> bool {
     match expand {
@@ -134,9 +82,9 @@ fn expands(csr: &Csr, expand: Expand, v: u32) -> bool {
 
 /// Adjacency abstraction for [`bfs_graph`]: any graph with dense `u32` node
 /// ids and slice-backed successor lists runs on the level-synchronous
-/// parallel engine. The netlist [`Csr`] (via [`bfs`]) and the eccentricity
+/// engine. The netlist [`Csr`] (via [`bfs`]) and the eccentricity
 /// engine's explicit state graphs are both instances.
-pub trait Neighbors: Sync {
+pub trait Neighbors {
     /// Number of nodes; valid ids are `0..num_nodes`.
     fn num_nodes(&self) -> usize;
     /// Successors of `v` under this traversal. A node the traversal should
@@ -173,41 +121,24 @@ impl Neighbors for CsrView<'_> {
 /// Level-synchronous BFS over `csr` from `roots`.
 ///
 /// Roots out of range are rejected with a panic (they indicate a stale CSR).
-/// Duplicated roots are visited once. See the module docs for the
-/// determinism argument; `tests/csr_equiv.rs` enforces bit-identity across
-/// `Sequential`/`Threads(2)`/`Threads(8)`.
-pub fn bfs(
-    csr: &Csr,
-    dir: Dir,
-    expand: Expand,
-    roots: impl IntoIterator<Item = u32>,
-    par: Parallelism,
-) -> Visit {
+/// Duplicated roots are visited once.
+pub fn bfs(csr: &Csr, dir: Dir, expand: Expand, roots: impl IntoIterator<Item = u32>) -> Visit {
     let label = match dir {
         Dir::Fanin => "fanin",
         Dir::Fanout => "fanout",
     };
-    bfs_impl(&CsrView { csr, dir, expand }, label, roots, par)
+    bfs_impl(&CsrView { csr, dir, expand }, label, roots)
 }
 
 /// Level-synchronous BFS over any [`Neighbors`] graph from `roots` — the
-/// same engine as [`bfs`], including the bit-identity guarantee across
-/// parallelism settings and the `visit.bfs` span (with `dir = "graph"`).
-pub fn bfs_graph<G: Neighbors>(
-    g: &G,
-    roots: impl IntoIterator<Item = u32>,
-    par: Parallelism,
-) -> Visit {
-    bfs_impl(g, "graph", roots, par)
+/// same engine as [`bfs`], including the `visit.bfs` span (with
+/// `dir = "graph"`).
+pub fn bfs_graph<G: Neighbors>(g: &G, roots: impl IntoIterator<Item = u32>) -> Visit {
+    bfs_impl(g, "graph", roots)
 }
 
-fn bfs_impl<G: Neighbors>(
-    g: &G,
-    dir: &str,
-    roots: impl IntoIterator<Item = u32>,
-    par: Parallelism,
-) -> Visit {
-    let marks = AtomicMarks::new(g.num_nodes());
+fn bfs_impl<G: Neighbors>(g: &G, dir: &str, roots: impl IntoIterator<Item = u32>) -> Visit {
+    let mut marks = Marks::new(g.num_nodes());
     let mut frontier: Vec<u32> = roots
         .into_iter()
         .inspect(|&v| {
@@ -217,7 +148,7 @@ fn bfs_impl<G: Neighbors>(
                 g.num_nodes()
             );
         })
-        .filter(|&v| marks.claim(v))
+        .filter(|&v| marks.set(v as usize))
         .collect();
     frontier.sort_unstable();
 
@@ -225,7 +156,6 @@ fn bfs_impl<G: Neighbors>(
 
     let mut order: Vec<u32> = Vec::with_capacity(frontier.len() * 2);
     let mut level_starts: Vec<u32> = vec![0];
-    let workers = par.workers();
     let obs = diam_obs::enabled();
 
     while !frontier.is_empty() {
@@ -236,40 +166,14 @@ fn bfs_impl<G: Neighbors>(
         order.extend_from_slice(&frontier);
         level_starts.push(order.len() as u32);
 
-        let mut next: Vec<u32> = if workers > 1 && frontier.len() >= PAR_LEVEL_THRESHOLD {
-            // Wide level: fan the frontier out in contiguous chunks. Chunk
-            // attribution of a claim is racy, but the claimed *set* is not,
-            // and the sort below canonicalizes the order.
-            let chunk = frontier.len().div_ceil(workers);
-            let chunks: Vec<&[u32]> = frontier.chunks(chunk).collect();
-            let outs: Vec<Vec<u32>> = diam_par::run(
-                par,
-                chunks,
-                |c| c.len() as u64,
-                |_, c, _| {
-                    let mut out = Vec::new();
-                    for &v in c {
-                        for &w in g.neighbors(v) {
-                            if marks.claim(w) {
-                                out.push(w);
-                            }
-                        }
-                    }
-                    out
-                },
-            );
-            outs.concat()
-        } else {
-            let mut out = Vec::new();
-            for &v in &frontier {
-                for &w in g.neighbors(v) {
-                    if marks.claim(w) {
-                        out.push(w);
-                    }
+        let mut next = Vec::new();
+        for &v in &frontier {
+            for &w in g.neighbors(v) {
+                if marks.set(w as usize) {
+                    next.push(w);
                 }
             }
-            out
-        };
+        }
         next.sort_unstable();
         frontier = next;
     }
@@ -284,7 +188,7 @@ fn bfs_impl<G: Neighbors>(
     Visit {
         order,
         level_starts,
-        marks: marks.into_marks(),
+        marks,
     }
 }
 
@@ -336,7 +240,7 @@ mod tests {
         let n = diamond();
         let csr = n.csr();
         let r = n.regs()[0].index() as u32;
-        let v = bfs(csr, Dir::Fanin, Expand::All, [r], Parallelism::Sequential);
+        let v = bfs(csr, Dir::Fanin, Expand::All, [r]);
         assert!(v.contains(r));
         assert_eq!(v.order[0], r, "level 0 is the root");
         assert_eq!(v.level_starts[0], 0);
@@ -358,7 +262,6 @@ mod tests {
             Dir::Fanin,
             Expand::Combinational,
             [x.gate().index() as u32],
-            Parallelism::Sequential,
         );
         assert!(v.contains(r.index() as u32), "register leaf is visited");
         // But the register was not expanded: i is reached only through the
@@ -367,31 +270,11 @@ mod tests {
     }
 
     #[test]
-    fn parallel_and_sequential_orders_are_identical() {
-        let n = diamond();
-        let csr = n.csr();
-        let root = n.targets()[0].lit.gate().index() as u32;
-        let seq = bfs(
-            csr,
-            Dir::Fanin,
-            Expand::All,
-            [root],
-            Parallelism::Sequential,
-        );
-        for par in [Parallelism::Threads(2), Parallelism::Threads(8)] {
-            let p = bfs(csr, Dir::Fanin, Expand::All, [root], par);
-            assert_eq!(seq.order, p.order);
-            assert_eq!(seq.level_starts, p.level_starts);
-            assert_eq!(seq.marks(), p.marks());
-        }
-    }
-
-    #[test]
     fn fanout_direction_reaches_consumers() {
         let n = diamond();
         let csr = n.csr();
         let i = n.inputs()[0].index() as u32;
-        let v = bfs(csr, Dir::Fanout, Expand::All, [i], Parallelism::Sequential);
+        let v = bfs(csr, Dir::Fanout, Expand::All, [i]);
         let r = n.regs()[0].index() as u32;
         assert!(v.contains(r), "input's forward cone reaches the register");
     }
@@ -415,16 +298,10 @@ mod tests {
         let g = VecGraph {
             succ: vec![vec![1, 5], vec![2], vec![3], vec![4], vec![5], vec![0, 4]],
         };
-        let seq = bfs_graph(&g, [0u32], Parallelism::Sequential);
+        let seq = bfs_graph(&g, [0u32]);
         assert_eq!(seq.order, vec![0, 1, 5, 2, 4, 3]);
         assert_eq!(seq.level_starts, vec![0, 1, 3, 5, 6]);
         assert_eq!(seq.num_levels(), 4);
-        for par in [Parallelism::Threads(2), Parallelism::Threads(8)] {
-            let p = bfs_graph(&g, [0u32], par);
-            assert_eq!(seq.order, p.order);
-            assert_eq!(seq.level_starts, p.level_starts);
-            assert_eq!(seq.marks(), p.marks());
-        }
     }
 
     #[test]

@@ -8,17 +8,11 @@
 //! `HashSet` marks, the way the code worked before the refactor. The
 //! references are slow and allocation-happy by design: simple enough to
 //! audit by eye.
-//!
-//! The same harness pins down the visit engine's determinism contract:
-//! BFS orders and cone results must be bit-identical across `Sequential`,
-//! `Threads(2)`, and `Threads(8)`.
 
-use diam_netlist::analysis::{self, coi, coi_with, condense, levels, reg_graph};
+use diam_netlist::analysis::{self, coi, condense, levels, reg_graph};
 use diam_netlist::csr::NodeKind;
 use diam_netlist::sim::{simulate, SplitMix64, Stimulus};
-use diam_netlist::visit::{bfs, Dir, Expand};
 use diam_netlist::{Gate, GateKind, Init, Lit, Netlist};
-use diam_par::Parallelism;
 use proptest::prelude::*;
 use std::collections::HashSet;
 
@@ -282,50 +276,6 @@ proptest! {
                     "gate {} at step {}", g, t
                 );
             }
-        }
-    }
-
-    #[test]
-    fn parallel_visits_are_bit_identical(
-        seed in proptest::arbitrary::any::<u64>(),
-        ni in 1usize..=6,
-        nr in 0usize..=10,
-        na in 0usize..=120,
-    ) {
-        let n = build_netlist(seed, ni, nr, na);
-        let roots: Vec<u32> = n
-            .targets()
-            .iter()
-            .map(|t| t.lit.gate().index() as u32)
-            .collect();
-        let csr = n.csr();
-        for dir in [Dir::Fanin, Dir::Fanout] {
-            for expand in [Expand::All, Expand::Combinational] {
-                let seq = bfs(csr, dir, expand, roots.iter().copied(), Parallelism::Sequential);
-                for workers in [2usize, 8] {
-                    let par = bfs(
-                        csr,
-                        dir,
-                        expand,
-                        roots.iter().copied(),
-                        Parallelism::Threads(workers),
-                    );
-                    prop_assert_eq!(&seq.order, &par.order, "order, {workers} workers");
-                    prop_assert_eq!(
-                        &seq.level_starts, &par.level_starts,
-                        "levels, {workers} workers"
-                    );
-                }
-            }
-        }
-        // The public cone API inherits the guarantee.
-        let lits: Vec<Lit> = n.targets().iter().map(|t| t.lit).collect();
-        let seq = coi_with(&n, lits.clone(), Parallelism::Sequential);
-        let par = coi_with(&n, lits, Parallelism::Threads(8));
-        prop_assert_eq!(&seq.regs, &par.regs);
-        prop_assert_eq!(&seq.inputs, &par.inputs);
-        for g in n.gates() {
-            prop_assert_eq!(seq.contains(g), par.contains(g));
         }
     }
 

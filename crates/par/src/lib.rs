@@ -1,33 +1,29 @@
 //! # diam-par
 //!
-//! A **std-only** work-stealing executor for the embarrassingly parallel
-//! layers of the diameter-bounding pipeline: per-target cone jobs (bounding,
-//! classification, BMC) are independent — netlists are immutable and every
-//! SAT/BDD engine instance is task-local — so the orchestration layers fan
-//! them out across scoped worker threads.
+//! A **std-only** executor for the one parallel fan-out of the
+//! diameter-bounding pipeline: `diam_core::PipelineResult::bound_targets`
+//! bounds each target's cone as an independent job. Netlists are immutable
+//! and each job is a pure function of them, so the jobs fan out across
+//! scoped worker threads when `--jobs` (on `table1`, `table2` and
+//! `ablation`) selects more than one.
 //!
 //! Design (no external dependencies):
 //!
 //! * **scoped workers** (`std::thread::scope`) — borrows of the netlist and
 //!   job closures need no `'static` bound and no `Arc` plumbing;
-//! * **global injector + per-worker deques** — jobs are sorted
-//!   largest-weight-first; each worker is seeded with one job and pulls the
-//!   next-largest from the injector when its own deque runs dry, falling
-//!   back to stealing from a sibling's deque (oldest-first) — a classic
-//!   greedy-makespan schedule;
+//! * **one shared queue** — jobs are sorted largest-weight-first and every
+//!   worker pulls the next job from one `Mutex` around that order, a greedy
+//!   longest-job-first schedule;
 //! * **deterministic merge** — every job returns a value tagged with its
 //!   original index; [`run`] reassembles results in original order, so the
 //!   output is **independent of thread count and interleaving**. With
-//!   [`Parallelism::Sequential`] the *same job closures* execute inline in
-//!   index order, which is what makes `Threads(n)` output bit-identical to
-//!   sequential output in the consumers (`diam_bmc::prove_all`,
-//!   `diam_core::Pipeline::bound_targets`);
-//! * **cooperative cancellation** — jobs receive a shared [`CancelToken`];
-//!   long-running jobs poll it at loop boundaries.
+//!   [`Parallelism::Sequential`], one worker or at most one job, the *same
+//!   job closure* runs inline in index order;
+//! * **panics stop the queue** — once a job panics, no worker starts
+//!   another job; the first panic is re-raised after the workers join.
 
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 use diam_obs::ring::{self, RingKind};
 
@@ -37,8 +33,8 @@ pub enum Parallelism {
     /// Run jobs inline on the calling thread, in original order.
     #[default]
     Sequential,
-    /// Spawn exactly `n` workers (clamped to at least 1; `Threads(1)` runs
-    /// inline but through the same job path as larger counts).
+    /// Spawn `n` workers (clamped to at least 1 and at most the job count;
+    /// one worker runs the jobs inline, like `Sequential`).
     Threads(usize),
     /// Use `std::thread::available_parallelism()`.
     Auto,
@@ -84,114 +80,40 @@ impl std::fmt::Display for Parallelism {
     }
 }
 
-/// A shared, clonable cancellation flag. Cancellation is cooperative: jobs
-/// poll [`CancelToken::is_cancelled`] at convenient boundaries (e.g. between
-/// BMC depths) and wind down early.
-#[derive(Debug, Clone, Default)]
-pub struct CancelToken {
-    flag: Arc<AtomicBool>,
-}
-
-impl CancelToken {
-    /// A fresh, un-cancelled token.
-    pub fn new() -> CancelToken {
-        CancelToken::default()
-    }
-
-    /// Requests cancellation; every clone observes it.
-    pub fn cancel(&self) {
-        self.flag.store(true, Ordering::Release);
-    }
-
-    /// Whether cancellation has been requested.
-    pub fn is_cancelled(&self) -> bool {
-        self.flag.load(Ordering::Acquire)
-    }
-}
-
-/// One indexed job waiting to run.
-type Job<T> = (usize, T);
-
-struct WorkQueues<T> {
-    /// Global backlog, largest-weight-first.
-    injector: Mutex<VecDeque<Job<T>>>,
-    /// Per-worker deques (seeded round-robin; owner pops the front, thieves
-    /// steal from the back).
-    deques: Vec<Mutex<VecDeque<Job<T>>>>,
-    /// Jobs not yet finished (guard-decremented, so panics still drain it).
-    pending: AtomicUsize,
-    /// Jobs not yet *started* — drives the `par.queue_depth` gauge so live
-    /// observers can see backlog drain; never read for scheduling.
-    queued: AtomicUsize,
-}
-
-impl<T> WorkQueues<T> {
-    fn pop(&self, me: usize) -> Option<Job<T>> {
-        // 1. Own deque, front (largest seeded job first).
-        if let Some(job) = lock(&self.deques[me]).pop_front() {
-            return Some(job);
-        }
-        // 2. Global injector, front (next-largest unclaimed job).
-        if let Some(job) = lock(&self.injector).pop_front() {
-            return Some(job);
-        }
-        // 3. Steal from a sibling, back (its smallest job — cheap to move).
-        for k in 1..self.deques.len() {
-            let victim = (me + k) % self.deques.len();
-            if let Some(job) = lock(&self.deques[victim]).pop_back() {
-                return Some(job);
-            }
-        }
-        None
-    }
-}
-
 fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    // A worker panic unwinds through `scope` anyway; poisoning is not an
-    // additional error condition worth propagating here.
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    // A worker panic is caught and re-raised after the join; poisoning is
+    // not an additional error condition worth propagating here.
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Decrements `pending` even if the job panics, so sibling workers can
-/// still terminate and `std::thread::scope` can propagate the panic.
-struct PendingGuard<'a>(&'a AtomicUsize);
-
-impl Drop for PendingGuard<'_> {
-    fn drop(&mut self) {
-        self.0.fetch_sub(1, Ordering::AcqRel);
-    }
-}
-
-/// Runs `f(index, job, token)` for every job and returns the results **in
-/// original job order**. All jobs share one fresh [`CancelToken`].
+/// Runs `f(index, job)` for every job and returns the results **in original
+/// job order**.
 ///
-/// * `weight` prioritizes scheduling (largest first — for per-target proof
-///   jobs this is "largest cone first", so the long pole starts
-///   immediately); it never affects *results*, only makespan.
+/// * `weight` prioritizes scheduling (largest first — for per-target jobs
+///   this is "largest cone first", so the long pole starts immediately); it
+///   never affects *results*, only makespan.
 /// * With [`Parallelism::Sequential`] (or one worker, or ≤ 1 job) the jobs
-///   run inline in index order — the exact same closures, so results are
+///   run inline in index order — the exact same closure, so results are
 ///   bit-identical to any `Threads(n)` run as long as each job is
 ///   deterministic in isolation.
-/// * A panicking job cancels the shared token, records the failure in the
-///   observability flight recorder (and writes a crash dump via
-///   [`diam_obs::crash`] unless the process panic hook already did), then is
-///   re-raised after all workers drain. Sibling workers keep draining the
-///   queue, but with the token cancelled cooperative jobs finish early.
+/// * A panicking job stops the queue: no worker starts another job. The
+///   panic is recorded in the observability flight recorder (with a crash
+///   dump via [`diam_obs::crash`] unless the process panic hook already
+///   wrote one), and the first panic is re-raised after all workers join.
 pub fn run<T, R, W, F>(par: Parallelism, jobs: Vec<T>, weight: W, f: F) -> Vec<R>
 where
     T: Send,
     R: Send,
     W: Fn(&T) -> u64,
-    F: Fn(usize, T, &CancelToken) -> R + Sync,
+    F: Fn(usize, T) -> R + Sync,
 {
-    let token = &CancelToken::new();
     let total = jobs.len();
     let workers = par.workers().min(total.max(1));
     if matches!(par, Parallelism::Sequential) || workers <= 1 || total <= 1 {
         return jobs
             .into_iter()
             .enumerate()
-            .map(|(i, job)| f(i, job, token))
+            .map(|(i, job)| f(i, job))
             .collect();
     }
 
@@ -202,25 +124,22 @@ where
         .map(|(i, job)| (weight(&job), i, job))
         .collect();
     order.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-
-    // Seed each worker with one job; the rest form the global backlog.
-    let mut seeds: Vec<VecDeque<Job<T>>> = (0..workers).map(|_| VecDeque::new()).collect();
-    let mut backlog: VecDeque<Job<T>> = VecDeque::new();
-    for (pos, (_, i, job)) in order.into_iter().enumerate() {
-        if pos < workers {
-            seeds[pos].push_back((i, job));
-        } else {
-            backlog.push_back((i, job));
-        }
-    }
-    let queues = WorkQueues {
-        injector: Mutex::new(backlog),
-        deques: seeds.into_iter().map(Mutex::new).collect(),
-        pending: AtomicUsize::new(total),
-        queued: AtomicUsize::new(total),
-    };
+    let queue = Mutex::new(order.into_iter().map(|(_, i, job)| (i, job)));
+    let stopped = AtomicBool::new(false);
     diam_obs::gauge_set("par.workers", workers as i64);
     diam_obs::gauge_set("par.queue_depth", total as i64);
+    // The next job, unless a panic stopped the queue. The `par.queue_depth`
+    // gauge counts jobs not yet started, so live observers see the backlog
+    // drain.
+    let next = || {
+        if stopped.load(Ordering::SeqCst) {
+            return None;
+        }
+        let mut queue = lock(&queue);
+        let job = queue.next();
+        diam_obs::gauge_set("par.queue_depth", queue.len() as i64);
+        job
+    };
 
     let results: Mutex<Vec<(usize, R)>> = Mutex::new(Vec::with_capacity(total));
     // Observability: spans opened inside worker threads attach to the span
@@ -228,59 +147,30 @@ where
     // records carries its 1-based worker id — the schedule becomes visible
     // in the trace without affecting it.
     let obs_parent = diam_obs::current_span();
-    // First panic payload across all workers; re-raised after the drain so
+    // First panic payload across all workers; re-raised after the join so
     // the caller sees the same unwind it would get from a sequential run.
     let first_panic: Mutex<Option<Box<dyn std::any::Any + Send>>> = Mutex::new(None);
     std::thread::scope(|s| {
         for me in 0..workers {
-            let queues = &queues;
-            let results = &results;
-            let first_panic = &first_panic;
-            let f = &f;
+            let (next, stopped, results, first_panic, f) =
+                (&next, &stopped, &results, &first_panic, &f);
             s.spawn(move || {
                 let wid = me as u32 + 1;
                 diam_obs::set_worker(wid);
                 diam_obs::set_ambient_parent(obs_parent);
                 ring::note(RingKind::Worker, "par.worker_start", u64::from(wid), 0);
                 let mut local: Vec<(usize, R)> = Vec::new();
-                loop {
-                    match queues.pop(me) {
-                        Some((i, job)) => {
-                            let _guard = PendingGuard(&queues.pending);
-                            if diam_obs::enabled() {
-                                let left = queues
-                                    .queued
-                                    .fetch_sub(1, Ordering::AcqRel)
-                                    .saturating_sub(1);
-                                diam_obs::gauge_set("par.queue_depth", left as i64);
-                            }
-                            ring::note(RingKind::Job, "par.job", i as u64, 0);
-                            match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                f(i, job, token)
-                            })) {
-                                Ok(r) => local.push((i, r)),
-                                Err(payload) => {
-                                    // Stop siblings cooperatively, leave the
-                                    // forensic trail, and stop taking work.
-                                    token.cancel();
-                                    diam_obs::crash::record_worker_panic(
-                                        wid,
-                                        i as u64,
-                                        payload.as_ref(),
-                                    );
-                                    let mut slot = lock(first_panic);
-                                    if slot.is_none() {
-                                        *slot = Some(payload);
-                                    }
-                                    break;
-                                }
-                            }
-                        }
-                        None => {
-                            if queues.pending.load(Ordering::Acquire) == 0 {
-                                break;
-                            }
-                            std::thread::yield_now();
+                while let Some((i, job)) = next() {
+                    ring::note(RingKind::Job, "par.job", i as u64, 0);
+                    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(i, job))) {
+                        Ok(r) => local.push((i, r)),
+                        Err(payload) => {
+                            // Stop the queue before the crash dump exists, so
+                            // no job starts once the panic is on record.
+                            stopped.store(true, Ordering::SeqCst);
+                            diam_obs::crash::record_worker_panic(wid, i as u64, payload.as_ref());
+                            lock(first_panic).get_or_insert(payload);
+                            break;
                         }
                     }
                 }
@@ -292,34 +182,24 @@ where
 
     if let Some(payload) = first_panic
         .into_inner()
-        .unwrap_or_else(PoisonedResults::recover)
+        .unwrap_or_else(PoisonError::into_inner)
     {
         std::panic::resume_unwind(payload);
     }
 
-    let mut tagged = results
-        .into_inner()
-        .unwrap_or_else(PoisonedResults::recover);
+    let mut tagged = results.into_inner().unwrap_or_else(PoisonError::into_inner);
     tagged.sort_by_key(|&(i, _)| i);
     debug_assert_eq!(tagged.len(), total, "every job must produce a result");
     tagged.into_iter().map(|(_, r)| r).collect()
 }
 
-/// Helper alias so the poisoned-mutex recovery above stays readable.
-struct PoisonedResults;
-
-impl PoisonedResults {
-    fn recover<T>(e: std::sync::PoisonError<T>) -> T {
-        e.into_inner()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicUsize;
 
     fn square_all(par: Parallelism, n: usize) -> Vec<usize> {
-        run(par, (0..n).collect(), |&v| v as u64, |_, v, _| v * v)
+        run(par, (0..n).collect(), |&v| v as u64, |_, v| v * v)
     }
 
     #[test]
@@ -346,30 +226,25 @@ mod tests {
     #[test]
     fn weights_only_affect_scheduling_not_results() {
         let jobs: Vec<u64> = (0..64).collect();
-        let a = run(
-            Parallelism::Threads(3),
-            jobs.clone(),
-            |_| 0,
-            |i, v, _| (i, v),
-        );
-        let b = run(Parallelism::Threads(3), jobs, |&v| v, |i, v, _| (i, v));
+        let a = run(Parallelism::Threads(3), jobs.clone(), |_| 0, |i, v| (i, v));
+        let b = run(Parallelism::Threads(3), jobs, |&v| v, |i, v| (i, v));
         assert_eq!(a, b);
     }
 
     #[test]
-    fn skewed_weights_exercise_injector_and_stealing() {
+    fn skewed_weights_let_other_workers_drain_the_queue() {
         // One huge job plus many small ones: the huge job pins a worker, so
-        // the others must drain the injector and steal to finish.
+        // the others must drain the shared queue to finish.
         let done = AtomicUsize::new(0);
         let jobs: Vec<u64> = (0..100).collect();
         let out = run(
             Parallelism::Threads(4),
             jobs,
             |&v| if v == 0 { 1 << 40 } else { v },
-            |_, v, _| {
+            |_, v| {
                 if v == 0 {
                     // Busy-wait until everyone else has finished: succeeds
-                    // only if other workers keep draining the queues.
+                    // only if other workers keep draining the queue.
                     while done.load(Ordering::Acquire) < 99 {
                         std::thread::yield_now();
                     }
@@ -380,28 +255,6 @@ mod tests {
             },
         );
         assert_eq!(out, (1..=100).collect::<Vec<u64>>());
-    }
-
-    #[test]
-    fn cancellation_is_observed_by_later_jobs() {
-        // Sequential: job 3 cancels; jobs 4.. observe the token.
-        let out = run(
-            Parallelism::Sequential,
-            (0..10).collect::<Vec<u64>>(),
-            |_| 0,
-            |i, v, token| {
-                if i == 3 {
-                    token.cancel();
-                }
-                if token.is_cancelled() {
-                    None
-                } else {
-                    Some(v)
-                }
-            },
-        );
-        assert_eq!(out[..3], [Some(0), Some(1), Some(2)]);
-        assert!(out[3..].iter().all(Option::is_none));
     }
 
     #[test]
@@ -437,7 +290,7 @@ mod tests {
                 Parallelism::Threads(2),
                 (0..8).collect::<Vec<u64>>(),
                 |_| 0,
-                |_, v, _| {
+                |_, v| {
                     if v == 5 {
                         panic!("job 5 exploded");
                     }
@@ -451,36 +304,24 @@ mod tests {
     #[test]
     fn worker_panic_writes_dump_and_cancels_siblings() {
         let dir = crash_dir_for_tests();
-        let cancelled_seen = AtomicUsize::new(0);
         let before: usize = std::fs::read_dir(&dir).map(|d| d.count()).unwrap_or(0);
 
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let result = std::panic::catch_unwind(|| {
             run(
                 Parallelism::Threads(3),
                 (0..24).collect::<Vec<u64>>(),
                 |_| 0,
-                |_, v, tok| {
+                |_, v| {
                     if v == 0 {
                         panic!("forced failure in job 0");
-                    }
-                    // Cooperative jobs: wait until the cancellation from the
-                    // panicking sibling becomes visible, then finish early.
-                    for _ in 0..10_000 {
-                        if tok.is_cancelled() {
-                            cancelled_seen.fetch_add(1, Ordering::Relaxed);
-                            return v;
-                        }
-                        std::thread::yield_now();
                     }
                     v
                 },
             )
-        }));
+        });
 
-        // The panic is re-raised after the drain...
+        // The panic is re-raised after the join...
         assert!(result.is_err());
-        // ...sibling jobs observed it and exited cleanly...
-        assert!(cancelled_seen.load(Ordering::Relaxed) > 0);
         // ...and exactly this panic produced a crash dump naming the worker
         // and the failing job.
         let dumps: Vec<std::path::PathBuf> = std::fs::read_dir(&dir)
@@ -499,5 +340,52 @@ mod tests {
         assert!(body.contains("\"worker\":"), "{body}");
         assert!(body.contains("\"job\":0"), "{body}");
         assert!(body.contains("\"ring\":"), "{body}");
+    }
+
+    /// The crash dump in `dir` whose body carries `message`, once written.
+    fn dump_with(dir: &std::path::Path, message: &str) -> Option<String> {
+        std::fs::read_dir(dir)
+            .ok()?
+            .filter_map(|e| std::fs::read_to_string(e.ok()?.path()).ok())
+            .find(|b| b.contains(message))
+    }
+
+    #[test]
+    fn a_panic_stops_the_queue() {
+        // Job 0 panics once job 1 is running; job 1 returns only after job
+        // 0's crash dump exists, i.e. after the panic was caught. The worker
+        // that ran job 1 must then find the queue stopped: jobs 2.. never
+        // start.
+        let dir = crash_dir_for_tests();
+        let started = Mutex::new(Vec::new());
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            run(
+                Parallelism::Threads(2),
+                (0..8).collect::<Vec<u64>>(),
+                |_| 0,
+                |i, v| {
+                    lock(&started).push(i);
+                    match i {
+                        0 => {
+                            while !lock(&started).contains(&1) {
+                                std::thread::yield_now();
+                            }
+                            panic!("job 0 stops the queue");
+                        }
+                        1 => {
+                            while dump_with(&dir, "job 0 stops the queue").is_none() {
+                                std::thread::yield_now();
+                            }
+                        }
+                        _ => {}
+                    }
+                    v
+                },
+            )
+        }));
+        assert!(result.is_err(), "the panic is re-raised");
+        let mut started = started.into_inner().unwrap();
+        started.sort_unstable();
+        assert_eq!(started, [0, 1], "no job starts after the panic");
     }
 }

@@ -165,7 +165,8 @@ fn cmd_bound(opts: &Options) -> Result<(), String> {
         n.targets().len(),
         opts.pipeline_name
     );
-    let bounds = opts.pipeline.bound_targets(&n, &opts.structural());
+    let result = opts.pipeline.run(&n);
+    let bounds = result.bound_targets(&opts.structural());
     let mut useful = 0;
     for b in &bounds {
         let mark = if b.original.is_useful(opts.threshold) {
@@ -189,12 +190,10 @@ fn cmd_bound(opts: &Options) -> Result<(), String> {
     if opts.explain {
         // Explain the dominant composition chain of every over-threshold
         // target, on the transformed netlist (where the bound was computed).
-        let transformed = opts.pipeline.run(&n);
         for (i, b) in bounds.iter().enumerate() {
             if !b.original.is_useful(opts.threshold) {
-                let t = transformed.netlist.targets()[i].lit;
-                let e =
-                    diam::core::structural::explain(&transformed.netlist, t, &opts.structural());
+                let t = result.netlist.targets()[i].lit;
+                let e = diam::core::structural::explain(&result.netlist, t, &opts.structural());
                 out!("\nwhy {} is unboundable:\n{e}", b.name);
             }
         }

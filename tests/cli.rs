@@ -45,6 +45,40 @@ fn bound_lists_targets() {
     assert!(out.contains("2/2 targets below the threshold"), "{out}");
 }
 
+/// `bound --explain` runs the pipeline once: the bounds and the explained
+/// netlist come from the same run, so its trace holds one `pipeline.run`.
+#[test]
+fn bound_explain_runs_the_pipeline_once() {
+    let dir = std::env::temp_dir().join(format!("diam_cli_explain_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("sandbox");
+    let f = fixture(&dir, "lockstep.aag", LOCKSTEP);
+    let trace = dir.join("t.jsonl");
+    let (out, ok) = run(&[
+        "bound",
+        "--explain",
+        "--threshold",
+        "0",
+        "--trace-out",
+        trace.to_str().unwrap(),
+        f.to_str().unwrap(),
+    ]);
+    let text = std::fs::read_to_string(&trace).expect("trace written");
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(ok, "{out}");
+    for name in ["t_r", "t_s"] {
+        let why = format!("why {name} is unboundable:");
+        assert_eq!(out.matches(&why).count(), 1, "{out}");
+    }
+    let trace = diam::trace::Trace::parse(&text).expect("trace parses");
+    let runs = trace
+        .spans
+        .values()
+        .filter(|s| s.name == "pipeline.run")
+        .count();
+    assert_eq!(runs, 1, "pipeline.run spans");
+}
+
 #[test]
 fn prove_separates_failing_and_proved() {
     let dir = std::env::temp_dir();

@@ -32,7 +32,7 @@ fn span_nesting_and_drain_order_under_threads() {
             Parallelism::Threads(3),
             (0..8u64).collect(),
             |_| 1,
-            |i, job, _| {
+            |i, job| {
                 let mut sp = obs::span!("test.job", index = i, job = job);
                 let inner = obs::span!("test.leaf");
                 drop(inner);

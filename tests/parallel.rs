@@ -1,16 +1,17 @@
-//! Determinism tests for the parallel orchestration layers.
+//! Tests for the per-target orchestration layers.
 //!
-//! The contract under test (see `DESIGN.md`, "Threading model"): every
-//! per-target fan-out — `prove_all`, `Pipeline::bound_targets`,
-//! `classify_targets`, and `check_all` — produces output that is
-//! **bit-identical across all `Parallelism` settings**, because jobs are
-//! pure functions of the immutable netlist merged in original target order.
-//! The fan-outs also agree with their single-target counterparts.
+//! The contract under test (see `DESIGN.md`, "Threading model"): the one
+//! parallel fan-out, `Pipeline::bound_targets` under
+//! `StructuralOptions::parallelism`, produces output that is **identical
+//! across all `Parallelism` settings**, because jobs are pure functions of
+//! the immutable netlist merged in original target order. The all-target
+//! BMC entry points, `check_all` and `prove_all`, agree with their
+//! single-target counterparts.
 
 use diam::bmc::{
     check, check_all, prove, prove_all, BmcOptions, BmcOutcome, ProveOptions, ProveOutcome,
 };
-use diam::core::{classify_targets, ClassifyOptions, Pipeline, StructuralOptions};
+use diam::core::{Pipeline, StructuralOptions};
 use diam::gen::random::{random_netlist, RandomDesignOptions};
 use diam::netlist::Netlist;
 use diam::par::Parallelism;
@@ -27,32 +28,6 @@ fn designs() -> Vec<Netlist> {
     (0..24u64)
         .map(|seed| random_netlist(&opts, 0xD1A0 + seed))
         .collect()
-}
-
-#[test]
-fn prove_all_is_bit_identical_across_thread_counts() {
-    let pipeline = Pipeline::com_ret_com();
-    for (k, n) in designs().iter().enumerate() {
-        let base = ProveOptions {
-            depth_cap: 64,
-            ..Default::default()
-        };
-        let seq = prove_all(n, &pipeline, &base);
-        for par in [
-            Parallelism::Threads(2),
-            Parallelism::Threads(4),
-            Parallelism::Auto,
-        ] {
-            let opts = ProveOptions {
-                parallelism: par,
-                ..base.clone()
-            };
-            let got = prove_all(n, &pipeline, &opts);
-            // ProveOutcome derives PartialEq including the witness trace:
-            // this compares counterexamples bit-for-bit.
-            assert_eq!(seq, got, "design {k}, parallelism {par}");
-        }
-    }
 }
 
 #[test]
@@ -78,35 +53,15 @@ fn bound_targets_is_identical_across_thread_counts() {
 }
 
 #[test]
-fn classify_targets_matches_across_thread_counts() {
-    for n in designs().into_iter().take(8) {
-        let seq = classify_targets(&n, &ClassifyOptions::default(), Parallelism::Sequential);
-        let par = classify_targets(&n, &ClassifyOptions::default(), Parallelism::Threads(3));
-        assert_eq!(seq.len(), par.len());
-        for (a, b) in seq.iter().zip(&par) {
-            assert_eq!(a.regs, b.regs);
-            assert_eq!(a.kinds, b.kinds);
-            assert_eq!(a.counts(), b.counts());
-        }
-    }
-}
-
-#[test]
 fn check_all_is_bit_identical_across_thread_counts() {
     for (k, n) in designs().iter().enumerate() {
-        let opts = |parallelism| BmcOptions {
+        let opts = BmcOptions {
             max_depth: 12,
-            parallelism,
             ..Default::default()
         };
-        let seq = check_all(n, &opts(Parallelism::Sequential));
-        for par in [Parallelism::Threads(2), Parallelism::Threads(4)] {
-            // BmcOutcome derives PartialEq including the witness trace.
-            assert_eq!(seq, check_all(n, &opts(par)), "design {k}, {par}");
-        }
-        // Each fanned-out outcome is the per-target check's outcome.
-        for (i, outcome) in seq.iter().enumerate() {
-            let single = check(n, i, &opts(Parallelism::Sequential));
+        // Each outcome is the per-target check's outcome.
+        for (i, outcome) in check_all(n, &opts).iter().enumerate() {
+            let single = check(n, i, &opts);
             match (outcome, &single) {
                 (
                     BmcOutcome::Counterexample { depth: x, witness },
