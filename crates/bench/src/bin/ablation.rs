@@ -13,8 +13,9 @@
 //! 4. **Per-engine register reductions** — COM/RET reductions per suite,
 //!    mirroring the paper's §4 reduction statistics.
 //!
-//! Usage: `cargo run -p diam-bench --release --bin ablation [--jobs <N|seq|auto>]
-//! [--obs off|summary|json|live] [--trace-out <path.jsonl>]`
+//! Usage: `cargo run -p diam-bench --release --bin ablation -- [seed] [--jobs <N|seq|auto>]
+//! [--obs off|summary|json|live|live-json] [--trace-out <path.jsonl>]
+//! [--live-out <path.jsonl>] [--mem on|off] [--limit <N>] [--ecc on|off|k=<N>]`
 
 use diam_bench::parse_cli;
 use diam_core::recurrence::{recurrence_diameter, RecurrenceOptions, RecurrenceResult};
@@ -31,9 +32,7 @@ use diam_transform::fold::{c_slow, detect, fold};
 static ALLOC: diam_obs::alloc::CountingAlloc = diam_obs::alloc::CountingAlloc::new();
 
 fn main() {
-    let cli = parse_cli(
-        "ablation [--jobs <N|seq|auto>] [--obs off|summary|json|live] [--trace-out <path.jsonl>]",
-    );
+    let cli = parse_cli("ablation [seed]");
     let session = cli.session("ablation");
     ablation_recurrence();
     ablation_theorem2_slack(cli.jobs);

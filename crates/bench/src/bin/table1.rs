@@ -2,8 +2,9 @@
 //! classification and useful-diameter-bound counts under Original, COM, and
 //! COM,RET,COM.
 //!
-//! Usage: `cargo run -p diam-bench --release --bin table1 [seed] [--jobs <N|seq|auto>]
-//! [--obs off|summary|json|live] [--trace-out <path.jsonl>] [--mem on|off] [--limit <N>] [--ecc on|off|k=<N>]`
+//! Usage: `cargo run -p diam-bench --release --bin table1 -- [seed] [--jobs <N|seq|auto>]
+//! [--obs off|summary|json|live|live-json] [--trace-out <path.jsonl>]
+//! [--live-out <path.jsonl>] [--mem on|off] [--limit <N>] [--ecc on|off|k=<N>]`
 
 use diam_bench::{format_sigma, parse_cli, run_suite_opts};
 // Memory accounting (`--mem on`) needs the counting allocator installed
@@ -15,10 +16,7 @@ static ALLOC: diam_obs::alloc::CountingAlloc = diam_obs::alloc::CountingAlloc::n
 use diam_gen::iscas;
 
 fn main() {
-    let cli = parse_cli(
-        "table1 [seed] [--jobs <N|seq|auto>] [--obs off|summary|json|live] \
-         [--trace-out <path.jsonl>] [--mem on|off] [--limit <N>] [--ecc on|off|k=<N>]",
-    );
+    let cli = parse_cli("table1 [seed]");
     let session = cli.session("table1");
     println!(
         "Table 1: diameter bounding experiments, ISCAS89-profile suite (seed {}, jobs {})\n",

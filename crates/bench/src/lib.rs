@@ -16,7 +16,7 @@
 //! integration tests can assert the reproduced Σ shape.
 
 use diam_core::classify::{classify, ClassCounts, ClassifyOptions};
-use diam_core::{Bound, EccOptions, Pipeline, StructuralOptions};
+use diam_core::{Bound, EccOptions, Pipeline, PipelineResult, StructuralOptions};
 use diam_gen::profile::DesignProfile;
 use diam_netlist::Netlist;
 use diam_obs::{FlagError, ObsConfig, RunManifest, Session};
@@ -114,12 +114,20 @@ pub fn parse_obs_flags(usage: &str) -> (ObsConfig, Vec<String>) {
     })
 }
 
+/// The flags [`parse_cli`] accepts, as its usage message lists them.
+const CLI_FLAGS: &str = "[--jobs <N|seq|auto>] [--obs off|summary|json|live|live-json] \
+[--trace-out <path.jsonl>] [--live-out <path.jsonl>] [--mem on|off] [--limit <N>] \
+[--ecc on|off|k=<N>]";
+
 /// Shared CLI parsing for the table/ablation binaries: a positional seed
 /// (default 1) plus `--jobs <N|seq|auto>` (per-target fan-out),
 /// `--limit <N>`, `--ecc <on|off|k=N>` and the observability flags of
 /// [`parse_obs_flags`]. Every flag also takes the `--flag=value` form.
-/// Unrecognized arguments abort with a usage message.
-pub fn parse_cli(usage: &str) -> BenchCli {
+/// Unrecognized arguments abort with a usage message: `name_and_seed` (the
+/// binary's name and positional argument) followed by every flag above.
+pub fn parse_cli(name_and_seed: &str) -> BenchCli {
+    let usage = format!("{name_and_seed} {CLI_FLAGS}");
+    let usage = usage.as_str();
     let fail = |what: &str| -> ! { usage_error(usage, what) };
     let (obs, rest) = parse_obs_flags(usage);
     let mut cli = BenchCli {
@@ -169,7 +177,9 @@ pub struct ColumnResult {
     pub useful: usize,
     /// Average back-translated bound over those targets.
     pub avg: f64,
-    /// Wall-clock seconds spent on transformation + bounding.
+    /// Wall-clock seconds spent on transformation + bounding. The
+    /// COM,RET,COM column continues the COM column's transformation, so its
+    /// time leaves out COI and the first COM.
     pub seconds: f64,
 }
 
@@ -189,6 +199,10 @@ pub const THRESHOLD: u64 = 50;
 /// bounding fan-out (results are bit-identical across settings); `ecc` is
 /// `--ecc` on the table binaries, whose default (off) reproduces the
 /// paper's blanket bounds.
+///
+/// The COM,RET,COM column continues the COM column's result with
+/// [`Pipeline::ret_com`]: every pass is deterministic, so running COI and
+/// COM again would only repeat the COM column's work.
 pub fn run_design_opts(
     profile: &DesignProfile,
     netlist: &Netlist,
@@ -200,46 +214,17 @@ pub fn run_design_opts(
         design = profile.name,
         targets = profile.targets
     );
-    let pipelines = [Pipeline::new(), Pipeline::com(), Pipeline::com_ret_com()];
-    let names = ["original", "com", "com_ret_com"];
     let opts = StructuralOptions {
         parallelism: par,
         ecc: *ecc,
         ..StructuralOptions::default()
     };
-    let mut k = 0usize;
-    let columns = pipelines.map(|pipe| {
-        let mut col_sp = diam_obs::span!("suite.column", column = names[k]);
-        k += 1;
-        let start = Instant::now();
-        let result = pipe.run(netlist);
-        let regs: Vec<_> = result.netlist.regs().to_vec();
-        let counts = classify(&result.netlist, &regs, &ClassifyOptions::default()).counts();
-        let bounds = result.bound_targets(&opts);
-        let useful: Vec<u64> = bounds
-            .iter()
-            .filter_map(|b| match b.original {
-                Bound::Finite(v) if v < THRESHOLD => Some(v),
-                _ => None,
-            })
-            .collect();
-        let avg = if useful.is_empty() {
-            0.0
-        } else {
-            useful.iter().sum::<u64>() as f64 / useful.len() as f64
-        };
-        if diam_obs::enabled() {
-            col_sp.record("useful", useful.len() as u64);
-            col_sp.record("regs", regs.len() as u64);
-        }
-        drop(col_sp);
-        ColumnResult {
-            counts,
-            useful: useful.len(),
-            avg,
-            seconds: start.elapsed().as_secs_f64(),
-        }
+    let (original, _) = column("original", &opts, || Pipeline::new().run(netlist));
+    let (com, com_result) = column("com", &opts, || Pipeline::com().run(netlist));
+    let (com_ret_com, _) = column("com_ret_com", &opts, || {
+        Pipeline::ret_com().resume(com_result)
     });
+    let columns = [original, com, com_ret_com];
     if diam_obs::enabled() {
         let useful: usize = columns.iter().map(|c| c.useful).sum();
         design_sp.record("useful_total", useful as u64);
@@ -248,6 +233,45 @@ pub fn run_design_opts(
         profile: profile.clone(),
         columns,
     }
+}
+
+/// One table column: transforms with `transform`, then classifies and
+/// bounds its result. Returns the column and the transformation result.
+fn column(
+    name: &str,
+    opts: &StructuralOptions,
+    transform: impl FnOnce() -> PipelineResult,
+) -> (ColumnResult, PipelineResult) {
+    let mut col_sp = diam_obs::span!("suite.column", column = name);
+    let start = Instant::now();
+    let result = transform();
+    let regs: Vec<_> = result.netlist.regs().to_vec();
+    let counts = classify(&result.netlist, &regs, &ClassifyOptions::default()).counts();
+    let bounds = result.bound_targets(opts);
+    let useful: Vec<u64> = bounds
+        .iter()
+        .filter_map(|b| match b.original {
+            Bound::Finite(v) if v < THRESHOLD => Some(v),
+            _ => None,
+        })
+        .collect();
+    let avg = if useful.is_empty() {
+        0.0
+    } else {
+        useful.iter().sum::<u64>() as f64 / useful.len() as f64
+    };
+    if diam_obs::enabled() {
+        col_sp.record("useful", useful.len() as u64);
+        col_sp.record("regs", regs.len() as u64);
+    }
+    drop(col_sp);
+    let column = ColumnResult {
+        counts,
+        useful: useful.len(),
+        avg,
+        seconds: start.elapsed().as_secs_f64(),
+    };
+    (column, result)
 }
 
 /// Accumulated Σ row.

@@ -153,6 +153,23 @@ fn bad_flags_abort_with_usage() {
     assert_eq!(out.status.code(), Some(2));
 }
 
+/// The usage message of `table1` and `ablation` lists every flag the
+/// shared parser accepts, observability flags included.
+#[test]
+fn usage_lists_every_shared_flag() {
+    let ablation = Command::new(env!("CARGO_BIN_EXE_ablation"))
+        .arg("--nonsense")
+        .output()
+        .expect("ablation runs");
+    for out in [table1(&["--nonsense"]), ablation] {
+        assert_eq!(out.status.code(), Some(2));
+        let err = String::from_utf8_lossy(&out.stderr);
+        for flag in ["--live-out", "live-json", "--mem", "--limit", "--ecc"] {
+            assert!(err.contains(flag), "usage must name {flag}: {err}");
+        }
+    }
+}
+
 /// Validate one machine-readable live-stream line against the documented
 /// schema (DESIGN.md §8.2): every event carries `v` (schema version), `ev`
 /// (known kind), and `ts_ns`; kind-specific required keys are checked too,

@@ -243,11 +243,21 @@ impl Pipeline {
             .then(Engine::Com(SweepOptions::default()))
     }
 
-    /// The paper's `COM,RET,COM` column.
+    /// The paper's `COM,RET,COM` column: [`Pipeline::com`], then
+    /// [`Pipeline::ret_com`].
     pub fn com_ret_com() -> Pipeline {
+        let mut p = Pipeline::com();
+        p.elements.extend(Pipeline::ret_com().elements);
+        p
+    }
+
+    /// What the `COM,RET,COM` column runs after the `COM` column's engines:
+    /// retiming, then a second redundancy removal. Every pass is
+    /// deterministic, so [`resuming`](Pipeline::resume) a
+    /// [`Pipeline::com`] result with this tail gives the
+    /// [`Pipeline::com_ret_com`] result without running COI and COM again.
+    pub fn ret_com() -> Pipeline {
         Pipeline::new()
-            .then(Engine::Coi)
-            .then(Engine::Com(SweepOptions::default()))
             .then(Engine::Retime)
             .then(Engine::Com(SweepOptions::default()))
     }
@@ -259,28 +269,37 @@ impl Pipeline {
     /// the netlist structurally unchanged contribute neither a certificate
     /// nor a log entry.
     pub fn run(&self, n: &Netlist) -> PipelineResult {
+        self.resume(PipelineResult {
+            original_targets: n.targets().len(),
+            netlist: n.clone(),
+            fp: fingerprint(n),
+            steps: Vec::new(),
+            chain: CertificateChain::new(),
+            log: Vec::new(),
+        })
+    }
+
+    /// Continues `result` with this pipeline's engines, as if they had been
+    /// appended to the pipeline that produced it: its netlist, fingerprint,
+    /// certificate chain and log carry over, so bounds and witnesses still
+    /// translate back to its original netlist.
+    pub fn resume(&self, mut result: PipelineResult) -> PipelineResult {
         let _sp = diam_obs::span!(
             "pipeline.run",
             elements = self.elements.len(),
-            targets = n.targets().len()
+            targets = result.original_targets
         );
-        let mut state = RunState {
-            netlist: n.clone(),
-            fp: fingerprint(n),
-            chain: CertificateChain::new(),
-            log: Vec::new(),
-        };
         for el in &self.elements {
             match el {
                 Element::Single(e) => {
-                    state.apply(e);
+                    result.apply(e);
                 }
                 Element::Star(engines, bound) => {
                     let cap = bound.unwrap_or(MAX_STAR_ITERS).min(MAX_STAR_ITERS);
                     for _ in 0..cap {
                         let mut changed = false;
                         for e in engines {
-                            changed |= state.apply(e);
+                            changed |= result.apply(e);
                         }
                         if !changed {
                             break;
@@ -289,9 +308,9 @@ impl Pipeline {
                 }
             }
         }
-        let steps = (0..n.targets().len())
+        result.steps = (0..result.original_targets)
             .map(|i| {
-                state
+                result
                     .chain
                     .bound_steps(i)
                     .into_iter()
@@ -299,13 +318,7 @@ impl Pipeline {
                     .collect()
             })
             .collect();
-        PipelineResult {
-            original_targets: n.targets().len(),
-            netlist: state.netlist,
-            steps,
-            chain: state.chain,
-            log: state.log,
-        }
+        result
     }
 
     /// Convenience: runs the pipeline and computes structural diameter
@@ -316,15 +329,7 @@ impl Pipeline {
     }
 }
 
-/// The pass manager's mutable state while a pipeline runs.
-struct RunState {
-    netlist: Netlist,
-    fp: u64,
-    chain: CertificateChain,
-    log: Vec<StepLog>,
-}
-
-impl RunState {
+impl PipelineResult {
     /// Applies one engine; returns whether the netlist changed. Passes that
     /// do not apply, or apply without changing the structural fingerprint,
     /// are no-ops: nothing is recorded.
@@ -480,6 +485,8 @@ pub struct PipelineResult {
     original_targets: usize,
     /// The transformed netlist.
     pub netlist: Netlist,
+    /// [`fingerprint`] of `netlist` (kept for [`Pipeline::resume`]).
+    fp: u64,
     /// Back-translation steps per original target, in application order —
     /// the bound-map half of [`PipelineResult::chain`], kept as a plain
     /// vector for constant-time replay.
@@ -529,50 +536,39 @@ impl PipelineResult {
     /// Structural bounds for all targets, back-translated to the original.
     ///
     /// Each target is an independent bounding job, fanned out across
-    /// [`StructuralOptions::parallelism`] workers (largest cone first) and
-    /// merged back in original target order — the output is identical for
-    /// every parallelism setting, because [`diameter_bound`] is a pure
-    /// function of the (immutable) transformed netlist.
+    /// [`StructuralOptions::parallelism`] workers in target order and
+    /// merged back in that order — the output is identical for every
+    /// parallelism setting, because [`diameter_bound`] is a pure function
+    /// of the (immutable) transformed netlist.
     pub fn bound_targets(&self, opts: &StructuralOptions) -> Vec<PipelinedBound> {
         let jobs: Vec<usize> = (0..self.original_targets).collect();
-        diam_par::run(
-            opts.parallelism,
-            jobs,
-            |&i| {
-                let t = &self.netlist.targets()[i];
-                diam_netlist::analysis::coi(&self.netlist, [t.lit])
-                    .regs
-                    .len() as u64
-                    + 1
-            },
-            |_, i| {
-                let t = &self.netlist.targets()[i];
-                let mut sp = diam_obs::span!("bound.target", index = i, target = t.name.as_str());
-                let tb: TargetBound = diameter_bound(&self.netlist, t.lit, opts);
-                let pb = PipelinedBound {
-                    name: t.name.clone(),
-                    transformed: tb.bound,
-                    original: self.back_translate(i, tb.bound),
-                    counts: tb.classification.counts(),
-                };
-                if diam_obs::enabled() {
-                    // Back-translation totals = the per-target transform
-                    // delta (Theorems 2–4 contributions for this target).
-                    let (mut bt_add, mut bt_mul) = (0u64, 1u64);
-                    for step in &self.steps[i] {
-                        match *step {
-                            BackStep::Add(k) => bt_add += k,
-                            BackStep::Mul(c) => bt_mul *= c,
-                        }
+        diam_par::run(opts.parallelism, jobs, |_, i| {
+            let t = &self.netlist.targets()[i];
+            let mut sp = diam_obs::span!("bound.target", index = i, target = t.name.as_str());
+            let tb: TargetBound = diameter_bound(&self.netlist, t.lit, opts);
+            let pb = PipelinedBound {
+                name: t.name.clone(),
+                transformed: tb.bound,
+                original: self.back_translate(i, tb.bound),
+                counts: tb.classification.counts(),
+            };
+            if diam_obs::enabled() {
+                // Back-translation totals = the per-target transform
+                // delta (Theorems 2–4 contributions for this target).
+                let (mut bt_add, mut bt_mul) = (0u64, 1u64);
+                for step in &self.steps[i] {
+                    match *step {
+                        BackStep::Add(k) => bt_add += k,
+                        BackStep::Mul(c) => bt_mul *= c,
                     }
-                    sp.record("bt_add", bt_add);
-                    sp.record("bt_mul", bt_mul);
-                    sp.record("transformed", pb.transformed.to_string());
-                    sp.record("original", pb.original.to_string());
                 }
-                pb
-            },
-        )
+                sp.record("bt_add", bt_add);
+                sp.record("bt_mul", bt_mul);
+                sp.record("transformed", pb.transformed.to_string());
+                sp.record("original", pb.original.to_string());
+            }
+            pb
+        })
     }
 
     /// The transformed literal of original target `index`.
@@ -789,6 +785,7 @@ mod tests {
         let result = PipelineResult {
             original_targets: 1,
             netlist: Netlist::new(),
+            fp: 0,
             steps: vec![vec![BackStep::Mul(3), BackStep::Add(2)]],
             chain: CertificateChain::new(),
             log: Vec::new(),
@@ -819,6 +816,56 @@ mod tests {
         assert_eq!(lifted.inputs.len(), 6, "depth 0 + skew 5 → 6 frames");
         assert!(lifted.replays_to(&n, n.targets()[0].lit));
         assert_eq!(result.prefix_obligation(0), Some(5));
+    }
+
+    /// Continuing [`Pipeline::com`]'s result with [`Pipeline::ret_com`]
+    /// equals [`Pipeline::com_ret_com`] run from scratch: the same netlist
+    /// fingerprint, bound steps and log, and the same lifts of random
+    /// witnesses of the final netlist.
+    fn assert_resume_matches_run(n: &Netlist, ctx: &str) {
+        use diam_netlist::sim::SplitMix64;
+        let whole = Pipeline::com_ret_com().run(n);
+        let resumed = Pipeline::ret_com().resume(Pipeline::com().run(n));
+        assert_eq!(
+            fingerprint(&resumed.netlist),
+            fingerprint(&whole.netlist),
+            "{ctx}"
+        );
+        assert_eq!(resumed.steps, whole.steps, "{ctx}");
+        assert_eq!(resumed.log.len(), whole.log.len(), "{ctx}");
+        assert_eq!(
+            format!("{:?}", resumed.log),
+            format!("{:?}", whole.log),
+            "{ctx}"
+        );
+        let mut rng = SplitMix64::new(0x11f7);
+        let m = &whole.netlist;
+        for i in 0..n.targets().len() {
+            for depth in [0, 3] {
+                let w = Witness {
+                    inputs: (0..=depth)
+                        .map(|_| (0..m.num_inputs()).map(|_| rng.bool()).collect())
+                        .collect(),
+                    nondet_init: (0..m.num_regs()).map(|_| rng.bool()).collect(),
+                };
+                assert_eq!(
+                    resumed.lift_witness(i, &w),
+                    whole.lift_witness(i, &w),
+                    "{ctx}: target {i}, depth {depth}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn resumed_com_equals_com_ret_com_on_suite_designs() {
+        let designs = diam_gen::iscas::suite(1)
+            .into_iter()
+            .take(2)
+            .chain(diam_gen::gp::suite(1).into_iter().take(2));
+        for (profile, n) in designs {
+            assert_resume_matches_run(&n, profile.name);
+        }
     }
 
     #[test]
@@ -855,6 +902,7 @@ mod tests {
             n.add_target(*pool.last().unwrap(), format!("t{round}"));
             check_sound(&n, &Pipeline::com());
             check_sound(&n, &Pipeline::com_ret_com());
+            assert_resume_matches_run(&n, &format!("round {round}"));
         }
     }
 }

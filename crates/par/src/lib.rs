@@ -11,9 +11,8 @@
 //!
 //! * **scoped workers** (`std::thread::scope`) — borrows of the netlist and
 //!   job closures need no `'static` bound and no `Arc` plumbing;
-//! * **one shared queue** — jobs are sorted largest-weight-first and every
-//!   worker pulls the next job from one `Mutex` around that order, a greedy
-//!   longest-job-first schedule;
+//! * **one shared queue** — every worker pulls the next job, in index
+//!   order, from one `Mutex` around the job list;
 //! * **deterministic merge** — every job returns a value tagged with its
 //!   original index; [`run`] reassembles results in original order, so the
 //!   output is **independent of thread count and interleaving**. With
@@ -89,9 +88,8 @@ fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 /// Runs `f(index, job)` for every job and returns the results **in original
 /// job order**.
 ///
-/// * `weight` prioritizes scheduling (largest first — for per-target jobs
-///   this is "largest cone first", so the long pole starts immediately); it
-///   never affects *results*, only makespan.
+/// * Workers start the jobs in index order, each taking the next one as it
+///   finishes the last.
 /// * With [`Parallelism::Sequential`] (or one worker, or ≤ 1 job) the jobs
 ///   run inline in index order — the exact same closure, so results are
 ///   bit-identical to any `Threads(n)` run as long as each job is
@@ -100,11 +98,10 @@ fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 ///   panic is recorded in the observability flight recorder (with a crash
 ///   dump via [`diam_obs::crash`] unless the process panic hook already
 ///   wrote one), and the first panic is re-raised after all workers join.
-pub fn run<T, R, W, F>(par: Parallelism, jobs: Vec<T>, weight: W, f: F) -> Vec<R>
+pub fn run<T, R, F>(par: Parallelism, jobs: Vec<T>, f: F) -> Vec<R>
 where
     T: Send,
     R: Send,
-    W: Fn(&T) -> u64,
     F: Fn(usize, T) -> R + Sync,
 {
     let total = jobs.len();
@@ -117,14 +114,7 @@ where
             .collect();
     }
 
-    // Largest-weight-first, index as the deterministic tie-break.
-    let mut order: Vec<(u64, usize, T)> = jobs
-        .into_iter()
-        .enumerate()
-        .map(|(i, job)| (weight(&job), i, job))
-        .collect();
-    order.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-    let queue = Mutex::new(order.into_iter().map(|(_, i, job)| (i, job)));
+    let queue = Mutex::new(jobs.into_iter().enumerate());
     let stopped = AtomicBool::new(false);
     diam_obs::gauge_set("par.workers", workers as i64);
     diam_obs::gauge_set("par.queue_depth", total as i64);
@@ -199,7 +189,7 @@ mod tests {
     use std::sync::atomic::AtomicUsize;
 
     fn square_all(par: Parallelism, n: usize) -> Vec<usize> {
-        run(par, (0..n).collect(), |&v| v as u64, |_, v| v * v)
+        run(par, (0..n).collect(), |_, v| v * v)
     }
 
     #[test]
@@ -224,36 +214,24 @@ mod tests {
     }
 
     #[test]
-    fn weights_only_affect_scheduling_not_results() {
-        let jobs: Vec<u64> = (0..64).collect();
-        let a = run(Parallelism::Threads(3), jobs.clone(), |_| 0, |i, v| (i, v));
-        let b = run(Parallelism::Threads(3), jobs, |&v| v, |i, v| (i, v));
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn skewed_weights_let_other_workers_drain_the_queue() {
-        // One huge job plus many small ones: the huge job pins a worker, so
-        // the others must drain the shared queue to finish.
+    fn a_long_job_lets_other_workers_drain_the_queue() {
+        // One huge job (job 0, started first) plus many small ones: the huge
+        // job pins a worker, so the others must drain the shared queue to
+        // finish.
         let done = AtomicUsize::new(0);
         let jobs: Vec<u64> = (0..100).collect();
-        let out = run(
-            Parallelism::Threads(4),
-            jobs,
-            |&v| if v == 0 { 1 << 40 } else { v },
-            |_, v| {
-                if v == 0 {
-                    // Busy-wait until everyone else has finished: succeeds
-                    // only if other workers keep draining the queue.
-                    while done.load(Ordering::Acquire) < 99 {
-                        std::thread::yield_now();
-                    }
-                } else {
-                    done.fetch_add(1, Ordering::AcqRel);
+        let out = run(Parallelism::Threads(4), jobs, |_, v| {
+            if v == 0 {
+                // Busy-wait until everyone else has finished: succeeds
+                // only if other workers keep draining the queue.
+                while done.load(Ordering::Acquire) < 99 {
+                    std::thread::yield_now();
                 }
-                v + 1
-            },
-        );
+            } else {
+                done.fetch_add(1, Ordering::AcqRel);
+            }
+            v + 1
+        });
         assert_eq!(out, (1..=100).collect::<Vec<u64>>());
     }
 
@@ -289,7 +267,6 @@ mod tests {
             run(
                 Parallelism::Threads(2),
                 (0..8).collect::<Vec<u64>>(),
-                |_| 0,
                 |_, v| {
                     if v == 5 {
                         panic!("job 5 exploded");
@@ -310,7 +287,6 @@ mod tests {
             run(
                 Parallelism::Threads(3),
                 (0..24).collect::<Vec<u64>>(),
-                |_| 0,
                 |_, v| {
                     if v == 0 {
                         panic!("forced failure in job 0");
@@ -362,7 +338,6 @@ mod tests {
             run(
                 Parallelism::Threads(2),
                 (0..8).collect::<Vec<u64>>(),
-                |_| 0,
                 |i, v| {
                     lock(&started).push(i);
                     match i {

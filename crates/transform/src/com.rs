@@ -12,14 +12,21 @@
 //! 1. **Candidates** come from bit-parallel sequential simulation from the
 //!    initial states: gates with equal (or complemented) value signatures
 //!    form equivalence-class candidates; the constant class is seeded by
-//!    gate 0.
+//!    gate 0. The signatures are never stored. The candidates (the gates in
+//!    the targets' cone, plus gate 0) form one partition, and each
+//!    simulation word splits every class by the word's value, complemented
+//!    for gates whose first simulated bit was 1. Per gate only that phase
+//!    and a running count of 1-bits are kept, so memory is O(gates), not
+//!    O(gates × words). A gate left alone in its class leaves the partition.
 //! 2. **Proof** is by 1-step induction, checked with two SAT queries over
 //!    the candidate classes as a whole: a *base* query (some pair differs in
 //!    an initial state?) and a *step* query (assuming all pairs equal in an
 //!    arbitrary state, can some pair differ one step later?).
-//! 3. A satisfiable query yields a concrete state/input valuation that is
-//!    fed back to split classes (counterexample-guided refinement); an
-//!    unsatisfiable pair of queries certifies every surviving candidate.
+//! 3. A satisfiable query yields a concrete state/input valuation. Its
+//!    frames, plus a few random-input frames after them, are simulated and
+//!    refine the same partition (counterexample-guided refinement); the
+//!    next round checks the classes that survive. An unsatisfiable pair of
+//!    queries certifies every surviving candidate.
 //! 4. Proven classes are merged with [`diam_netlist::rebuild`], which also
 //!    re-applies structural hashing and constant folding to the fanout.
 //!
@@ -109,76 +116,6 @@ impl Classes {
         }
     }
 
-    /// (Re)builds classes from value signatures: gates with equal signatures
-    /// share a class; complemented signatures join with inverted phase. The
-    /// representative is the lowest-indexed member. Gates whose signature is
-    /// constant 0/1 across the sample join the constant class of gate 0.
-    ///
-    /// Candidate pairs between two internal (non-register) gates are only
-    /// formed when both signals are reasonably *unbiased*: heavily skewed
-    /// signals (wide OR/AND towers that are almost always 1/0) collide in
-    /// any finite simulation sample and would each cost the induction loop a
-    /// refutation round — a classic sweeping pathology. Register pairs and
-    /// constant-class pairs are always kept; they are the merges that matter
-    /// for diameter bounding, and spurious ones die in the cheap base check.
-    fn from_signatures(n: &Netlist, sigs: &[Vec<u64>], restrict: Option<&Marks>) -> Classes {
-        use std::collections::HashMap;
-        let mut first: HashMap<&[u64], (Gate, bool)> = HashMap::new();
-        let mut cand: Vec<Lit> = n.gates().map(Gate::lit).collect();
-        // Bias per gate: fraction of sampled bits that are 1.
-        let unbiased: Vec<bool> = sigs
-            .iter()
-            .map(|sig| {
-                if sig.is_empty() {
-                    return false;
-                }
-                let ones: u64 = sig.iter().map(|w| u64::from(w.count_ones())).sum();
-                let total = sig.len() as u64 * 64;
-                ones * 16 >= total && ones * 16 <= 15 * total
-            })
-            .collect();
-        // Canonical signature: complement so the first bit is 0; remember
-        // the phase flip.
-        let mut canon: Vec<(Vec<u64>, bool)> = Vec::with_capacity(sigs.len());
-        for sig in sigs {
-            let flip = sig.first().is_some_and(|w| w & 1 != 0);
-            let c = if flip {
-                sig.iter().map(|w| !w).collect()
-            } else {
-                sig.clone()
-            };
-            canon.push((c, flip));
-        }
-        for g in n.gates() {
-            // Gate 0 always seeds the constant class, even when the cone
-            // restriction would exclude it.
-            if g != Gate::CONST0 {
-                if let Some(r) = restrict {
-                    if !r.get(g.index()) {
-                        continue;
-                    }
-                }
-            }
-            let (sig, flip) = &canon[g.index()];
-            match first.entry(sig.as_slice()) {
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert((g, *flip));
-                }
-                std::collections::hash_map::Entry::Occupied(e) => {
-                    let (rep, rep_flip) = *e.get();
-                    let keep = rep == Gate::CONST0
-                        || (n.is_reg(g) && n.is_reg(rep))
-                        || (unbiased[g.index()] && unbiased[rep.index()]);
-                    if keep {
-                        // g == rep iff their phases agree.
-                        cand[g.index()] = Lit::new(rep, flip ^ rep_flip);
-                    }
-                }
-            }
-        }
-        Classes { cand }
-    }
-
     /// Pairs `(member, representative_lit)` with `member != rep`.
     fn pairs(&self) -> Vec<(Gate, Lit)> {
         self.cand
@@ -196,6 +133,121 @@ impl Classes {
             .iter()
             .enumerate()
             .all(|(i, &rep)| rep.gate() == Gate::from_index(i))
+    }
+}
+
+/// The candidate classes as one partition of the candidate gates (the
+/// in-cone gates plus gate 0), refined one simulation word at a time.
+///
+/// A gate's *canonical* signature is the sequence of its simulation words,
+/// each complemented when the gate's *phase*, bit 0 of its first word, is
+/// set. Two candidates share a class exactly when their canonical signatures
+/// are equal: every new word splits every class by canonical word value.
+/// So the signatures themselves are never stored, only each gate's phase
+/// and its running count of 1-bits. A gate left alone in its class can
+/// never pair again and leaves the partition for good.
+struct Partition {
+    /// Gates that still share their class, one contiguous run per class,
+    /// ascending gate order within a run.
+    members: Vec<Gate>,
+    /// Where each run starts in `members`, then `members.len()`.
+    starts: Vec<usize>,
+    /// Per gate: `!0` when bit 0 of its first word was 1, else 0.
+    phase: Vec<u64>,
+    /// Per gate: 1-bits over every word seen (kept up to date while the
+    /// gate is a member).
+    ones: Vec<u64>,
+    /// Words seen, the same count for every gate.
+    words: u64,
+}
+
+impl Partition {
+    /// One class of every candidate: no word has told them apart yet.
+    fn new(n: &Netlist, in_cone: &Marks) -> Partition {
+        // Gate 0 always seeds the constant class, even when the cone
+        // restriction would exclude it.
+        let members: Vec<Gate> = n
+            .gates()
+            .filter(|&g| g == Gate::CONST0 || in_cone.get(g.index()))
+            .collect();
+        Partition {
+            starts: vec![0, members.len()],
+            members,
+            phase: vec![0; n.num_gates()],
+            ones: vec![0; n.num_gates()],
+            words: 0,
+        }
+    }
+
+    /// Splits every class by the canonical value of the next word,
+    /// `word(g)` for gate `g`.
+    fn refine(&mut self, word: impl Fn(Gate) -> u64) {
+        if self.words == 0 {
+            for &g in &self.members {
+                self.phase[g.index()] = (word(g) & 1).wrapping_neg();
+            }
+        }
+        self.words += 1;
+        let mut members = Vec::with_capacity(self.members.len());
+        let mut starts = vec![0];
+        let mut split: Vec<(u64, Gate)> = Vec::new();
+        for class in self.starts.windows(2) {
+            split.clear();
+            for &g in &self.members[class[0]..class[1]] {
+                let w = word(g);
+                self.ones[g.index()] += u64::from(w.count_ones());
+                split.push((w ^ self.phase[g.index()], g));
+            }
+            // Ties keep ascending gate order, so every run's first member
+            // stays its lowest-indexed one.
+            if split.iter().any(|&(w, _)| w != split[0].0) {
+                split.sort_unstable();
+            }
+            for run in split.chunk_by(|a, b| a.0 == b.0) {
+                if run.len() >= 2 {
+                    members.extend(run.iter().map(|&(_, g)| g));
+                    starts.push(members.len());
+                }
+            }
+        }
+        self.members = members;
+        self.starts = starts;
+    }
+
+    /// The candidate pairs of the current partition. The representative is
+    /// the lowest-indexed member; complemented signatures pair with inverted
+    /// phase, and the class of gate 0 is the constant class.
+    ///
+    /// Candidate pairs between two internal (non-register) gates are only
+    /// formed when both signals are reasonably *unbiased* (a 1-bit fraction
+    /// in [1/16, 15/16] over every word seen): heavily skewed signals (wide
+    /// OR/AND towers that are almost always 1/0) collide in any finite
+    /// simulation sample and would each cost the induction loop a refutation
+    /// round — a classic sweeping pathology. Register pairs and
+    /// constant-class pairs are always kept; they are the merges that matter
+    /// for diameter bounding, and spurious ones die in the cheap base check.
+    fn classes(&self, n: &Netlist) -> Classes {
+        let total = self.words * 64;
+        let unbiased = |g: Gate| {
+            let ones = self.ones[g.index()];
+            total > 0 && ones * 16 >= total && ones * 16 <= 15 * total
+        };
+        let mut cand: Vec<Lit> = n.gates().map(Gate::lit).collect();
+        for class in self.starts.windows(2) {
+            let run = &self.members[class[0]..class[1]];
+            let rep = run[0];
+            for &g in &run[1..] {
+                let keep = rep == Gate::CONST0
+                    || (n.is_reg(g) && n.is_reg(rep))
+                    || (unbiased(g) && unbiased(rep));
+                if keep {
+                    // g == rep iff their phases agree.
+                    cand[g.index()] =
+                        Lit::new(rep, self.phase[g.index()] != self.phase[rep.index()]);
+                }
+            }
+        }
+        Classes { cand }
     }
 }
 
@@ -230,17 +282,15 @@ pub fn sweep(n: &Netlist, opts: &SweepOptions) -> SweepResult {
 
     // --- 1. Candidate classes from sequential simulation -----------------
     let coi = diam_netlist::analysis::coi(n, n.targets().iter().map(|t| t.lit));
-    let mut sigs: Vec<Vec<u64>> = vec![Vec::new(); n.num_gates()];
+    let mut partition = Partition::new(n, &coi.in_cone);
     for _ in 0..opts.sim_rounds.max(1) {
         let stim = Stimulus::random(n, opts.sim_steps.max(2), &mut rng);
         let trace = simulate(n, &stim);
-        for g in n.gates() {
-            for t in 0..trace.len() {
-                sigs[g.index()].push(trace.word(g.lit(), t));
-            }
+        for t in 0..trace.len() {
+            partition.refine(|g| trace.word(g.lit(), t));
         }
     }
-    let mut classes = Classes::from_signatures(n, &sigs, Some(&coi.in_cone));
+    let mut classes = partition.classes(n);
 
     // --- 2/3. Counterexample-guided induction -----------------------------
     let mut refinements = 0;
@@ -279,7 +329,7 @@ pub fn sweep(n: &Netlist, opts: &SweepOptions) -> SweepResult {
                     input_frames,
                 } in cexs
                 {
-                    // Extend signatures with the distinguishing valuation
+                    // Refine with the distinguishing valuation
                     // (the model's frames), then *amplify* by simulating a
                     // few more steps under random inputs — one
                     // counterexample then splits every spuriously-aligned
@@ -292,9 +342,7 @@ pub fn sweep(n: &Netlist, opts: &SweepOptions) -> SweepResult {
                     let mut frame = Vec::new();
                     for inputs in &input_frames {
                         frame = eval_frame(n, &regs, inputs);
-                        for g in n.gates() {
-                            sigs[g.index()].push(frame[g.index()]);
-                        }
+                        partition.refine(|g| frame[g.index()]);
                         regs = next_state(n, &frame);
                     }
                     for _ in 0..6 {
@@ -302,12 +350,10 @@ pub fn sweep(n: &Netlist, opts: &SweepOptions) -> SweepResult {
                         let inputs: Vec<u64> =
                             (0..n.num_inputs()).map(|_| rng.next_u64()).collect();
                         frame = eval_frame(n, &regs_next, &inputs);
-                        for g in n.gates() {
-                            sigs[g.index()].push(frame[g.index()]);
-                        }
+                        partition.refine(|g| frame[g.index()]);
                     }
                 }
-                classes = Classes::from_signatures(n, &sigs, Some(&coi.in_cone));
+                classes = partition.classes(n);
             }
             CheckOutcome::Budget => {
                 // Conservative: abandon sweeping rather than risk an
@@ -535,6 +581,159 @@ fn extract_frame0(n: &Netlist, u: &mut Unroller<'_>, solver: &Solver) -> (Vec<u6
 mod tests {
     use super::*;
     use diam_netlist::Init;
+    use proptest::prelude::*;
+
+    /// The class builder [`Partition`] replaced, kept as its reference: it
+    /// stores every gate's whole signature and re-hashes all of them on
+    /// every call.
+    ///
+    /// (Re)builds classes from value signatures: gates with equal signatures
+    /// share a class; complemented signatures join with inverted phase. The
+    /// representative is the lowest-indexed member. Gates whose signature is
+    /// constant 0/1 across the sample join the constant class of gate 0.
+    /// Pairs of internal gates need both to be unbiased; register pairs and
+    /// constant-class pairs are always kept.
+    fn from_signatures(n: &Netlist, sigs: &[Vec<u64>], restrict: Option<&Marks>) -> Classes {
+        use std::collections::HashMap;
+        let mut first: HashMap<&[u64], (Gate, bool)> = HashMap::new();
+        let mut cand: Vec<Lit> = n.gates().map(Gate::lit).collect();
+        // Bias per gate: fraction of sampled bits that are 1.
+        let unbiased: Vec<bool> = sigs
+            .iter()
+            .map(|sig| {
+                if sig.is_empty() {
+                    return false;
+                }
+                let ones: u64 = sig.iter().map(|w| u64::from(w.count_ones())).sum();
+                let total = sig.len() as u64 * 64;
+                ones * 16 >= total && ones * 16 <= 15 * total
+            })
+            .collect();
+        // Canonical signature: complement so the first bit is 0; remember
+        // the phase flip.
+        let mut canon: Vec<(Vec<u64>, bool)> = Vec::with_capacity(sigs.len());
+        for sig in sigs {
+            let flip = sig.first().is_some_and(|w| w & 1 != 0);
+            let c = if flip {
+                sig.iter().map(|w| !w).collect()
+            } else {
+                sig.clone()
+            };
+            canon.push((c, flip));
+        }
+        for g in n.gates() {
+            // Gate 0 always seeds the constant class, even when the cone
+            // restriction would exclude it.
+            if g != Gate::CONST0 {
+                if let Some(r) = restrict {
+                    if !r.get(g.index()) {
+                        continue;
+                    }
+                }
+            }
+            let (sig, flip) = &canon[g.index()];
+            match first.entry(sig.as_slice()) {
+                std::collections::hash_map::Entry::Vacant(e) => {
+                    e.insert((g, *flip));
+                }
+                std::collections::hash_map::Entry::Occupied(e) => {
+                    let (rep, rep_flip) = *e.get();
+                    let keep = rep == Gate::CONST0
+                        || (n.is_reg(g) && n.is_reg(rep))
+                        || (unbiased[g.index()] && unbiased[rep.index()]);
+                    if keep {
+                        // g == rep iff their phases agree.
+                        cand[g.index()] = Lit::new(rep, flip ^ rep_flip);
+                    }
+                }
+            }
+        }
+        Classes { cand }
+    }
+
+    /// A netlist of `inputs` inputs, `regs` registers and up to `ands`
+    /// random AND gates; only its gate kinds matter to the classes.
+    fn kinds_netlist(rng: &mut SplitMix64, inputs: usize, regs: usize, ands: usize) -> Netlist {
+        let mut n = Netlist::new();
+        let mut pool: Vec<Lit> = (0..inputs)
+            .map(|k| n.input(format!("i{k}")).lit())
+            .collect();
+        let regs: Vec<Gate> = (0..regs)
+            .map(|k| n.reg(format!("r{k}"), Init::Zero))
+            .collect();
+        pool.extend(regs.iter().map(|r| r.lit()));
+        pool.push(Lit::TRUE);
+        for _ in 0..ands {
+            let a = pool[rng.below(pool.len() as u64) as usize];
+            let b = pool[rng.below(pool.len() as u64) as usize];
+            let l = n.and(a, b);
+            pool.push(l.xor_complement(rng.bool()));
+        }
+        for &r in &regs {
+            let next = pool[rng.below(pool.len() as u64) as usize];
+            n.set_next(r, next);
+        }
+        n
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// After every batch of words, the refined partition yields exactly
+        /// the candidate classes of the signature reference fed the same
+        /// words, under random cone restrictions. Words come from a small
+        /// pool (`0`, `!0`, `a`, `!a`, `b` and heavily biased words), and
+        /// half the gates follow an earlier gate (or its complement) on
+        /// most words, so classes collide, survive batches and split late.
+        #[test]
+        fn partition_matches_the_signature_reference(
+            seed in any::<u64>(),
+            inputs in 0usize..4,
+            regs in 0usize..6,
+            ands in 0usize..24,
+            batches in 1usize..7,
+        ) {
+            let mut rng = SplitMix64::new(seed);
+            let n = kinds_netlist(&mut rng, inputs, regs, ands);
+            let mut cone = Marks::new(n.num_gates());
+            for g in n.gates() {
+                if rng.below(4) != 0 {
+                    cone.set(g.index());
+                }
+            }
+            let leader: Vec<Option<(usize, u64)>> = n
+                .gates()
+                .map(|g| {
+                    (g.index() > 1 && rng.bool()).then(|| {
+                        let flip = if rng.bool() { !0 } else { 0 };
+                        (1 + rng.below(g.index() as u64 - 1) as usize, flip)
+                    })
+                })
+                .collect();
+            let mut sigs: Vec<Vec<u64>> = vec![Vec::new(); n.num_gates()];
+            let mut partition = Partition::new(&n, &cone);
+            for batch in 0..batches {
+                for _ in 0..1 + rng.below(3) {
+                    let (a, b) = (rng.next_u64(), rng.next_u64());
+                    let sparse = rng.next_u64() & rng.next_u64() & rng.next_u64() & rng.next_u64();
+                    let pool = [0, !0, a, !a, b, sparse, !sparse, 1 << rng.below(64)];
+                    let mut word = vec![0u64; n.num_gates()];
+                    for i in 1..word.len() {
+                        word[i] = match leader[i] {
+                            Some((l, flip)) if rng.below(8) != 0 => word[l] ^ flip,
+                            _ => pool[rng.below(pool.len() as u64) as usize],
+                        };
+                    }
+                    for (sig, &w) in sigs.iter_mut().zip(&word) {
+                        sig.push(w);
+                    }
+                    partition.refine(|g| word[g.index()]);
+                }
+                let want = from_signatures(&n, &sigs, Some(&cone));
+                prop_assert_eq!(&partition.classes(&n).cand, &want.cand, "batch {}", batch);
+            }
+        }
+    }
 
     fn cosim_equal(a: &Netlist, b: &Netlist, res: &SweepResult, probes: &[Lit], steps: usize) {
         let mut rng = SplitMix64::new(77);

@@ -11,8 +11,34 @@
 //! is the dual of a minimum-cost transshipment: find a flow `f ≥ 0` with
 //! node imbalance `inflow(v) − outflow(v) = c_v` minimizing `Σ f(e)·w(e)`.
 //! The optimal lags are recovered from the node potentials of the optimal
-//! flow. This module implements the primal side (successive shortest paths
-//! with Dijkstra over reduced costs) and exposes valid potentials.
+//! flow. This module implements the primal side and exposes valid
+//! potentials.
+//!
+//! # The solver
+//!
+//! [`MinCostFlow::solve`] is a primal–dual method, one phase per shortest
+//! path length. Each phase runs Dijkstra over reduced costs from a super
+//! source and raises the node potentials by the distances (nodes beyond the
+//! super sink's distance are clamped to it). Every shortest path then
+//! consists of *tight* arcs: arcs with capacity left and reduced cost
+//! zero. The phase routes a maximum flow over the tight arcs, Dinic-style:
+//! BFS levels, then augmenting paths along arcs one level up, searched
+//! iteratively so that a path as long as a deep pipeline cannot overflow
+//! the stack. Reverse arcs of tight arcs are tight too, so reduced costs
+//! stay non-negative. Phases repeat until every supply is routed. A
+//! textbook successive-shortest-path loop instead runs one Dijkstra per
+//! augmenting path, which on retiming graphs means one per unit of flow.
+//!
+//! # Why any optimal flow gives the same lags
+//!
+//! [`crate::retime`] reads only [`MinCostFlow::valid_potentials`]: the
+//! greatest non-positive potentials that are feasible on the final residual
+//! graph, meaning no residual arc has negative reduced cost. By
+//! complementary slackness, potentials are feasible on the residual graph
+//! of an optimal flow exactly when they are optimal for the dual LP, and
+//! that set does not depend on which optimal flow was found. So its
+//! greatest non-positive element, and with it every lag, is the same
+//! whichever augmenting paths the solver took.
 
 /// A directed edge handle returned by [`MinCostFlow::add_edge`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -113,19 +139,40 @@ impl MinCostFlow {
     ///
     /// Panics if `supplies.len()` differs from the node count.
     pub fn solve(&mut self, supplies: &[i64]) -> Result<i64, InfeasibleFlowError> {
+        let (s, t, need) = self.attach_super(supplies)?;
+        let mut total_cost = 0i64;
+        let mut routed = 0i64;
+        while routed < need {
+            if self.tighten(s, t).is_none() {
+                self.detach_super(s);
+                return Err(InfeasibleFlowError);
+            }
+            let (flow, cost) = self.route_tight(s, t);
+            routed += flow;
+            total_cost += cost;
+        }
+        self.detach_super(s);
+        Ok(total_cost)
+    }
+
+    /// Checks that the supplies balance, then attaches a super source `s`
+    /// feeding every supply and a super sink `t` draining every demand.
+    /// Returns `(s, t, total supply)`.
+    fn attach_super(
+        &mut self,
+        supplies: &[i64],
+    ) -> Result<(usize, usize, i64), InfeasibleFlowError> {
         assert_eq!(supplies.len(), self.num_nodes, "supply vector width");
         if supplies.iter().sum::<i64>() != 0 {
             return Err(InfeasibleFlowError);
         }
-        // Attach a super source/sink.
         let s = self.num_nodes;
         let t = self.num_nodes + 1;
         self.adj.push(Vec::new());
         self.adj.push(Vec::new());
         self.potentials = vec![0; self.num_nodes + 2];
-        let mut need = 0i64;
-        let old_nodes = self.num_nodes;
         self.num_nodes += 2;
+        let mut need = 0i64;
         for (v, &b) in supplies.iter().enumerate() {
             if b > 0 {
                 self.add_edge(s, v, b, 0);
@@ -134,46 +181,7 @@ impl MinCostFlow {
                 self.add_edge(v, t, -b, 0);
             }
         }
-
-        let mut total_cost = 0i64;
-        let mut routed = 0i64;
-        while routed < need {
-            // Dijkstra over reduced costs from s.
-            let dist = self.dijkstra(s);
-            if dist[t].0 == i64::MAX {
-                // Restore node count before failing.
-                self.detach_super(old_nodes);
-                return Err(InfeasibleFlowError);
-            }
-            // Update potentials; nodes the search did not reach are clamped
-            // to the sink distance, which preserves the non-negative
-            // reduced-cost invariant (they can only be reached later through
-            // arcs created along this augmenting path).
-            let dt = dist[t].0;
-            for (pot, d) in self.potentials.iter_mut().zip(&dist) {
-                *pot += d.0.min(dt);
-            }
-            // Find bottleneck along the shortest path.
-            let mut bottleneck = i64::MAX;
-            let mut v = t;
-            while v != s {
-                let a = dist[v].1;
-                bottleneck = bottleneck.min(self.arcs[a].cap);
-                v = self.arcs[a ^ 1].to;
-            }
-            // Apply.
-            let mut v = t;
-            while v != s {
-                let a = dist[v].1;
-                self.arcs[a].cap -= bottleneck;
-                self.arcs[a ^ 1].cap += bottleneck;
-                total_cost += bottleneck * self.arcs[a].cost;
-                v = self.arcs[a ^ 1].to;
-            }
-            routed += bottleneck;
-        }
-        self.detach_super(old_nodes);
-        Ok(total_cost)
+        Ok((s, t, need))
     }
 
     fn detach_super(&mut self, old_nodes: usize) {
@@ -181,6 +189,109 @@ impl MinCostFlow {
         // restore the public node count and drop super potentials.
         self.num_nodes = old_nodes;
         self.potentials.truncate(old_nodes);
+    }
+
+    /// Runs Dijkstra over reduced costs from `s` and raises the potentials
+    /// by the distances, so every shortest `s`–`t` path becomes a path of
+    /// tight arcs. Returns the distances, or `None` when `t` is unreachable.
+    fn tighten(&mut self, s: usize, t: usize) -> Option<Vec<(i64, usize)>> {
+        let dist = self.dijkstra(s);
+        let dt = dist[t].0;
+        if dt == i64::MAX {
+            return None;
+        }
+        // Nodes farther than the sink, or not reached at all, are clamped to
+        // the sink distance, which preserves the non-negative reduced-cost
+        // invariant (they can only be reached later through arcs created
+        // along tight paths).
+        for (pot, d) in self.potentials.iter_mut().zip(&dist) {
+            *pot += d.0.min(dt);
+        }
+        Some(dist)
+    }
+
+    /// Whether arc `a` out of `u` is *tight*: it has capacity left and
+    /// reduced cost zero.
+    fn tight(&self, u: usize, a: usize) -> bool {
+        let arc = &self.arcs[a];
+        arc.cap > 0 && arc.cost + self.potentials[u] - self.potentials[arc.to] == 0
+    }
+
+    /// Routes a maximum `s`–`t` flow over the tight arcs, Dinic-style:
+    /// BFS levels over the tight arcs, then augmenting paths along arcs that
+    /// go one level up, until the tight arcs no longer reach `t`. The
+    /// augmenting search is iterative, so a path as long as the network
+    /// cannot overflow the stack. Returns `(flow, cost)`.
+    fn route_tight(&mut self, s: usize, t: usize) -> (i64, i64) {
+        let (mut flow, mut cost) = (0i64, 0i64);
+        let mut level = vec![usize::MAX; self.num_nodes];
+        let mut next_arc = vec![0usize; self.num_nodes];
+        let mut queue = Vec::new();
+        // Arcs from `s` to the current node `v`.
+        let mut path: Vec<usize> = Vec::new();
+        loop {
+            level.fill(usize::MAX);
+            level[s] = 0;
+            queue.clear();
+            queue.push(s);
+            let mut head = 0;
+            while head < queue.len() && level[t] == usize::MAX {
+                let v = queue[head];
+                head += 1;
+                for &a in &self.adj[v] {
+                    let to = self.arcs[a].to;
+                    if level[to] == usize::MAX && self.tight(v, a) {
+                        level[to] = level[v] + 1;
+                        queue.push(to);
+                    }
+                }
+            }
+            if level[t] == usize::MAX {
+                return (flow, cost);
+            }
+            next_arc.fill(0);
+            let mut v = s;
+            loop {
+                if v == t {
+                    let push = path
+                        .iter()
+                        .map(|&a| self.arcs[a].cap)
+                        .min()
+                        .expect("an s-t path has arcs");
+                    for &a in &path {
+                        self.arcs[a].cap -= push;
+                        self.arcs[a ^ 1].cap += push;
+                        cost += push * self.arcs[a].cost;
+                    }
+                    flow += push;
+                    // Resume from the tail of the first saturated arc.
+                    let k = path
+                        .iter()
+                        .position(|&a| self.arcs[a].cap == 0)
+                        .expect("the bottleneck arc is saturated");
+                    v = self.arcs[path[k] ^ 1].to;
+                    path.truncate(k);
+                    continue;
+                }
+                let mut advanced = false;
+                while let Some(&a) = self.adj[v].get(next_arc[v]) {
+                    let to = self.arcs[a].to;
+                    if level[to] == level[v] + 1 && self.tight(v, a) {
+                        path.push(a);
+                        v = to;
+                        advanced = true;
+                        break;
+                    }
+                    next_arc[v] += 1;
+                }
+                if !advanced {
+                    // Dead end: retreat and skip the arc that led here.
+                    let Some(a) = path.pop() else { break };
+                    v = self.arcs[a ^ 1].to;
+                    next_arc[v] += 1;
+                }
+            }
+        }
     }
 
     /// Shortest distances by reduced cost; returns `(dist, incoming_arc)`.
@@ -252,6 +363,147 @@ impl MinCostFlow {
 #[allow(clippy::needless_range_loop)] // index loops mirror time-steps here
 mod tests {
     use super::*;
+
+    impl MinCostFlow {
+        /// The loop [`MinCostFlow::solve`] replaced, kept as its reference:
+        /// successive shortest paths, one Dijkstra per augmenting path.
+        fn solve_one_path_per_dijkstra(
+            &mut self,
+            supplies: &[i64],
+        ) -> Result<i64, InfeasibleFlowError> {
+            let (s, t, need) = self.attach_super(supplies)?;
+            let mut total_cost = 0i64;
+            let mut routed = 0i64;
+            while routed < need {
+                let Some(dist) = self.tighten(s, t) else {
+                    self.detach_super(s);
+                    return Err(InfeasibleFlowError);
+                };
+                // Find bottleneck along the shortest path.
+                let mut bottleneck = i64::MAX;
+                let mut v = t;
+                while v != s {
+                    let a = dist[v].1;
+                    bottleneck = bottleneck.min(self.arcs[a].cap);
+                    v = self.arcs[a ^ 1].to;
+                }
+                // Apply.
+                let mut v = t;
+                while v != s {
+                    let a = dist[v].1;
+                    self.arcs[a].cap -= bottleneck;
+                    self.arcs[a ^ 1].cap += bottleneck;
+                    total_cost += bottleneck * self.arcs[a].cost;
+                    v = self.arcs[a ^ 1].to;
+                }
+                routed += bottleneck;
+            }
+            self.detach_super(s);
+            Ok(total_cost)
+        }
+    }
+
+    /// Solves `edges` (`(u, v, cap, cost)`) under `supplies` with both
+    /// solvers and asserts the same outcome: the same error, or the same
+    /// total cost and the same [`MinCostFlow::valid_potentials`].
+    fn assert_matches_reference(
+        nodes: usize,
+        edges: &[(usize, usize, i64, i64)],
+        supplies: &[i64],
+    ) {
+        let mut net = MinCostFlow::new(nodes);
+        for &(u, v, cap, cost) in edges {
+            net.add_edge(u, v, cap, cost);
+        }
+        let mut reference = net.clone();
+        let got = net.solve(supplies);
+        let want = reference.solve_one_path_per_dijkstra(supplies);
+        assert_eq!(got, want, "{edges:?} {supplies:?}");
+        if got.is_ok() {
+            assert_eq!(
+                net.valid_potentials(),
+                reference.valid_potentials(),
+                "{edges:?} {supplies:?}"
+            );
+        }
+    }
+
+    fn xorshift(mut state: u64) -> impl FnMut(u64) -> u64 {
+        move |bound| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % bound
+        }
+    }
+
+    /// Retiming-shaped networks: weight-0 edges of a random DAG plus back
+    /// edges of weight ≥ 1, ample capacity and supplies outdeg − indeg, as
+    /// `retime` builds them. Any optimal flow gives the same potentials.
+    #[test]
+    fn retiming_graphs_match_the_one_path_reference() {
+        let mut below = xorshift(0x5eed_f10e);
+        for _ in 0..300 {
+            let nodes = 2 + below(24) as usize;
+            let mut edges = Vec::new();
+            for _ in 0..below(3 * nodes as u64) {
+                let u = below(nodes as u64 - 1) as usize;
+                let v = u + 1 + below((nodes - u - 1) as u64) as usize;
+                edges.push((u, v, 0));
+            }
+            for _ in 0..1 + below(nodes as u64) {
+                let u = below(nodes as u64) as usize;
+                let v = below(u as u64 + 1) as usize;
+                edges.push((u, v, 1 + below(3) as i64));
+            }
+            let mut supplies = vec![0i64; nodes];
+            for &(u, v, _) in &edges {
+                supplies[u] += 1;
+                supplies[v] -= 1;
+            }
+            let cap = (edges.len() as i64 + 2) * 4;
+            let edges: Vec<_> = edges.iter().map(|&(u, v, w)| (u, v, cap, w)).collect();
+            assert_matches_reference(nodes, &edges, &supplies);
+        }
+    }
+
+    /// Small capacities that bind, random costs and random balanced
+    /// supplies, feasible or not.
+    #[test]
+    fn binding_capacities_match_the_one_path_reference() {
+        let mut below = xorshift(0xca9_ac17);
+        for _ in 0..300 {
+            let nodes = 2 + below(12) as usize;
+            let edges: Vec<_> = (0..below(4 * nodes as u64))
+                .map(|_| {
+                    let (u, v) = (below(nodes as u64) as usize, below(nodes as u64) as usize);
+                    (u, v, 1 + below(3) as i64, below(5) as i64)
+                })
+                .collect();
+            let mut supplies = vec![0i64; nodes];
+            for _ in 0..below(8) {
+                let (u, v) = (below(nodes as u64) as usize, below(nodes as u64) as usize);
+                supplies[u] += 1;
+                supplies[v] -= 1;
+            }
+            assert_matches_reference(nodes, &edges, &supplies);
+        }
+    }
+
+    /// A 200,000-node chain is one augmenting path as long as the network:
+    /// the search that routes it must not recurse.
+    #[test]
+    fn long_chain_routes_without_deep_recursion() {
+        let nodes = 200_000;
+        let mut net = MinCostFlow::new(nodes);
+        for v in 0..nodes - 1 {
+            net.add_edge(v, v + 1, 3, 1);
+        }
+        let mut supplies = vec![0i64; nodes];
+        supplies[0] = 2;
+        supplies[nodes - 1] = -2;
+        assert_eq!(net.solve(&supplies), Ok(2 * (nodes as i64 - 1)));
+    }
 
     #[test]
     fn simple_path_cost() {

@@ -183,28 +183,30 @@ pub fn retime(n: &Netlist) -> Result<RetimedNetlist, RetimeError> {
             comps.push(comp);
         }
     }
+    // Each component's edges, in one pass, with node indices local to it.
+    let mut local_of = vec![0usize; num];
+    for comp in &comps {
+        for (i, &v) in comp.iter().enumerate() {
+            local_of[v] = i;
+        }
+    }
+    let mut comp_edges: Vec<Vec<(usize, usize, i64)>> = vec![Vec::new(); comps.len()];
+    for &(u, v, w) in &edges {
+        comp_edges[comp_of[u]].push((local_of[u], local_of[v], w));
+    }
     let mut lag = vec![0i64; num];
-    for (id, comp) in comps.iter().enumerate() {
+    for (comp, local_edges) in comps.iter().zip(&comp_edges) {
         if comp.len() <= 1 {
             continue;
         }
-        let mut local_of = std::collections::HashMap::new();
-        for (i, &v) in comp.iter().enumerate() {
-            local_of.insert(v, i);
-        }
-        let local_edges: Vec<(usize, usize, i64)> = edges
-            .iter()
-            .filter(|&&(u, _, _)| comp_of[u] == id)
-            .map(|&(u, v, w)| (local_of[&u], local_of[&v], w))
-            .collect();
         let mut supplies = vec![0i64; comp.len()];
-        for &(u, v, _) in &local_edges {
+        for &(u, v, _) in local_edges {
             supplies[v] -= 1;
             supplies[u] += 1;
         }
         let mut net = MinCostFlow::new(comp.len());
         let cap = (local_edges.len() as i64 + n.num_regs() as i64 + 2) * 4;
-        for &(u, v, w) in &local_edges {
+        for &(u, v, w) in local_edges {
             net.add_edge(u, v, cap, w);
         }
         net.solve(&supplies).map_err(|_| RetimeError::Infeasible)?;

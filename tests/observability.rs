@@ -28,18 +28,13 @@ fn span_nesting_and_drain_order_under_threads() {
     {
         let outer = obs::span!("test.outer", jobs = 8u64);
         outer_id = outer.id();
-        par::run(
-            Parallelism::Threads(3),
-            (0..8u64).collect(),
-            |_| 1,
-            |i, job| {
-                let mut sp = obs::span!("test.job", index = i, job = job);
-                let inner = obs::span!("test.leaf");
-                drop(inner);
-                sp.record("done", true);
-                job
-            },
-        );
+        par::run(Parallelism::Threads(3), (0..8u64).collect(), |i, job| {
+            let mut sp = obs::span!("test.job", index = i, job = job);
+            let inner = obs::span!("test.leaf");
+            drop(inner);
+            sp.record("done", true);
+            job
+        });
     }
     let report = session.finish();
 

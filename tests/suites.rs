@@ -1,11 +1,13 @@
-//! Slow full-suite checks (run with `cargo test --release -- --ignored`):
-//! regenerate both of the paper's tables and assert the reproduced Σ rows.
+//! Full-suite checks: regenerate both of the paper's tables and assert the
+//! reproduced Σ rows. Each full table takes well under a second in release
+//! builds, so they run there (`cargo test --release --test suites`); debug
+//! builds skip them.
 
 use diam_bench::run_suite;
 use diam_gen::{gp, iscas};
 
 #[test]
-#[ignore = "regenerates the full Table 1 (about a minute in release)"]
+#[cfg_attr(debug_assertions, ignore = "slow unoptimized; run with --release")]
 fn table1_sigma_matches_expectations() {
     let sigma = run_suite(&iscas::suite(1), false);
     // Original and COM columns match the paper exactly; the RET column is
@@ -17,7 +19,7 @@ fn table1_sigma_matches_expectations() {
 }
 
 #[test]
-#[ignore = "regenerates the full Table 2 (about a minute in release)"]
+#[cfg_attr(debug_assertions, ignore = "slow unoptimized; run with --release")]
 fn table2_sigma_matches_the_paper_exactly() {
     let sigma = run_suite(&gp::suite(1), false);
     assert_eq!(sigma.useful[0], 95);
@@ -26,8 +28,9 @@ fn table2_sigma_matches_the_paper_exactly() {
     assert_eq!(sigma.targets, 284);
 }
 
+/// Seed robustness: the Σ shape must not depend on the generator seed.
 #[test]
-#[ignore = "seed robustness: the Σ shape must not depend on the generator seed"]
+#[cfg_attr(debug_assertions, ignore = "slow unoptimized; run with --release")]
 fn table2_shape_is_seed_robust() {
     for seed in [2u64, 3] {
         let sigma = run_suite(&gp::suite(seed), false);
