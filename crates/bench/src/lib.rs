@@ -15,7 +15,7 @@
 //! The row computation lives here in the library so the workspace
 //! integration tests can assert the reproduced Σ shape.
 
-use diam_core::classify::{classify, ClassCounts, ClassifyOptions};
+use diam_core::classify::{ClassCounts, Classifier};
 use diam_core::{Bound, EccOptions, Pipeline, PipelineResult, StructuralOptions};
 use diam_gen::profile::DesignProfile;
 use diam_netlist::Netlist;
@@ -245,9 +245,12 @@ fn column(
     let mut col_sp = diam_obs::span!("suite.column", column = name);
     let start = Instant::now();
     let result = transform();
-    let regs: Vec<_> = result.netlist.regs().to_vec();
-    let counts = classify(&result.netlist, &regs, &ClassifyOptions::default()).counts();
-    let bounds = result.bound_targets(opts);
+    // The class counts and the bounds share one classifier: the whole
+    // netlist's classification fills its table-cell memo for every cone.
+    let cx = Classifier::new(&result.netlist, &opts.classify);
+    let regs = result.netlist.regs();
+    let counts = cx.classify(regs).counts();
+    let bounds = result.bound_targets_in(&cx, opts);
     let useful: Vec<u64> = bounds
         .iter()
         .filter_map(|b| match b.original {

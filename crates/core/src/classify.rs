@@ -18,6 +18,13 @@
 //! * **GC** — *general* components: everything else. Their diameter is
 //!   assumed exponential in their register count (the paper deliberately
 //!   makes the same pessimistic choice "for speed").
+//!
+//! A bounding pass classifies every target cone of one netlist. What
+//! depends only on the netlist — the constant registers, and each
+//! register's table-cell test with its hold condition — is computed once
+//! per [`Classifier`] and shared by the cones. What depends on the register
+//! set — the dependency graph, its condensation, the component kinds and
+//! the memory clusters with their row counts — is computed per cone.
 
 use diam_bdd::{Bdd, Manager};
 use diam_netlist::analysis::{condense, reg_graph, support, Condensation};
@@ -25,6 +32,7 @@ use diam_netlist::csr::NodeKind;
 use diam_netlist::{Gate, GateKind, Init, Lit, Netlist};
 use diam_transform::bridge::cone_to_bdd;
 use std::collections::HashMap;
+use std::sync::{Mutex, OnceLock};
 
 /// The structural class of a register.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -129,7 +137,7 @@ impl Classification {
 }
 
 /// Options controlling classification.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ClassifyOptions {
     /// Give up on table-cell detection when a next-state function's support
     /// exceeds this many signals (the cell is then classified General).
@@ -248,110 +256,238 @@ pub fn constant_registers(n: &Netlist) -> Vec<(Gate, bool)> {
 }
 
 /// Classifies the registers `regs` of `n` (typically a target's cone of
-/// influence).
+/// influence): a one-shot [`Classifier`]. To classify several register
+/// sets of one netlist, build one [`Classifier`] and reuse it.
 pub fn classify(n: &Netlist, regs: &[Gate], opts: &ClassifyOptions) -> Classification {
-    // CC detection runs on the whole netlist (cheap) and is filtered.
-    let all_constants = constant_registers(n);
-    let const_set: HashMap<Gate, bool> = all_constants.iter().copied().collect();
-    let constants: Vec<(Gate, bool)> = regs
-        .iter()
-        .filter_map(|&r| const_set.get(&r).map(|&v| (r, v)))
-        .collect();
+    Classifier::new(n, opts).classify(regs)
+}
 
-    // Build the dependency graph over the non-constant registers: constant
-    // registers carry no temporal information, so edges through them are
-    // dropped.
-    let live: Vec<Gate> = regs
-        .iter()
-        .copied()
-        .filter(|r| !const_set.contains_key(r))
-        .collect();
-    let graph = reg_graph(n, &live);
-    let cond = condense(&graph);
+/// Classification against one netlist, for every register set of one
+/// bounding pass (the target cones of a table column, or of `diam bound`).
+///
+/// What depends only on the netlist is computed once and shared:
+///
+/// * the constant registers, one [`constant_registers`] fixpoint over the
+///   whole netlist, run by the first [`Classifier::classify`] call (so the
+///   time lands in that call's span);
+/// * each register's table-cell test, run at most once: its hold condition,
+///   kept as a BDD in one manager shared by every cell, and its cluster key.
+///
+/// What depends on the register set is recomputed per call: the dependency
+/// graph, its condensation, the component kinds, and the clusters with
+/// their row counts. A cone's memory therefore counts only the rows it
+/// reaches, and [`Classifier::classify`] returns exactly what a fresh
+/// [`classify`] of the same registers returns.
+///
+/// The context is `Sync`, so parallel bounding jobs share it. Which job
+/// fills the cell memo first changes nothing: hold conditions live in one
+/// manager, where equal handles mean equal functions, and the cluster key
+/// is read off the hold condition's support.
+///
+/// # Examples
+///
+/// ```
+/// use diam_core::classify::{ClassifyOptions, Classifier, RegClass};
+/// use diam_netlist::{Init, Netlist};
+///
+/// // Two one-bit cells written through one port, each seen by one target.
+/// let mut n = Netlist::new();
+/// let (we, a, d) = (n.input("we").lit(), n.input("a").lit(), n.input("d").lit());
+/// let mut cells = Vec::new();
+/// for row in 0..2 {
+///     let wr = n.and(we, a.xor_complement(row == 0));
+///     let r = n.reg(format!("m{row}"), Init::Zero);
+///     let next = n.mux(wr, d, r.lit());
+///     n.set_next(r, next);
+///     cells.push(r);
+/// }
+/// let cx = Classifier::new(&n, &ClassifyOptions::default());
+/// for &cell in &cells {
+///     let cone = cx.classify(&[cell]);
+///     assert_eq!(cone.class_of[&cell], RegClass::Table);
+///     assert_eq!(cone.clusters[0].rows, 1, "a cone counts only its own rows");
+/// }
+/// assert_eq!(cx.classify(&cells).clusters[0].rows, 2);
+/// ```
+#[derive(Debug)]
+pub struct Classifier<'n> {
+    n: &'n Netlist,
+    opts: ClassifyOptions,
+    constants: OnceLock<HashMap<Gate, bool>>,
+    cells: Mutex<CellMemo>,
+}
 
-    // Classify components.
-    let mut manager = Manager::new();
-    let mut kinds: Vec<ComponentKind> = Vec::with_capacity(cond.comps.len());
-    // Cluster key → cluster index; clusters collect (comp, h-bdd).
-    let mut cluster_index: HashMap<Vec<Gate>, usize> = HashMap::new();
-    let mut cluster_members: Vec<Vec<(usize, Bdd)>> = Vec::new();
+/// The table-cell test per register, with the manager holding every hold
+/// condition and a dense index per distinct cluster key.
+#[derive(Debug)]
+struct CellMemo {
+    manager: Manager,
+    cell_of: HashMap<Gate, Option<Cell>>,
+    keys: HashMap<Vec<Gate>, usize>,
+}
 
-    for (c, comp) in cond.comps.iter().enumerate() {
-        if !cond.cyclic[c] {
-            kinds.push(ComponentKind::Acyclic);
-            continue;
-        }
-        if comp.len() > 1 {
-            kinds.push(ComponentKind::General);
-            continue;
-        }
-        // Singleton with a self-loop: test for the hold/load mux shape.
-        let r = live[comp[0]];
-        match table_cell_hold(&mut manager, n, r, opts.max_cell_support) {
-            Some(h) => {
-                // Cluster key: the non-register support of the hold
-                // condition (the shared write port — enables, addresses),
-                // so rows selected by different pointer registers (queues)
-                // still cluster into one memory. Registers are kept in the
-                // key only when nothing else identifies the port.
-                let full: Vec<Gate> = manager
-                    .support(h)
-                    .iter()
-                    .map(|&v| Gate::from_index(v as usize))
-                    .collect();
-                let inputs_only: Vec<Gate> =
-                    full.iter().copied().filter(|&g| !n.is_reg(g)).collect();
-                let key = if inputs_only.is_empty() {
-                    full
-                } else {
-                    inputs_only
-                };
-                let idx = *cluster_index.entry(key).or_insert_with(|| {
-                    cluster_members.push(Vec::new());
-                    cluster_members.len() - 1
-                });
-                cluster_members[idx].push((c, h));
-                kinds.push(ComponentKind::Table { cluster: idx });
-            }
-            None => kinds.push(ComponentKind::General),
+/// A register that passed the table-cell test.
+#[derive(Debug, Clone, Copy)]
+struct Cell {
+    /// The hold condition, in [`CellMemo::manager`].
+    hold: Bdd,
+    /// The index of the cluster key in [`CellMemo::keys`].
+    key: usize,
+}
+
+impl<'n> Classifier<'n> {
+    /// A classifier of `n`; computes nothing until the first
+    /// [`Classifier::classify`].
+    pub fn new(n: &'n Netlist, opts: &ClassifyOptions) -> Classifier<'n> {
+        Classifier {
+            n,
+            opts: opts.clone(),
+            constants: OnceLock::new(),
+            cells: Mutex::new(CellMemo {
+                manager: Manager::new(),
+                cell_of: HashMap::new(),
+                keys: HashMap::new(),
+            }),
         }
     }
 
-    let clusters: Vec<MemoryCluster> = cluster_members
-        .into_iter()
-        .map(|members| {
-            let mut hs: Vec<Bdd> = members.iter().map(|&(_, h)| h).collect();
-            hs.sort();
-            hs.dedup();
-            MemoryCluster {
-                comps: members.iter().map(|&(c, _)| c).collect(),
-                rows: hs.len(),
+    /// The netlist this classifier classifies.
+    pub fn netlist(&self) -> &'n Netlist {
+        self.n
+    }
+
+    /// The options this classifier was built with.
+    pub fn options(&self) -> &ClassifyOptions {
+        &self.opts
+    }
+
+    /// Classifies the registers `regs` of the netlist (typically a target's
+    /// cone of influence).
+    pub fn classify(&self, regs: &[Gate]) -> Classification {
+        // CC detection runs once on the whole netlist and is filtered.
+        let const_set = self
+            .constants
+            .get_or_init(|| constant_registers(self.n).into_iter().collect());
+        let constants: Vec<(Gate, bool)> = regs
+            .iter()
+            .filter_map(|&r| const_set.get(&r).map(|&v| (r, v)))
+            .collect();
+
+        // Build the dependency graph over the non-constant registers:
+        // constant registers carry no temporal information, so edges
+        // through them are dropped.
+        let live: Vec<Gate> = regs
+            .iter()
+            .copied()
+            .filter(|r| !const_set.contains_key(r))
+            .collect();
+        let graph = reg_graph(self.n, &live);
+        let cond = condense(&graph);
+
+        // Classify components. Clusters are numbered in order of first
+        // appearance in this register set; each collects (comp, h-bdd).
+        let mut kinds: Vec<ComponentKind> = Vec::with_capacity(cond.comps.len());
+        let mut cluster_index: HashMap<usize, usize> = HashMap::new();
+        let mut cluster_members: Vec<Vec<(usize, Bdd)>> = Vec::new();
+        for (c, comp) in cond.comps.iter().enumerate() {
+            if !cond.cyclic[c] {
+                kinds.push(ComponentKind::Acyclic);
+                continue;
             }
+            if comp.len() > 1 {
+                kinds.push(ComponentKind::General);
+                continue;
+            }
+            // Singleton with a self-loop: test for the hold/load mux shape.
+            match self.cell(live[comp[0]]) {
+                Some(cell) => {
+                    let idx = *cluster_index.entry(cell.key).or_insert_with(|| {
+                        cluster_members.push(Vec::new());
+                        cluster_members.len() - 1
+                    });
+                    cluster_members[idx].push((c, cell.hold));
+                    kinds.push(ComponentKind::Table { cluster: idx });
+                }
+                None => kinds.push(ComponentKind::General),
+            }
+        }
+
+        let clusters: Vec<MemoryCluster> = cluster_members
+            .into_iter()
+            .map(|members| {
+                let mut hs: Vec<Bdd> = members.iter().map(|&(_, h)| h).collect();
+                hs.sort();
+                hs.dedup();
+                MemoryCluster {
+                    comps: members.iter().map(|&(c, _)| c).collect(),
+                    rows: hs.len(),
+                }
+            })
+            .collect();
+
+        // Per-register class map.
+        let mut class_of: HashMap<Gate, RegClass> = HashMap::new();
+        for &(r, _) in &constants {
+            class_of.insert(r, RegClass::Constant);
+        }
+        for (pos, &r) in live.iter().enumerate() {
+            let c = cond.comp_of[pos];
+            let class = match kinds[c] {
+                ComponentKind::Acyclic => RegClass::Acyclic,
+                ComponentKind::Table { .. } => RegClass::Table,
+                ComponentKind::General => RegClass::General,
+            };
+            class_of.insert(r, class);
+        }
+
+        Classification {
+            regs: live,
+            constants,
+            cond,
+            kinds,
+            clusters,
+            class_of,
+        }
+    }
+
+    /// The table-cell test of register `r`, run on its first request.
+    fn cell(&self, r: Gate) -> Option<Cell> {
+        let mut memo = self
+            .cells
+            .lock()
+            .expect("no job panics while it tests a table cell");
+        let CellMemo {
+            manager,
+            cell_of,
+            keys,
+        } = &mut *memo;
+        *cell_of.entry(r).or_insert_with(|| {
+            let hold = table_cell_hold(manager, self.n, r, self.opts.max_cell_support)?;
+            let fresh = keys.len();
+            let key = *keys
+                .entry(cluster_key(manager, self.n, hold))
+                .or_insert(fresh);
+            Some(Cell { hold, key })
         })
+    }
+}
+
+/// The cluster key of a cell with hold condition `h`: the non-register
+/// support of `h` (the shared write port — enables, addresses), so rows
+/// selected by different pointer registers (queues) still cluster into one
+/// memory. Registers are kept in the key only when nothing else identifies
+/// the port.
+fn cluster_key(m: &Manager, n: &Netlist, h: Bdd) -> Vec<Gate> {
+    let full: Vec<Gate> = m
+        .support(h)
+        .iter()
+        .map(|&v| Gate::from_index(v as usize))
         .collect();
-
-    // Per-register class map.
-    let mut class_of: HashMap<Gate, RegClass> = HashMap::new();
-    for &(r, _) in &constants {
-        class_of.insert(r, RegClass::Constant);
-    }
-    for (pos, &r) in live.iter().enumerate() {
-        let c = cond.comp_of[pos];
-        let class = match kinds[c] {
-            ComponentKind::Acyclic => RegClass::Acyclic,
-            ComponentKind::Table { .. } => RegClass::Table,
-            ComponentKind::General => RegClass::General,
-        };
-        class_of.insert(r, class);
-    }
-
-    Classification {
-        regs: live,
-        constants,
-        cond,
-        kinds,
-        clusters,
-        class_of,
+    let inputs_only: Vec<Gate> = full.iter().copied().filter(|&g| !n.is_reg(g)).collect();
+    if inputs_only.is_empty() {
+        full
+    } else {
+        inputs_only
     }
 }
 
@@ -550,5 +686,311 @@ mod tests {
             ),
             (1, 1, 1, 1)
         );
+    }
+
+    /// The per-call classification [`Classifier`] replaced, kept verbatim
+    /// as its reference: a whole-netlist constant pass and a fresh BDD
+    /// manager per call, and a table-cell test for every self-looped
+    /// singleton of every call.
+    fn classify_reference(n: &Netlist, regs: &[Gate], opts: &ClassifyOptions) -> Classification {
+        // CC detection runs on the whole netlist (cheap) and is filtered.
+        let all_constants = constant_registers(n);
+        let const_set: HashMap<Gate, bool> = all_constants.iter().copied().collect();
+        let constants: Vec<(Gate, bool)> = regs
+            .iter()
+            .filter_map(|&r| const_set.get(&r).map(|&v| (r, v)))
+            .collect();
+
+        // Build the dependency graph over the non-constant registers: constant
+        // registers carry no temporal information, so edges through them are
+        // dropped.
+        let live: Vec<Gate> = regs
+            .iter()
+            .copied()
+            .filter(|r| !const_set.contains_key(r))
+            .collect();
+        let graph = reg_graph(n, &live);
+        let cond = condense(&graph);
+
+        // Classify components.
+        let mut manager = Manager::new();
+        let mut kinds: Vec<ComponentKind> = Vec::with_capacity(cond.comps.len());
+        // Cluster key → cluster index; clusters collect (comp, h-bdd).
+        let mut cluster_index: HashMap<Vec<Gate>, usize> = HashMap::new();
+        let mut cluster_members: Vec<Vec<(usize, Bdd)>> = Vec::new();
+
+        for (c, comp) in cond.comps.iter().enumerate() {
+            if !cond.cyclic[c] {
+                kinds.push(ComponentKind::Acyclic);
+                continue;
+            }
+            if comp.len() > 1 {
+                kinds.push(ComponentKind::General);
+                continue;
+            }
+            // Singleton with a self-loop: test for the hold/load mux shape.
+            let r = live[comp[0]];
+            match table_cell_hold(&mut manager, n, r, opts.max_cell_support) {
+                Some(h) => {
+                    // Cluster key: the non-register support of the hold
+                    // condition (the shared write port — enables, addresses),
+                    // so rows selected by different pointer registers (queues)
+                    // still cluster into one memory. Registers are kept in the
+                    // key only when nothing else identifies the port.
+                    let full: Vec<Gate> = manager
+                        .support(h)
+                        .iter()
+                        .map(|&v| Gate::from_index(v as usize))
+                        .collect();
+                    let inputs_only: Vec<Gate> =
+                        full.iter().copied().filter(|&g| !n.is_reg(g)).collect();
+                    let key = if inputs_only.is_empty() {
+                        full
+                    } else {
+                        inputs_only
+                    };
+                    let idx = *cluster_index.entry(key).or_insert_with(|| {
+                        cluster_members.push(Vec::new());
+                        cluster_members.len() - 1
+                    });
+                    cluster_members[idx].push((c, h));
+                    kinds.push(ComponentKind::Table { cluster: idx });
+                }
+                None => kinds.push(ComponentKind::General),
+            }
+        }
+
+        let clusters: Vec<MemoryCluster> = cluster_members
+            .into_iter()
+            .map(|members| {
+                let mut hs: Vec<Bdd> = members.iter().map(|&(_, h)| h).collect();
+                hs.sort();
+                hs.dedup();
+                MemoryCluster {
+                    comps: members.iter().map(|&(c, _)| c).collect(),
+                    rows: hs.len(),
+                }
+            })
+            .collect();
+
+        // Per-register class map.
+        let mut class_of: HashMap<Gate, RegClass> = HashMap::new();
+        for &(r, _) in &constants {
+            class_of.insert(r, RegClass::Constant);
+        }
+        for (pos, &r) in live.iter().enumerate() {
+            let c = cond.comp_of[pos];
+            let class = match kinds[c] {
+                ComponentKind::Acyclic => RegClass::Acyclic,
+                ComponentKind::Table { .. } => RegClass::Table,
+                ComponentKind::General => RegClass::General,
+            };
+            class_of.insert(r, class);
+        }
+
+        Classification {
+            regs: live,
+            constants,
+            cond,
+            kinds,
+            clusters,
+            class_of,
+        }
+    }
+
+    /// A multi-target netlist composed of `diam_gen` archetypes, so that
+    /// its target cones reach what the shared classifier must keep per
+    /// cone: register files and a queue whose rows are split across
+    /// targets, constant registers (one of them gating logic), counters
+    /// (self-looped bits that fail the hold test), multi-register rings,
+    /// sticky bits, cells written through a register-only port, and cells
+    /// whose write enable is an AND of up to 8 inputs.
+    fn archetype_soup(seed: u64) -> Netlist {
+        use diam_gen::archetypes as arch;
+        use diam_netlist::sim::SplitMix64;
+        let mut rng = SplitMix64::new(seed);
+        let mut n = Netlist::new();
+        let mut observe: Vec<Vec<Lit>> = Vec::new();
+        for k in 0..1 + rng.below(2) {
+            let rows = 1 + rng.below(5) as usize;
+            let mem =
+                arch::register_file(&mut n, &format!("rf{k}"), rows, 1 + rng.below(3) as usize);
+            for row in &mem.cells {
+                observe.push(row.iter().map(|r| r.lit()).collect());
+            }
+        }
+        let fifo = arch::fifo(&mut n, "q", 2 + rng.below(4) as usize);
+        observe.extend(fifo.cells.iter().map(|r| vec![r.lit()]));
+        let consts = arch::constants(&mut n, "c", 1 + rng.below(3) as usize);
+        observe.push(consts.iter().map(|r| r.lit()).collect());
+        let en = n.input("en").lit();
+        let gated = n.and(en, !consts[0].lit());
+        let counter = arch::counter(&mut n, "cnt", 1 + rng.below(4) as usize, gated);
+        observe.push(vec![counter.all_ones]);
+        let ring = if rng.bool() {
+            arch::token_ring(&mut n, "ring", 2 + rng.below(3) as usize, en)
+        } else {
+            arch::lfsr(&mut n, "lfsr", 2 + rng.below(3) as usize, en)
+        };
+        observe.push(vec![ring[0].lit()]);
+        let pipe = arch::pipeline(&mut n, "p", 1 + rng.below(3) as usize);
+        for (k, &stage) in pipe.regs.iter().enumerate() {
+            // A cell loaded whenever a pipeline stage is set: its port is
+            // identified by registers only.
+            let d = n.input(format!("pd{k}")).lit();
+            let r = n.reg(format!("pc{k}"), Init::Zero);
+            let next = n.mux(stage.lit(), d, r.lit());
+            n.set_next(r, next);
+            observe.push(vec![r.lit()]);
+        }
+        for k in 0..1 + rng.below(3) {
+            let sticky = n.reg(format!("sticky{k}"), Init::Zero);
+            let set = n.input(format!("set{k}")).lit();
+            let next = n.or(sticky.lit(), set);
+            n.set_next(sticky, next);
+            observe.push(vec![sticky.lit()]);
+        }
+        for k in 0..1 + rng.below(3) {
+            let width = 2 + rng.below(7);
+            let enables: Vec<Lit> = (0..width)
+                .map(|b| n.input(format!("w{k}_{b}")).lit())
+                .collect();
+            let we = n.and_many(enables);
+            let d = n.input(format!("wd{k}")).lit();
+            let r = n.reg(format!("wide{k}"), Init::Zero);
+            let next = n.mux(we, d, r.lit());
+            n.set_next(r, next);
+            observe.push(vec![r.lit()]);
+        }
+        for k in 0..3 + rng.below(5) {
+            let mut lits: Vec<Lit> = Vec::new();
+            for _ in 0..1 + rng.below(3) {
+                let group = &observe[rng.below(observe.len() as u64) as usize];
+                lits.extend(group.iter().filter(|_| rng.below(3) != 0));
+                lits.push(group[0]);
+            }
+            let t = n.and_many(lits);
+            n.add_target(t, format!("t{k}"));
+        }
+        n
+    }
+
+    /// Asserts that two classifications agree field for field.
+    fn assert_same(got: &Classification, want: &Classification, what: &str) {
+        assert_eq!(got.regs, want.regs, "{what}: regs");
+        assert_eq!(got.constants, want.constants, "{what}: constants");
+        assert_eq!(got.cond.comp_of, want.cond.comp_of, "{what}: comp_of");
+        assert_eq!(got.cond.comps, want.cond.comps, "{what}: comps");
+        assert_eq!(got.cond.succs, want.cond.succs, "{what}: succs");
+        assert_eq!(got.cond.cyclic, want.cond.cyclic, "{what}: cyclic");
+        assert_eq!(got.kinds, want.kinds, "{what}: kinds");
+        let clusters = |c: &Classification| -> Vec<(Vec<usize>, usize)> {
+            c.clusters
+                .iter()
+                .map(|m| (m.comps.clone(), m.rows))
+                .collect()
+        };
+        assert_eq!(clusters(got), clusters(want), "{what}: clusters");
+        assert_eq!(got.class_of, want.class_of, "{what}: class_of");
+    }
+
+    /// The register sets of one bounding pass: every target cone, then the
+    /// whole netlist (a table column classifies both).
+    fn pass_register_sets(n: &Netlist) -> Vec<Vec<Gate>> {
+        let mut sets: Vec<Vec<Gate>> = n
+            .targets()
+            .iter()
+            .map(|t| diam_netlist::analysis::coi(n, [t.lit]).regs)
+            .collect();
+        sets.push(n.regs().to_vec());
+        sets
+    }
+
+    /// The generator reaches every shape the differential test is about,
+    /// on most seeds.
+    #[test]
+    fn archetype_soup_reaches_the_shapes_that_matter() {
+        let opts = ClassifyOptions {
+            max_cell_support: 8,
+        };
+        let (mut split_rows, mut constants, mut sccs, mut failed_hold, mut too_wide) =
+            (0, 0, 0, 0, 0);
+        for seed in 0..32 {
+            let n = archetype_soup(seed);
+            let sets = pass_register_sets(&n);
+            let cx = Classifier::new(&n, &opts);
+            let whole = cx.classify(n.regs());
+            let whole_rows: HashMap<Gate, usize> = whole
+                .clusters
+                .iter()
+                .flat_map(|m| m.comps.iter().map(move |&c| (c, m.rows)))
+                .map(|(c, rows)| (whole.regs[whole.cond.comps[c][0]], rows))
+                .collect();
+            let cones: Vec<Classification> = sets.iter().map(|regs| cx.classify(regs)).collect();
+            split_rows += usize::from(cones.iter().any(|cl| {
+                cl.clusters.iter().any(|m| {
+                    let r = cl.regs[cl.cond.comps[m.comps[0]][0]];
+                    m.rows < whole_rows[&r]
+                })
+            }));
+            constants += usize::from(!whole.constants.is_empty());
+            sccs += usize::from(whole.cond.comps.iter().any(|c| c.len() > 1));
+            let singletons_general = |wide: bool| {
+                (0..whole.cond.comps.len()).any(|c| {
+                    let comp = &whole.cond.comps[c];
+                    let r = whole.regs[comp[0]];
+                    let sup = support(&n, n.reg_next(r));
+                    comp.len() == 1
+                        && whole.cond.cyclic[c]
+                        && whole.kinds[c] == ComponentKind::General
+                        && (sup.regs.len() + sup.inputs.len() > opts.max_cell_support) == wide
+                })
+            };
+            failed_hold += usize::from(singletons_general(false));
+            too_wide += usize::from(singletons_general(true));
+        }
+        for (what, hits) in [
+            ("rows split across targets", split_rows),
+            ("constants", constants),
+            ("multi-register SCCs", sccs),
+            ("failed hold tests", failed_hold),
+            ("cells over the support cap", too_wide),
+        ] {
+            assert!(hits >= 16, "{what}: {hits} of 32 seeds");
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(96))]
+
+        /// Every register set of a bounding pass, classified through one
+        /// shared [`Classifier`] in index order and through a fresh one in
+        /// reverse order, equals the per-call reference field for field,
+        /// and so does its bound.
+        #[test]
+        fn classifier_matches_the_per_call_reference(
+            seed in proptest::prelude::any::<u64>(),
+            max_cell_support in 2usize..=12,
+        ) {
+            let n = archetype_soup(seed);
+            let opts = ClassifyOptions { max_cell_support };
+            let sets = pass_register_sets(&n);
+            let want: Vec<Classification> =
+                sets.iter().map(|regs| classify_reference(&n, regs, &opts)).collect();
+            let forward = Classifier::new(&n, &opts);
+            let backward = Classifier::new(&n, &opts);
+            let order: Vec<(usize, &Classifier, &str)> = (0..sets.len())
+                .map(|i| (i, &forward, "forward"))
+                .chain((0..sets.len()).rev().map(|i| (i, &backward, "backward")))
+                .collect();
+            for (i, cx, pass) in order {
+                let got = cx.classify(&sets[i]);
+                assert_same(&got, &want[i], &format!("{pass} set {i}"));
+                proptest::prop_assert_eq!(
+                    crate::structural::serialized_bound(&got),
+                    crate::structural::serialized_bound(&want[i])
+                );
+            }
+        }
     }
 }

@@ -59,7 +59,7 @@ pub mod structural;
 pub mod symbolic;
 
 pub use bound::Bound;
-pub use classify::{ClassCounts, Classification, ClassifyOptions, RegClass};
+pub use classify::{ClassCounts, Classification, Classifier, ClassifyOptions, RegClass};
 pub use diam_par::Parallelism;
 pub use diam_transform::pass::{BoundStep, Certificate, CertificateChain};
 pub use eccentricity::{EccCert, EccOptions};

@@ -39,7 +39,8 @@
 //! bounds are wrong in both directions.)
 
 use crate::bound::Bound;
-use crate::structural::{diameter_bound, StructuralOptions, TargetBound};
+use crate::classify::Classifier;
+use crate::structural::{diameter_bound_in, StructuralOptions, TargetBound};
 use diam_netlist::sim::Witness;
 use diam_netlist::stats::fingerprint;
 use diam_netlist::{Lit, Netlist};
@@ -538,14 +539,36 @@ impl PipelineResult {
     /// Each target is an independent bounding job, fanned out across
     /// [`StructuralOptions::parallelism`] workers in target order and
     /// merged back in that order — the output is identical for every
-    /// parallelism setting, because [`diameter_bound`] is a pure function
-    /// of the (immutable) transformed netlist.
+    /// parallelism setting, because each bound is a pure function of the
+    /// (immutable) transformed netlist. The jobs classify their cones
+    /// through one [`Classifier`] of that netlist ([`diameter_bound_in`]),
+    /// whose results do not depend on which job fills its memo first.
     pub fn bound_targets(&self, opts: &StructuralOptions) -> Vec<PipelinedBound> {
+        self.bound_targets_in(&Classifier::new(&self.netlist, &opts.classify), opts)
+    }
+
+    /// [`PipelineResult::bound_targets`] through `cx`, a classifier of
+    /// [`PipelineResult::netlist`] built with `opts.classify`, so a caller
+    /// that also classifies the whole netlist (a table column's counts)
+    /// shares its constants and table-cell tests with the bounds.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cx` classifies another netlist or uses other options.
+    pub fn bound_targets_in(
+        &self,
+        cx: &Classifier<'_>,
+        opts: &StructuralOptions,
+    ) -> Vec<PipelinedBound> {
+        assert!(
+            std::ptr::eq(cx.netlist(), &self.netlist) && *cx.options() == opts.classify,
+            "the classifier must be built on this result's netlist with opts.classify"
+        );
         let jobs: Vec<usize> = (0..self.original_targets).collect();
         diam_par::run(opts.parallelism, jobs, |_, i| {
             let t = &self.netlist.targets()[i];
             let mut sp = diam_obs::span!("bound.target", index = i, target = t.name.as_str());
-            let tb: TargetBound = diameter_bound(&self.netlist, t.lit, opts);
+            let tb: TargetBound = diameter_bound_in(cx, t.lit, &opts.ecc);
             let pb = PipelinedBound {
                 name: t.name.clone(),
                 transformed: tb.bound,

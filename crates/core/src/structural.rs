@@ -36,9 +36,15 @@
 //! the workspace tests: **if a target is hittable at all, it is hittable
 //! within `d̂(t) − 1` time-steps**, so a bounded model check of depth
 //! `d̂(t) − 1` is complete (Section 1 of the paper).
+//!
+//! To bound or explain several targets of one netlist, build one
+//! [`Classifier`] and pass it to [`diameter_bound_in`] and [`explain_in`]:
+//! the targets then share its constant pass and table-cell tests, while each
+//! cone still gets its own condensation. [`diameter_bound`] and [`explain`]
+//! are the one-shot forms.
 
 use crate::bound::Bound;
-use crate::classify::{classify, Classification, ClassifyOptions, ComponentKind};
+use crate::classify::{Classification, Classifier, ClassifyOptions, ComponentKind};
 use crate::eccentricity::{component_cert, EccCert, EccOptions};
 use diam_netlist::analysis::coi;
 use diam_netlist::{Gate, Lit, Netlist};
@@ -90,9 +96,17 @@ pub struct TargetBound {
 /// assert_eq!(tb.bound, Bound::Finite(4));
 /// ```
 pub fn diameter_bound(n: &Netlist, target: Lit, opts: &StructuralOptions) -> TargetBound {
+    diameter_bound_in(&Classifier::new(n, &opts.classify), target, &opts.ecc)
+}
+
+/// [`diameter_bound`] of a target of `cx`'s netlist, classifying its cone
+/// through `cx`: the targets of one bounding pass share the constant
+/// registers and table-cell tests, and each cone keeps its own condensation.
+pub fn diameter_bound_in(cx: &Classifier<'_>, target: Lit, ecc: &EccOptions) -> TargetBound {
+    let n = cx.netlist();
     let cone = coi(n, [target]);
-    let classification = classify(n, &cone.regs, &opts.classify);
-    let certs = gc_certificates(n, &classification, &opts.ecc);
+    let classification = cx.classify(&cone.regs);
+    let certs = gc_certificates(n, &classification, ecc);
     let bound = serialized_bound_with(&classification, &certs);
     TargetBound {
         bound,
@@ -254,9 +268,16 @@ impl std::fmt::Display for Explanation {
 /// are the usual culprits for an exponential bound — typically a large
 /// general (GC) component that a transformation might shrink.
 pub fn explain(n: &Netlist, target: Lit, opts: &StructuralOptions) -> Explanation {
+    explain_in(&Classifier::new(n, &opts.classify), target, &opts.ecc)
+}
+
+/// [`explain`] for a target of `cx`'s netlist, classifying its cone through
+/// `cx` (see [`diameter_bound_in`]).
+pub fn explain_in(cx: &Classifier<'_>, target: Lit, ecc: &EccOptions) -> Explanation {
+    let n = cx.netlist();
     let cone = coi(n, [target]);
-    let cl = classify(n, &cone.regs, &opts.classify);
-    let certs = gc_certificates(n, &cl, &opts.ecc);
+    let cl = cx.classify(&cone.regs);
+    let certs = gc_certificates(n, &cl, ecc);
     let num = cl.cond.comps.len();
     let mut preds: Vec<Vec<usize>> = vec![Vec::new(); num];
     for (c, succs) in cl.cond.succs.iter().enumerate() {

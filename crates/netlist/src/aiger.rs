@@ -231,7 +231,12 @@ fn read_binary<R: BufRead>(mut reader: R, hdr: Header) -> Result<Netlist, AigerE
         loop {
             let mut byte = [0u8; 1];
             reader.read_exact(&mut byte)?;
-            x |= u32::from(byte[0] & 0x7f) << shift;
+            let bits = u32::from(byte[0] & 0x7f);
+            // A u32 takes at most five 7-bit groups, the fifth of 4 bits.
+            if shift > 28 || bits > u32::MAX >> shift {
+                return Err(parse_err("binary delta overflows u32"));
+            }
+            x |= bits << shift;
             if byte[0] & 0x80 == 0 {
                 return Ok(x);
             }
@@ -702,6 +707,42 @@ mod tests {
         // ASCII section buffers grow with the lines read instead of
         // reserving the declared count (here 16 GB of `bad` literals).
         assert!(read(std::io::Cursor::new("aag 1 0 0 0 0 4294967295\n")).is_err());
+    }
+
+    /// A binary delta is a u32: at most five 7-bit groups, the fifth of four
+    /// bits. Longer deltas used to shift past bit 31, a panic in debug
+    /// builds and lost high bits in release builds.
+    #[test]
+    fn rejects_overflowing_binary_deltas() {
+        let header = b"aig 1 0 0 0 1\n";
+        let deltas: [&[u8]; 3] = [
+            &[0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 0x00],
+            &[0xff, 0xff, 0xff, 0xff, 0x1f, 0x00],
+            &[0x80, 0x80, 0x80, 0x80, 0x80, 0x00, 0x00],
+        ];
+        for delta in deltas {
+            let file = [&header[..], delta].concat();
+            assert!(
+                matches!(read(std::io::Cursor::new(file)), Err(AigerError::Parse(_))),
+                "{delta:02x?} must be rejected"
+            );
+        }
+        // Dropping the high bit of 2 + 2^32 would leave a valid delta of 2.
+        let file = [
+            &b"aig 2 1 0 0 1\n"[..],
+            &[0x82, 0x80, 0x80, 0x80, 0x10, 0x00],
+        ]
+        .concat();
+        assert!(matches!(
+            read(std::io::Cursor::new(file)),
+            Err(AigerError::Parse(_))
+        ));
+        // The largest u32 still decodes; it then underflows the gate.
+        let file = [&header[..], &[0xff, 0xff, 0xff, 0xff, 0x0f, 0x00]].concat();
+        let err = read(std::io::Cursor::new(file)).unwrap_err();
+        assert!(err.to_string().contains("underflow"), "{err}");
+        let file = [&b"aig 2 1 0 0 1\n"[..], &[0x02, 0x00]].concat();
+        assert_eq!(read(std::io::Cursor::new(file)).unwrap().num_inputs(), 1);
     }
 
     /// ASCII variables are checked against `M` instead of indexing a table

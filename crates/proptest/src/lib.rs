@@ -9,8 +9,9 @@
 //!
 //! Differences from the real crate, by design:
 //!
-//! * **no shrinking** — a failing case panics with the generated value's
-//!   `Debug` rendering (cases are small here, so minimization matters less);
+//! * **no shrinking** — a failing case panics with the test's name, the
+//!   case index and the `Debug` rendering of every generated input (cases
+//!   are small here, so minimization matters less);
 //! * **deterministic seeding** — the RNG seed is derived from the test
 //!   function's name (FNV-1a), so failures reproduce exactly across runs
 //!   and machines;
@@ -366,15 +367,51 @@ macro_rules! __proptest_body {
                 let seed = $crate::test_runner::fnv1a(concat!(module_path!(), "::", stringify!($name)));
                 let mut rng = $crate::test_runner::TestRng::new(seed);
                 for __case in 0..config.cases {
+                    let __start = rng.clone();
                     $(
-                        let __value = $crate::strategy::Strategy::generate(&($strat), &mut rng);
-                        let $arg = __value;
+                        let $arg = $crate::strategy::Strategy::generate(&($strat), &mut rng);
                     )+
-                    $body
+                    $crate::__run_case(
+                        concat!(module_path!(), "::", stringify!($name)),
+                        __case,
+                        || $body,
+                        || {
+                            // Regenerates the case's inputs from its start state.
+                            let mut rng = __start;
+                            let mut inputs = String::new();
+                            $(
+                                inputs.push_str(&format!(
+                                    "\n  {} = {:?}",
+                                    stringify!($arg),
+                                    $crate::strategy::Strategy::generate(&($strat), &mut rng)
+                                ));
+                            )+
+                            inputs
+                        },
+                    );
                 }
             }
         )*
     };
+}
+
+/// Runs one case's `body`. If it panics, panics again with the test's name,
+/// the case index, the inputs that `inputs` renders (called only then) and
+/// the original panic message.
+#[doc(hidden)]
+pub fn __run_case(name: &str, case: u32, body: impl FnOnce(), inputs: impl FnOnce() -> String) {
+    let Err(payload) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(body)) else {
+        return;
+    };
+    let message = payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("(non-string panic payload)");
+    panic!(
+        "proptest {name} failed at case {case} with inputs:{}\n{message}",
+        inputs()
+    );
 }
 
 #[cfg(test)]
@@ -411,8 +448,28 @@ mod tests {
         }
     }
 
+    /// Counts the cases [`failing_case_reports_its_index_and_inputs`] ran.
+    static CASES_RUN: std::sync::atomic::AtomicU32 = std::sync::atomic::AtomicU32::new(0);
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// The third case fails: its report names the test, the case index
+        /// and every input, then repeats the assertion's message.
+        #[test]
+        #[should_panic(expected = "proptest proptest::tests::failing_case_reports_its_index_and_inputs \
+                                   failed at case 2 with inputs:\n  \
+                                   x = 5\n  \
+                                   (label, v) = (\"fixed\", [1, 2])\n\
+                                   third case")]
+        fn failing_case_reports_its_index_and_inputs(
+            x in 5u8..6,
+            (label, v) in (Just("fixed"), Just(vec![1u8, 2])),
+        ) {
+            let case = CASES_RUN.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            prop_assert!(case < 2, "third case");
+            prop_assert_eq!((x, label, v.len()), (5, "fixed", 2));
+        }
 
         #[test]
         fn macro_roundtrip(x in 0u8..16, v in crate::collection::vec(any::<bool>(), 1..=3)) {

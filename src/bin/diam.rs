@@ -39,7 +39,8 @@
 //! ```
 
 use diam::bmc::{prove_all, ProveOptions, ProveOutcome};
-use diam::core::classify::{classify, ClassifyOptions};
+use diam::core::classify::{classify, Classifier, ClassifyOptions};
+use diam::core::structural::explain_in;
 use diam::core::{EccOptions, Pipeline, StructuralOptions};
 use diam::netlist::{aiger, Netlist};
 use diam::transform::com::{sweep, SweepOptions};
@@ -166,7 +167,9 @@ fn cmd_bound(opts: &Options) -> Result<(), String> {
         opts.pipeline_name
     );
     let result = opts.pipeline.run(&n);
-    let bounds = result.bound_targets(&opts.structural());
+    let structural = opts.structural();
+    let cx = Classifier::new(&result.netlist, &structural.classify);
+    let bounds = result.bound_targets_in(&cx, &structural);
     let mut useful = 0;
     for b in &bounds {
         let mark = if b.original.is_useful(opts.threshold) {
@@ -193,7 +196,7 @@ fn cmd_bound(opts: &Options) -> Result<(), String> {
         for (i, b) in bounds.iter().enumerate() {
             if !b.original.is_useful(opts.threshold) {
                 let t = result.netlist.targets()[i].lit;
-                let e = diam::core::structural::explain(&result.netlist, t, &opts.structural());
+                let e = explain_in(&cx, t, &structural.ecc);
                 out!("\nwhy {} is unboundable:\n{e}", b.name);
             }
         }
