@@ -30,7 +30,7 @@ struct Node {
 }
 
 /// A BDD manager with a fixed variable order given by variable index.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct Manager {
     nodes: Vec<Node>,
     unique: HashMap<(u32, Bdd, Bdd), Bdd>,
@@ -38,6 +38,12 @@ pub struct Manager {
 }
 
 const TERMINAL_VAR: u32 = u32::MAX;
+
+impl Default for Manager {
+    fn default() -> Manager {
+        Manager::new()
+    }
+}
 
 impl Manager {
     /// Creates a manager containing only the two constants.
@@ -541,6 +547,16 @@ mod tests {
         check_truth_table(&m, h, 3, |a| (a & 1 != 0) ^ (a & 2 != 0));
         let k = m.xnor(x, z);
         check_truth_table(&m, k, 3, |a| (a & 1 != 0) == (a & 4 != 0));
+    }
+
+    #[test]
+    fn default_manager_holds_the_two_constants() {
+        let mut m = Manager::default();
+        assert_eq!(m.num_nodes(), 2);
+        let x = m.var(0);
+        let y = m.var(1);
+        assert!(x != Bdd::FALSE && x != Bdd::TRUE);
+        assert_ne!(m.and(x, y), Bdd::FALSE);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Benchmarks for the consumers of diameter bounds: BMC unrolling depth
-//! scaling and the recurrence-diameter baseline (whose cost explosion is
-//! part of the paper's motivation).
+//! scaling, BMC search over a free-enable counter, and the
+//! recurrence-diameter baseline (whose cost explosion is part of the
+//! paper's motivation).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use diam_bmc::{check, BmcOptions, BmcOutcome};
@@ -27,6 +28,35 @@ fn bench_bmc_depth(c: &mut Criterion) {
                     },
                 );
                 assert!(matches!(r, BmcOutcome::Counterexample { .. }));
+            })
+        });
+    }
+    group.finish();
+}
+
+/// The ledger's `cnt_wrap` cone: a counter whose enable is a free input, so
+/// every depth short of the wrap is refuted by CDCL search over the XOR
+/// chain rather than by unit propagation from the initial state.
+fn bench_bmc_search(c: &mut Criterion) {
+    let mut group = c.benchmark_group("bmc/cnt_wrap");
+    group.sample_size(10);
+    for bits in [5usize, 6, 7] {
+        let mut n = Netlist::new();
+        let enable = n.input("en").lit();
+        let cnt = counter(&mut n, "c", bits, enable);
+        n.add_target(cnt.all_ones, "cnt_wrap");
+        let depth = (1u64 << bits) - 1;
+        group.bench_with_input(BenchmarkId::new("bits", bits), &n, |b, n| {
+            b.iter(|| {
+                let r = check(
+                    n,
+                    0,
+                    &BmcOptions {
+                        max_depth: depth,
+                        ..BmcOptions::default()
+                    },
+                );
+                assert!(matches!(r, BmcOutcome::Counterexample { depth: d, .. } if d == depth));
             })
         });
     }
@@ -103,5 +133,11 @@ fn bench_symbolic(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_bmc_depth, bench_recurrence, bench_symbolic);
+criterion_group!(
+    benches,
+    bench_bmc_depth,
+    bench_bmc_search,
+    bench_recurrence,
+    bench_symbolic
+);
 criterion_main!(benches);

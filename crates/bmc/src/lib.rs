@@ -253,9 +253,14 @@ fn discharge(ob: &Obligation<'_>, opts: &BmcOptions) -> Option<BmcOutcome> {
                 });
             }
             // Natural level-0 boundary: this depth is clean, the next frame
-            // is about to be encoded — let the solver clean up (root-fact
-            // simplification + arena GC, both self-gated).
-            SolveResult::Unsat => inprocess_traced(&mut solver),
+            // is about to be encoded. UNSAT under `hit` means the formula
+            // implies `¬hit`, so keep it as a unit for the deeper depths;
+            // then let the solver clean up (root-fact simplification +
+            // arena GC, both self-gated).
+            SolveResult::Unsat => {
+                solver.add_clause([!hit]);
+                inprocess_traced(&mut solver);
+            }
             SolveResult::Unknown => {
                 sp.record("outcome", "unknown");
                 sp.record("depth", depth);

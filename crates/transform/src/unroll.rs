@@ -6,6 +6,12 @@
 //! unconstrained) or *initialized* (for BMC, where initial values apply).
 //! Frame `t+1` register values are simply the frame-`t` encoding of the
 //! register's next-state function, so consecutive frames share logic.
+//!
+//! An AND gate gets one variable and the three Tseitin clauses. An XOR gate —
+//! the shape [`Netlist::xor_operands`] recognizes, three ANDs — gets one
+//! variable and the four XOR clauses over its two operands; its two inner
+//! ANDs are encoded only if a caller asks for them, and their ordinary
+//! clauses then agree with the XOR's. Every caller shares this one encoder.
 
 use diam_netlist::{GateKind, Init, Lit, Netlist};
 use diam_sat::{Lit as SatLit, Solver};
@@ -118,6 +124,10 @@ impl<'a> Unroller<'a> {
                     self.frames[t][g.index()] = Some(v);
                 }
                 GateKind::And(a, b) => {
+                    // An XOR gate is encoded over its operands, skipping the
+                    // two ANDs between them.
+                    let xor = self.n.xor_operands(g);
+                    let (a, b) = xor.unwrap_or((a, b));
                     if !expanded {
                         stack.push((g, t, true));
                         stack.push((a.gate(), t, false));
@@ -126,9 +136,16 @@ impl<'a> Unroller<'a> {
                         let la = self.resolved(a, t);
                         let lb = self.resolved(b, t);
                         let v = solver.new_var().positive();
-                        solver.add_clause([!v, la]);
-                        solver.add_clause([!v, lb]);
-                        solver.add_clause([v, !la, !lb]);
+                        if xor.is_some() {
+                            solver.add_clause([!v, la, lb]);
+                            solver.add_clause([!v, !la, !lb]);
+                            solver.add_clause([v, !la, lb]);
+                            solver.add_clause([v, la, !lb]);
+                        } else {
+                            solver.add_clause([!v, la]);
+                            solver.add_clause([!v, lb]);
+                            solver.add_clause([v, !la, !lb]);
+                        }
                         self.frames[t][g.index()] = Some(v);
                     }
                 }
@@ -198,8 +215,10 @@ impl<'a> Unroller<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use diam_netlist::{Init, Netlist};
+    use diam_netlist::sim::{simulate, SplitMix64, Stimulus};
+    use diam_netlist::{Gate, Init, Netlist};
     use diam_sat::SolveResult;
+    use proptest::prelude::*;
 
     #[test]
     fn free_mode_leaves_state_unconstrained() {
@@ -263,6 +282,127 @@ mod tests {
         }
         let l3 = u.lit_at(&mut solver, both, 3);
         assert_eq!(solver.solve_with(&[l3]), SolveResult::Sat);
+    }
+
+    /// A random netlist over `inputs` inputs and `regs` registers with
+    /// every [`Init`] kind (`Fn` cones over inputs only), `gates` random
+    /// `xor`/`xnor`/`mux`/`and` results, and random next-state functions.
+    fn random_netlist(rng: &mut SplitMix64, inputs: usize, regs: usize, gates: usize) -> Netlist {
+        let mut n = Netlist::new();
+        let mut pool: Vec<Lit> = (0..inputs)
+            .map(|k| n.input(format!("i{k}")).lit())
+            .collect();
+        let regs: Vec<Gate> = (0..regs)
+            .map(|k| n.reg(format!("r{k}"), Init::Zero))
+            .collect();
+        let pick = |rng: &mut SplitMix64, pool: &[Lit]| {
+            pool[rng.below(pool.len() as u64) as usize].xor_complement(rng.bool())
+        };
+        // Input-only gates first, so `Init::Fn` has cones to pick from.
+        for k in 0..gates {
+            if k == gates / 3 {
+                for &r in &regs {
+                    let init = match rng.below(4) {
+                        0 => Init::Zero,
+                        1 => Init::One,
+                        2 => Init::Nondet,
+                        _ => Init::Fn(pick(rng, &pool)),
+                    };
+                    n.set_init(r, init);
+                }
+                pool.extend(regs.iter().map(|r| r.lit()));
+            }
+            let (a, b, c) = (pick(rng, &pool), pick(rng, &pool), pick(rng, &pool));
+            let l = match rng.below(4) {
+                0 => n.xor(a, b),
+                1 => n.xnor(a, b),
+                2 => n.mux(a, b, c),
+                _ => n.and(a, b),
+            };
+            pool.push(l);
+        }
+        for &r in &regs {
+            let next = pick(rng, &pool);
+            n.set_next(r, next);
+        }
+        n
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// With the inputs of every frame and the frame-0 registers fixed by
+        /// unit clauses to a simulated trace, every requested gate literal
+        /// is forced to its simulated value, whatever order the gates are
+        /// requested in — an XOR's two ANDs before, after or without it.
+        #[test]
+        fn encoding_agrees_with_simulation(
+            seed in any::<u64>(),
+            inputs in 1usize..4,
+            regs in 0usize..4,
+            gates in 1usize..32,
+            depth in 0usize..5,
+            free in any::<bool>(),
+        ) {
+            let mut rng = SplitMix64::new(seed);
+            let n = random_netlist(&mut rng, inputs, regs, gates);
+            n.validate().expect("generated netlists validate");
+            let trace = simulate(&n, &Stimulus::random(&n, depth + 1, &mut rng));
+            let mode = if free { FrameZero::Free } else { FrameZero::Init };
+            let mut solver = Solver::new();
+            let mut u = Unroller::new(&n, mode);
+            let mut requests: Vec<(Gate, usize)> = (0..=depth)
+                .flat_map(|t| n.gates().map(move |g| (g, t)))
+                .filter(|_| rng.below(4) != 0)
+                .collect();
+            for i in (1..requests.len()).rev() {
+                requests.swap(i, rng.below(i as u64 + 1) as usize);
+            }
+            let encoded: Vec<(Lit, usize, SatLit)> = requests
+                .iter()
+                .map(|&(g, t)| {
+                    let l = g.lit().xor_complement(rng.bool());
+                    (l, t, u.lit_at(&mut solver, l, t))
+                })
+                .collect();
+            let fixed = (0..=depth)
+                .flat_map(|t| n.inputs().iter().map(move |&i| (i, t)))
+                .chain(n.regs().iter().map(|&r| (r, 0)));
+            for (g, t) in fixed {
+                let l = u.lit_at(&mut solver, g.lit(), t);
+                solver.add_clause([if trace.value(g.lit(), t, 0) { l } else { !l }]);
+            }
+            prop_assert_eq!(solver.solve(), SolveResult::Sat);
+            for &(l, t, sat) in &encoded {
+                prop_assert_eq!(solver.value(sat), Some(trace.value(l, t, 0)), "{} at time {}", l, t);
+            }
+            for &(l, t, sat) in &encoded {
+                let other = if trace.value(l, t, 0) { !sat } else { sat };
+                prop_assert_eq!(solver.solve_with(&[other]), SolveResult::Unsat, "{} at time {}", l, t);
+            }
+        }
+    }
+
+    #[test]
+    fn an_xor_costs_one_variable() {
+        let mut n = Netlist::new();
+        let a = n.input("a").lit();
+        let b = n.input("b").lit();
+        let x = n.xor(a, b);
+        let mut solver = Solver::new();
+        let mut u = Unroller::new(&n, FrameZero::Free);
+        let (la, lb) = (u.lit_at(&mut solver, a, 0), u.lit_at(&mut solver, b, 0));
+        let vars_before = solver.num_vars();
+        let lx = u.lit_at(&mut solver, x, 0);
+        assert_eq!(solver.num_vars(), vars_before + 1);
+        for (va, vb) in [(false, false), (false, true), (true, false), (true, true)] {
+            let fix = |l: SatLit, v: bool| if v { l } else { !l };
+            let wrong = fix(lx, va == vb);
+            assert_eq!(
+                solver.solve_with(&[fix(la, va), fix(lb, vb), wrong]),
+                SolveResult::Unsat
+            );
+        }
     }
 
     #[test]
