@@ -52,7 +52,7 @@ impl BenchCli {
     /// an uninstrumented binary.
     pub fn session(&self, tool: &str) -> Session {
         // Crash forensics are always armed: a panic anywhere in the run
-        // writes a crash dump (manifest, open spans, flight-recorder tail,
+        // writes a crash dump (manifest, open spans, recorded-event tail,
         // allocator state) under the temp directory, whatever the `--obs`
         // mode.
         diam_obs::crash::install_panic_hook();

@@ -53,52 +53,28 @@ use diam_netlist::rebuild::{slice_target, Rebuilt};
 use diam_netlist::sim::Witness;
 use diam_netlist::{GateKind, Init, Lit, Netlist};
 use diam_sat::{Lit as SatLit, SolveResult, Solver};
-use diam_transform::unroll::{FrameZero, Unroller};
+use diam_transform::unroll::{self, inprocess_traced, FrameZero, Unroller};
 use std::sync::OnceLock;
 
-/// `solve_with` plus observability: when a session records, the per-call
-/// [`SolverStats`](diam_sat::SolverStats) delta is charged to the current
-/// thread (so the enclosing span carries its SAT counters on close) and a
-/// `sat.solve` point event attributes the work to `depth`.
+/// [`unroll::solve_traced`] plus a `sat.solve` point event that attributes
+/// the call's work to `depth`; the live watchdog reads that event's depth.
 fn solve_traced(solver: &mut Solver, assumptions: &[SatLit], depth: u64) -> SolveResult {
-    if !diam_obs::enabled() {
-        return solver.solve_with(assumptions);
+    let (r, delta) = unroll::solve_traced(solver, assumptions);
+    if let Some(d) = delta {
+        diam_obs::event!(
+            "sat.solve",
+            depth = depth,
+            result = match r {
+                SolveResult::Sat => "sat",
+                SolveResult::Unsat => "unsat",
+                SolveResult::Unknown => "unknown",
+            },
+            conflicts = d.conflicts,
+            decisions = d.decisions,
+            propagations = d.propagations
+        );
     }
-    let before = *solver.stats_ref();
-    let r = solver.solve_with(assumptions);
-    let d = solver.stats_ref().delta_since(&before);
-    diam_obs::charge_sat(d.conflicts, d.decisions, d.propagations);
-    diam_obs::charge_sat_gc(d.gc_runs, d.gc_freed_bytes, d.arena_bytes);
-    for (i, &n) in d.lbd_hist.iter().enumerate() {
-        diam_obs::histogram_record_n("sat.lbd", (i + 1) as u64, n);
-    }
-    diam_obs::event!(
-        "sat.solve",
-        depth = depth,
-        result = match r {
-            SolveResult::Sat => "sat",
-            SolveResult::Unsat => "unsat",
-            SolveResult::Unknown => "unknown",
-        },
-        conflicts = d.conflicts,
-        decisions = d.decisions,
-        propagations = d.propagations
-    );
     r
-}
-
-/// [`Solver::inprocess`] plus observability: arena-GC work performed at the
-/// level-0 boundary is charged to the open spans and the `sat.arena_bytes`
-/// gauge is refreshed.
-fn inprocess_traced(solver: &mut Solver) {
-    if !diam_obs::enabled() {
-        solver.inprocess();
-        return;
-    }
-    let before = *solver.stats_ref();
-    solver.inprocess();
-    let d = solver.stats_ref().delta_since(&before);
-    diam_obs::charge_sat_gc(d.gc_runs, d.gc_freed_bytes, d.arena_bytes);
 }
 
 /// Crash-forensics smoke hook: `DIAM_FORCE_PANIC=<depth>` makes the BMC

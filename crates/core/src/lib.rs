@@ -63,5 +63,5 @@ pub use classify::{ClassCounts, Classification, Classifier, ClassifyOptions, Reg
 pub use diam_par::Parallelism;
 pub use diam_transform::pass::{BoundStep, Certificate, CertificateChain};
 pub use eccentricity::{EccCert, EccOptions};
-pub use pipeline::{BackStep, Element, Engine, Pipeline, PipelineResult, PipelinedBound};
+pub use pipeline::{Element, Engine, Pipeline, PipelineResult, PipelinedBound};
 pub use structural::{diameter_bound, StructuralOptions, TargetBound};

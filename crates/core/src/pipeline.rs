@@ -18,7 +18,7 @@
 //! (with any technique — the structural engine of [`crate::structural`],
 //! the recurrence diameter, or anything else) is mapped back to a bound for
 //! the *original* netlist in constant time by replaying the recorded steps
-//! in reverse ([`PipelineResult::back_translate`]); a counterexample found
+//! in reverse ([`CertificateChain::back_translate`]); a counterexample found
 //! on the final netlist is mapped back to a replay-valid counterexample of
 //! the original by [`PipelineResult::lift_witness`].
 //!
@@ -160,24 +160,6 @@ impl fmt::Display for Pipeline {
     }
 }
 
-/// A recorded back-translation step for one target.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BackStep {
-    /// Theorem 2 / Theorem 4: add a constant.
-    Add(u64),
-    /// Theorem 3: multiply by the folding factor.
-    Mul(u64),
-}
-
-impl From<BoundStep> for BackStep {
-    fn from(s: BoundStep) -> BackStep {
-        match s {
-            BoundStep::Add(k) => BackStep::Add(k),
-            BoundStep::Mul(c) => BackStep::Mul(c),
-        }
-    }
-}
-
 /// A schedule of engines.
 ///
 /// Renders as a comma-separated element list (`COI,COM,RET,COM`,
@@ -274,7 +256,6 @@ impl Pipeline {
             original_targets: n.targets().len(),
             netlist: n.clone(),
             fp: fingerprint(n),
-            steps: Vec::new(),
             chain: CertificateChain::new(),
             log: Vec::new(),
         })
@@ -309,16 +290,6 @@ impl Pipeline {
                 }
             }
         }
-        result.steps = (0..result.original_targets)
-            .map(|i| {
-                result
-                    .chain
-                    .bound_steps(i)
-                    .into_iter()
-                    .map(BackStep::from)
-                    .collect()
-            })
-            .collect();
         result
     }
 
@@ -488,10 +459,6 @@ pub struct PipelineResult {
     pub netlist: Netlist,
     /// [`fingerprint`] of `netlist` (kept for [`Pipeline::resume`]).
     fp: u64,
-    /// Back-translation steps per original target, in application order —
-    /// the bound-map half of [`PipelineResult::chain`], kept as a plain
-    /// vector for constant-time replay.
-    pub steps: Vec<Vec<BackStep>>,
     /// The composed certificate chain: bound maps *and* witness lifters for
     /// every applied pass, in application order.
     pub chain: CertificateChain,
@@ -500,20 +467,6 @@ pub struct PipelineResult {
 }
 
 impl PipelineResult {
-    /// Back-translates a bound computed for target `index` of the
-    /// *transformed* netlist into a bound for the *original* netlist
-    /// (Theorems 1–4, applied in reverse order).
-    pub fn back_translate(&self, index: usize, bound: Bound) -> Bound {
-        let mut b = bound;
-        for step in self.steps[index].iter().rev() {
-            b = match *step {
-                BackStep::Add(k) => b.add_const(k),
-                BackStep::Mul(c) => b.mul_const(c),
-            };
-        }
-        b
-    }
-
     /// Lifts a counterexample found for target `index` of the *transformed*
     /// netlist into a counterexample for the *original* netlist, replaying
     /// the certificate chain's trace maps in reverse.
@@ -572,17 +525,21 @@ impl PipelineResult {
             let pb = PipelinedBound {
                 name: t.name.clone(),
                 transformed: tb.bound,
-                original: self.back_translate(i, tb.bound),
+                original: tb
+                    .bound
+                    .finite()
+                    .and_then(|d| self.chain.back_translate(i, d))
+                    .map_or(Bound::Exponential, Bound::Finite),
                 counts: tb.classification.counts(),
             };
             if diam_obs::enabled() {
                 // Back-translation totals = the per-target transform
                 // delta (Theorems 2–4 contributions for this target).
                 let (mut bt_add, mut bt_mul) = (0u64, 1u64);
-                for step in &self.steps[i] {
-                    match *step {
-                        BackStep::Add(k) => bt_add += k,
-                        BackStep::Mul(c) => bt_mul *= c,
+                for step in self.chain.bound_steps(i) {
+                    match step {
+                        BoundStep::Add(k) => bt_add += k,
+                        BoundStep::Mul(c) => bt_mul *= c,
                     }
                 }
                 sp.record("bt_add", bt_add);
@@ -730,7 +687,7 @@ mod tests {
     fn empty_pipeline_is_identity() {
         let n = deep_pipeline();
         let result = Pipeline::new().run(&n);
-        assert_eq!(result.back_translate(0, Bound::Finite(7)), Bound::Finite(7));
+        assert_eq!(result.chain.back_translate(0, 7), Some(7));
         assert!(result.chain.is_empty());
         assert_eq!(result.prefix_obligation(0), Some(0));
     }
@@ -775,7 +732,7 @@ mod tests {
         let pipe = Pipeline::new().then(Engine::Fold { preferred: 2 });
         let result = pipe.run(&n);
         assert_eq!(result.netlist.num_regs(), 1);
-        assert_eq!(result.steps[0], vec![BackStep::Mul(2)]);
+        assert_eq!(result.chain.bound_steps(0), [BoundStep::Mul(2)]);
         assert_eq!(result.prefix_obligation(0), None, "Mul blocks the prefix");
         check_sound(&n, &pipe);
     }
@@ -797,29 +754,9 @@ mod tests {
             ..Default::default()
         }));
         let result = pipe.run(&n);
-        assert_eq!(result.steps[0], vec![BackStep::Add(2)]);
+        assert_eq!(result.chain.bound_steps(0), [BoundStep::Add(2)]);
         assert_eq!(result.prefix_obligation(0), Some(2));
         check_sound(&n, &pipe);
-    }
-
-    #[test]
-    fn composed_back_translation_order() {
-        // Steps are recorded in application order and replayed in reverse.
-        let result = PipelineResult {
-            original_targets: 1,
-            netlist: Netlist::new(),
-            fp: 0,
-            steps: vec![vec![BackStep::Mul(3), BackStep::Add(2)]],
-            chain: CertificateChain::new(),
-            log: Vec::new(),
-        };
-        // Applied order: fold(×3) then enlarge(+2). A bound b on the final
-        // netlist is first undone through the enlargement (b + 2), then
-        // through the folding (×3): (b + 2) · 3.
-        assert_eq!(
-            result.back_translate(0, Bound::Finite(4)),
-            Bound::Finite(18)
-        );
     }
 
     /// End-to-end witness lifting through a full pipeline: a counterexample
@@ -854,7 +791,10 @@ mod tests {
             fingerprint(&whole.netlist),
             "{ctx}"
         );
-        assert_eq!(resumed.steps, whole.steps, "{ctx}");
+        for i in 0..n.targets().len() {
+            let steps = |r: &PipelineResult| r.chain.bound_steps(i);
+            assert_eq!(steps(&resumed), steps(&whole), "{ctx}");
+        }
         assert_eq!(resumed.log.len(), whole.log.len(), "{ctx}");
         assert_eq!(
             format!("{:?}", resumed.log),

@@ -189,38 +189,6 @@ pub fn serialized_bound_with(cl: &Classification, certs: &[Option<EccCert>]) -> 
     bound
 }
 
-/// Per-component running bounds in the serialized composition — retained
-/// for explanation purposes: component `c`'s entry is the bound of the
-/// sub-sequence up to and including `c` along its own dominant chain.
-/// [`component_bounds_with`] takes eccentricity certificates.
-pub fn component_bounds(cl: &Classification) -> Vec<Bound> {
-    component_bounds_with(cl, &[])
-}
-
-/// [`component_bounds`] with per-component eccentricity certificates.
-pub fn component_bounds_with(cl: &Classification, certs: &[Option<EccCert>]) -> Vec<Bound> {
-    let num = cl.cond.comps.len();
-    let mut preds: Vec<Vec<usize>> = vec![Vec::new(); num];
-    for (c, succs) in cl.cond.succs.iter().enumerate() {
-        for &d in succs {
-            preds[d].push(c);
-        }
-    }
-    let mut bound = vec![Bound::ONE; num];
-    for c in 0..num {
-        let up = preds[c]
-            .iter()
-            .map(|&p| bound[p])
-            .fold(Bound::ONE, Bound::max);
-        bound[c] = match &cl.kinds[c] {
-            ComponentKind::Acyclic => up.add_const(1),
-            ComponentKind::General => up.mul(gc_factor(cl, certs, c)),
-            ComponentKind::Table { cluster } => up.mul_const(cl.clusters[*cluster].rows as u64 + 1),
-        };
-    }
-    bound
-}
-
 /// One factor of a bound explanation.
 #[derive(Debug, Clone)]
 pub struct ExplainStep {

@@ -191,16 +191,17 @@ fn read_symbols<R: BufRead>(reader: &mut R, hdr: Header) -> Result<Symbols, Aige
 fn read_binary<R: BufRead>(mut reader: R, hdr: Header) -> Result<Netlist, AigerError> {
     let Header { i, l, o, a, b, .. } = hdr;
     let mut n = Netlist::new();
-    // Dense var -> literal table; index k is AIGER variable k.
-    let mut var_lit: Vec<Lit> = Vec::with_capacity((i + l + a + 1) as usize);
-    var_lit.push(Lit::FALSE);
+    // Buffers grow with the lines and deltas actually read, never from
+    // header counts, so a truncated body ends in an error at EOF. Dense
+    // var -> literal table; index k is AIGER variable k.
+    let mut var_lit: Vec<Lit> = vec![Lit::FALSE];
     // Names arrive only after the AND section; construct with positional
     // defaults and patch from the symbol table afterwards.
     for k in 0..i {
         var_lit.push(n.input(format!("i{k}")).lit());
     }
-    let mut regs: Vec<Gate> = Vec::with_capacity(l as usize);
-    let mut latch_next: Vec<u32> = Vec::with_capacity(l as usize);
+    let mut regs: Vec<Gate> = Vec::new();
+    let mut latch_next: Vec<u32> = Vec::new();
     for k in 0..l {
         let v = i + k + 1;
         let (next, reset) = match read_u32_line(&mut reader)?.as_slice() {
@@ -213,12 +214,12 @@ fn read_binary<R: BufRead>(mut reader: R, hdr: Header) -> Result<Netlist, AigerE
         latch_next.push(next);
         var_lit.push(g.lit());
     }
-    let mut outputs: Vec<u32> = Vec::with_capacity(o as usize);
+    let mut outputs: Vec<u32> = Vec::new();
     for _ in 0..o {
         let fields = read_u32_line(&mut reader)?;
         outputs.push(*fields.first().ok_or_else(|| parse_err("bad output line"))?);
     }
-    let mut bads: Vec<u32> = Vec::with_capacity(b as usize);
+    let mut bads: Vec<u32> = Vec::new();
     for _ in 0..b {
         let fields = read_u32_line(&mut reader)?;
         bads.push(*fields.first().ok_or_else(|| parse_err("bad `bad` line"))?);
@@ -230,7 +231,10 @@ fn read_binary<R: BufRead>(mut reader: R, hdr: Header) -> Result<Netlist, AigerE
         let mut shift = 0;
         loop {
             let mut byte = [0u8; 1];
-            reader.read_exact(&mut byte)?;
+            reader.read_exact(&mut byte).map_err(|e| match e.kind() {
+                std::io::ErrorKind::UnexpectedEof => parse_err("unexpected end of file"),
+                _ => AigerError::Io(e),
+            })?;
             let bits = u32::from(byte[0] & 0x7f);
             // A u32 takes at most five 7-bit groups, the fifth of 4 bits.
             if shift > 28 || bits > u32::MAX >> shift {

@@ -1,10 +1,10 @@
 //! Crash forensics: panic hooks and post-mortem dump files.
 //!
 //! A long-lived run that dies must explain itself from an artifact, not a
-//! scrollback. This module maintains always-available crash context — the
-//! installed session's manifest, per-thread open-span stacks, the flight
-//! recorder ([`crate::ring`]), and allocator counters — and writes it to
-//! `<temp dir>/diam-crash/<id>.json` (see [`set_crash_dir`]) when the
+//! scrollback. A dump reads the installed session's manifest, every
+//! recording thread's record (its open-span stack and its last events), the
+//! worker tag of the dying thread and the allocator counters, and is written
+//! to `<temp dir>/diam-crash/<id>.json` (see [`set_crash_dir`]) when the
 //! process panics ([`install_panic_hook`]) or a `diam-par` worker job
 //! panics ([`record_worker_panic`]). The dump is schema-versioned
 //! ([`CRASH_SCHEMA_VERSION`]) and rendered by `diam-trace postmortem`.
@@ -15,116 +15,81 @@ use std::cell::Cell;
 use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, TryLockError};
+use std::time::Duration;
 
-use crate::{json, ring, Value};
+use crate::{json, unpoison, worker_tag, Event, RECORDER};
 
 /// Version stamp of the crash-dump JSON schema (`crash_schema` key).
-pub const CRASH_SCHEMA_VERSION: u64 = 1;
+pub const CRASH_SCHEMA_VERSION: u64 = 2;
 
-/// Ring entries included in a dump (the most recent across all threads).
-pub const DUMP_RING_EVENTS: usize = 64;
-
-fn unpoison<T>(r: Result<T, PoisonError<T>>) -> T {
-    r.unwrap_or_else(PoisonError::into_inner)
-}
-
-// ---------------------------------------------------------------------------
-// Open-span stacks
-// ---------------------------------------------------------------------------
-
-/// One open span as tracked for crash dumps.
-#[derive(Debug, Clone)]
-struct OpenSpan {
-    id: u64,
-    name: &'static str,
-    detail: String,
-}
-
-struct ThreadSpans {
-    worker: AtomicU32,
-    epoch: AtomicU64,
-    stack: Mutex<Vec<OpenSpan>>,
-}
-
-static SPAN_EPOCH: AtomicU64 = AtomicU64::new(0);
-static SPAN_STACKS: Mutex<Vec<Arc<ThreadSpans>>> = Mutex::new(Vec::new());
+/// Recorded events included in a dump (the most recent across all threads).
+pub const DUMP_EVENTS: usize = 64;
 
 thread_local! {
-    static TL_SPANS: std::sync::OnceLock<Arc<ThreadSpans>> = const { std::sync::OnceLock::new() };
     static TL_DUMPED: Cell<bool> = const { Cell::new(false) };
 }
 
-/// Invalidate every thread's crash span stack (a new session started; stale
-/// stacks from the previous session must not appear in its dumps).
-pub(crate) fn reset_span_stacks() {
-    SPAN_EPOCH.fetch_add(1, Ordering::Release);
-}
-
-fn with_thread_spans(f: impl FnOnce(&ThreadSpans)) {
-    let _ = TL_SPANS.try_with(|cell| {
-        let ts = cell.get_or_init(|| {
-            let ts = Arc::new(ThreadSpans {
-                worker: AtomicU32::new(0),
-                epoch: AtomicU64::new(SPAN_EPOCH.load(Ordering::Acquire)),
-                stack: Mutex::new(Vec::new()),
-            });
-            unpoison(SPAN_STACKS.lock()).push(ts.clone());
-            ts
-        });
-        let epoch = SPAN_EPOCH.load(Ordering::Acquire);
-        if ts.epoch.swap(epoch, Ordering::AcqRel) != epoch {
-            unpoison(ts.stack.lock()).clear();
+/// Locks `m` unless it stays taken for about 10 ms: the panicking thread
+/// may itself hold it, and a dump must never wait for that.
+fn lock_briefly<T>(m: &Mutex<T>) -> Option<MutexGuard<'_, T>> {
+    for _ in 0..100 {
+        match m.try_lock() {
+            Ok(guard) => return Some(guard),
+            Err(TryLockError::Poisoned(p)) => return Some(p.into_inner()),
+            Err(TryLockError::WouldBlock) => std::thread::sleep(Duration::from_micros(100)),
         }
-        f(ts);
-    });
-}
-
-/// Formats a span's open fields into a compact `k=v k=v` detail string.
-pub(crate) fn format_detail(fields: &[(&'static str, Value)]) -> String {
-    let pairs: Vec<String> = fields.iter().map(|(k, v)| format!("{k}={v}")).collect();
-    pairs.join(" ")
-}
-
-/// Records a span open on this thread's crash stack.
-pub(crate) fn on_span_open(id: u64, name: &'static str, detail: String) {
-    with_thread_spans(|ts| {
-        ts.worker.store(ring::ring_worker(), Ordering::Relaxed);
-        unpoison(ts.stack.lock()).push(OpenSpan { id, name, detail });
-    });
-}
-
-/// Records a span close (pops by id; tolerates out-of-order drops).
-pub(crate) fn on_span_close(id: u64) {
-    with_thread_spans(|ts| {
-        let mut stack = unpoison(ts.stack.lock());
-        if let Some(pos) = stack.iter().rposition(|s| s.id == id) {
-            stack.remove(pos);
-        }
-    });
-}
-
-/// Every thread's currently open span stack (worker tag, innermost last),
-/// non-empty stacks only. Safe from any thread, including a panic hook.
-pub fn open_span_stacks() -> Vec<(u32, Vec<(&'static str, String)>)> {
-    let epoch = SPAN_EPOCH.load(Ordering::Acquire);
-    let stacks: Vec<Arc<ThreadSpans>> = unpoison(SPAN_STACKS.lock()).clone();
-    let mut out = Vec::new();
-    for ts in stacks {
-        if ts.epoch.load(Ordering::Acquire) != epoch {
-            continue;
-        }
-        let stack = unpoison(ts.stack.lock());
-        if stack.is_empty() {
-            continue;
-        }
-        out.push((
-            ts.worker.load(Ordering::Relaxed),
-            stack.iter().map(|s| (s.name, s.detail.clone())).collect(),
-        ));
     }
-    out.sort_by_key(|(w, _)| *w);
+    None
+}
+
+/// What a dump reads from the recorder.
+#[derive(Default)]
+struct Records {
+    /// Each thread's open spans as `(name, detail)`, outermost first, by
+    /// worker; threads with no open span are left out.
+    stacks: Vec<(u32, Vec<(&'static str, String)>)>,
+    /// The last [`DUMP_EVENTS`] events across all threads, in `seq` order.
+    tail: Vec<Event>,
+    /// Events recorded by the threads that were read.
+    recorded: u64,
+    /// Threads whose record stayed locked, so the dump could not read it.
+    unread: u64,
+}
+
+/// Reads every recording thread's record of the installed session.
+fn read_records() -> Records {
+    let mut out = Records::default();
+    let Some(rec) = lock_briefly(&RECORDER).and_then(|r| r.clone()) else {
+        return out;
+    };
+    let buffers = lock_briefly(&rec.buffers).map(|b| b.clone());
+    for buf in buffers.unwrap_or_default() {
+        let Some(buf) = lock_briefly(&buf) else {
+            out.unread += 1;
+            continue;
+        };
+        out.recorded += buf.events.len() as u64;
+        let skip = buf.events.len().saturating_sub(DUMP_EVENTS);
+        out.tail.extend(buf.events[skip..].iter().cloned());
+        if let Some(worker) = buf.stack_worker() {
+            let stack = buf.open_spans().map(|(open, _)| {
+                let detail: Vec<String> = open
+                    .kind
+                    .fields()
+                    .iter()
+                    .map(|(k, v)| format!("{k}={v}"))
+                    .collect();
+                (open.kind.name(), detail.join(" "))
+            });
+            out.stacks.push((worker, stack.collect()));
+        }
+    }
+    out.stacks.sort_by_key(|(w, _)| *w);
+    out.tail.sort_by_key(|e| e.seq);
+    let skip = out.tail.len().saturating_sub(DUMP_EVENTS);
+    out.tail.drain(..skip);
     out
 }
 
@@ -173,9 +138,9 @@ fn render_dump(
     message: &str,
     location: Option<&str>,
     thread_name: &str,
-    worker: u32,
-    job: Option<u64>,
+    (worker, job): (u32, Option<u64>),
 ) -> String {
+    let records = read_records();
     let mut out = String::new();
     out.push_str(&format!(
         "{{\"crash_schema\":{CRASH_SCHEMA_VERSION},\"id\":"
@@ -205,7 +170,7 @@ fn render_dump(
     }
 
     out.push_str(",\"open_spans\":[");
-    for (i, (w, stack)) in open_span_stacks().iter().enumerate() {
+    for (i, (w, stack)) in records.stacks.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
@@ -224,25 +189,13 @@ fn render_dump(
     }
     out.push(']');
 
-    let snap = ring::snapshot_all();
-    let skip = snap.entries.len().saturating_sub(DUMP_RING_EVENTS);
     out.push_str(&format!(
-        ",\"ring\":{{\"dropped\":{},\"torn\":{},\"events\":[",
-        snap.dropped + skip as u64,
-        snap.torn
+        ",\"events\":{{\"recorded\":{},\"unread_threads\":{},\"tail\":[",
+        records.recorded, records.unread
     ));
-    for (i, e) in snap.entries.iter().skip(skip).enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"seq\":{},\"ts_ns\":{},\"worker\":{},\"kind\":",
-            e.seq, e.ts_ns, e.worker
-        ));
-        json::write_escaped(&mut out, e.kind.name());
-        out.push_str(",\"name\":");
-        json::write_escaped(&mut out, e.name);
-        out.push_str(&format!(",\"a\":{},\"b\":{}}}", e.a, e.b));
+    for e in &records.tail {
+        json::comma(&mut out);
+        e.write_json(&mut out);
     }
     out.push_str("]}");
 
@@ -319,19 +272,14 @@ fn private_dir(dir: &Path) -> bool {
     std::fs::create_dir_all(dir).is_ok()
 }
 
-/// Writes one dump and reports its path (or the failure) on stderr.
-fn write_dump(
-    reason: &str,
-    message: &str,
-    location: Option<&str>,
-    worker: u32,
-    job: Option<u64>,
-) -> Option<PathBuf> {
+/// Writes one dump for the calling thread and reports its path (or the
+/// failure) on stderr.
+fn write_dump(reason: &str, message: &str, location: Option<&str>) -> Option<PathBuf> {
     let n = DUMP_COUNTER.fetch_add(1, Ordering::Relaxed);
     let id = format!("crash-{}-{}-{n}", unix_ms(), std::process::id());
     let thread = std::thread::current();
     let thread_name = thread.name().unwrap_or("unnamed").to_string();
-    let body = render_dump(&id, reason, message, location, &thread_name, worker, job);
+    let body = render_dump(&id, reason, message, location, &thread_name, worker_tag());
     let file = match chosen_crash_dir() {
         Some(dir) => create_dump_file(&dir, false, &id),
         // The fallback is shared by every user of the machine.
@@ -367,9 +315,10 @@ pub fn payload_message(payload: &(dyn std::any::Any + Send)) -> String {
 static HOOK_INSTALLED: AtomicBool = AtomicBool::new(false);
 
 /// Installs the process panic hook (idempotent). The hook writes a crash
-/// dump — manifest, open-span stacks, last ring events, allocation counters,
-/// panic payload — then chains to the previously installed hook, so the
-/// standard panic message still prints.
+/// dump — manifest, open-span stacks, last recorded events, allocation
+/// counters, panic payload, and the thread's worker and job — then chains to
+/// the previously installed hook, so the standard panic message still
+/// prints.
 pub fn install_panic_hook() {
     if HOOK_INSTALLED.swap(true, Ordering::SeqCst) {
         return;
@@ -382,9 +331,7 @@ pub fn install_panic_hook() {
             let location = info
                 .location()
                 .map(|l| format!("{}:{}", l.file(), l.line()));
-            ring::note(ring::RingKind::Panic, "panic", 0, 0);
-            let worker = ring::ring_worker();
-            write_dump("panic", &message, location.as_deref(), worker, None);
+            write_dump("panic", &message, location.as_deref());
             // Re-arm: a caught-and-handled panic must not suppress the dump
             // of a later, genuinely fatal one on this thread.
             let _ = TL_DUMPED.try_with(|c| c.set(false));
@@ -393,67 +340,22 @@ pub fn install_panic_hook() {
     }));
 }
 
-/// Records a `diam-par` worker-job panic: a flight-recorder entry plus a
-/// crash dump naming the worker and job, unless the process panic hook
-/// already dumped this panic on this thread. Returns the dump path when one
-/// was written. Called by the executor between catching and re-raising.
-pub fn record_worker_panic(
-    worker: u32,
-    job: u64,
-    payload: &(dyn std::any::Any + Send),
-) -> Option<PathBuf> {
-    ring::note(
-        ring::RingKind::Panic,
-        "par.worker_panic",
-        job,
-        u64::from(worker),
-    );
+/// Records a `diam-par` worker-job panic: a crash dump naming the worker
+/// and job of the calling thread (see [`crate::set_worker`]), unless the
+/// process panic hook already dumped this panic on this thread. Returns the
+/// dump path when one was written. Called by the executor between catching
+/// and re-raising.
+pub fn record_worker_panic(payload: &(dyn std::any::Any + Send)) -> Option<PathBuf> {
     if HOOK_INSTALLED.load(Ordering::SeqCst) {
         // The hook ran at panic time on this same thread and wrote the dump.
         return None;
     }
-    let message = payload_message(payload);
-    write_dump("worker_panic", &message, None, worker, Some(job))
+    write_dump("worker_panic", &payload_message(payload), None)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn detail_formats_all_value_kinds() {
-        let detail = format_detail(&[
-            ("target", Value::U64(3)),
-            ("delta", Value::I64(-2)),
-            ("ratio", Value::F64(0.5)),
-            ("hit", Value::Bool(true)),
-            ("engine", Value::Str("bdd".to_string())),
-        ]);
-        assert_eq!(detail, "target=3 delta=-2 ratio=0.5 hit=true engine=bdd");
-    }
-
-    #[test]
-    fn span_stack_tracks_open_and_close() {
-        // Sessions reset the span-stack epoch; hold the install lock so a
-        // concurrently running session test cannot clear our stack mid-test.
-        let _serial = crate::unpoison(crate::INSTALL.lock());
-        reset_span_stacks();
-        on_span_open(101, "crash.test.outer", "target=1".to_string());
-        on_span_open(102, "crash.test.inner", String::new());
-        let stacks = open_span_stacks();
-        let mine = stacks
-            .iter()
-            .find(|(_, s)| s.iter().any(|(n, _)| *n == "crash.test.outer"))
-            .expect("this thread's stack is visible");
-        assert_eq!(mine.1.len(), 2);
-        assert_eq!(mine.1[1].0, "crash.test.inner");
-        on_span_close(102);
-        on_span_close(101);
-        let stacks = open_span_stacks();
-        assert!(!stacks
-            .iter()
-            .any(|(_, s)| s.iter().any(|(n, _)| *n == "crash.test.outer")));
-    }
 
     /// Dumps never follow a planted symlink: not one standing in for the
     /// shared temp-dir fallback (the dump goes to a private directory
@@ -489,39 +391,84 @@ mod tests {
         let _ = std::fs::remove_dir_all(&root);
     }
 
+    /// A dump's open-span stacks as `w<worker>: name(detail) > …` lines.
+    fn stack_lines(dump: &json::JsonValue) -> Vec<String> {
+        fn str_at<'a>(v: &'a json::JsonValue, key: &str) -> &'a str {
+            v.get(key).and_then(|x| x.as_str()).unwrap()
+        }
+        let stacks = dump.get("open_spans").and_then(|x| x.as_array()).unwrap();
+        let line = |s: &json::JsonValue| {
+            let spans = s.get("stack").and_then(|x| x.as_array()).unwrap();
+            let spans: Vec<String> = spans
+                .iter()
+                .map(|e| format!("{}({})", str_at(e, "name"), str_at(e, "detail")))
+                .collect();
+            let worker = s.get("worker").and_then(|w| w.as_u64()).unwrap();
+            format!("w{worker}: {}", spans.join(" > "))
+        };
+        stacks.iter().map(line).collect()
+    }
+
+    /// Two threads hold open spans while one of them records a worker
+    /// panic: the dump names that thread's worker and job, and shows both
+    /// stacks, with their open fields as details, and their open events.
     #[test]
-    fn worker_panic_writes_a_schema_valid_dump() {
-        let _serial = crate::unpoison(crate::INSTALL.lock());
+    fn worker_panic_dump_shows_every_open_stack() {
+        use crate::{set_worker, span};
         let dir = std::env::temp_dir().join(format!("diam_crash_unit_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         set_crash_dir(Some(dir.clone()));
-        reset_span_stacks();
-        on_span_open(7, "crash.test.span", "index=4".to_string());
-        let payload: Box<dyn std::any::Any + Send> = Box::new("unit boom".to_string());
-        let path = record_worker_panic(3, 4, payload.as_ref()).expect("dump written");
-        on_span_close(7);
+        let session = crate::tests::quiet_session();
+        let barrier = std::sync::Barrier::new(2);
+        let path = std::thread::scope(|s| {
+            s.spawn(|| {
+                set_worker(2, Some(8));
+                let _sp = span!("sibling", target = "t8", ratio = 0.5, hit = true);
+                barrier.wait(); // both stacks are open
+                barrier.wait(); // the dump is written
+            });
+            let dying = s.spawn(|| {
+                set_worker(1, Some(4));
+                let _outer = span!("outer", index = 4u64, delta = -2i64);
+                let _inner = span!("inner");
+                barrier.wait();
+                let path = record_worker_panic(&"unit boom");
+                barrier.wait();
+                path
+            });
+            dying.join().unwrap()
+        });
+        session.finish();
         set_crash_dir(None);
-        let text = std::fs::read_to_string(&path).expect("dump readable");
+        let text = std::fs::read_to_string(path.expect("dump written")).expect("dump readable");
+        let _ = std::fs::remove_dir_all(&dir);
         let v = json::parse(text.trim()).expect("dump is valid JSON");
-        assert_eq!(v.get("crash_schema").and_then(|x| x.as_u64()), Some(1));
+        let u64_at = |v: &json::JsonValue, key| v.get(key).and_then(|x| x.as_u64());
+        assert_eq!(u64_at(&v, "crash_schema"), Some(2));
         assert_eq!(
             v.get("reason").and_then(|x| x.as_str()),
             Some("worker_panic")
         );
         assert_eq!(v.get("message").and_then(|x| x.as_str()), Some("unit boom"));
-        assert_eq!(v.get("worker").and_then(|x| x.as_u64()), Some(3));
-        assert_eq!(v.get("job").and_then(|x| x.as_u64()), Some(4));
-        assert!(v.get("ring").and_then(|r| r.get("events")).is_some());
+        assert_eq!(
+            (u64_at(&v, "worker"), u64_at(&v, "job")),
+            (Some(1), Some(4))
+        );
         assert!(v.get("alloc").and_then(|a| a.get("allocs")).is_some());
-        let spans = v.get("open_spans").and_then(|x| x.as_array()).unwrap();
-        assert!(spans.iter().any(|s| {
-            s.get("stack")
-                .and_then(|st| st.as_array())
-                .is_some_and(|st| {
-                    st.iter()
-                        .any(|e| e.get("name").and_then(|n| n.as_str()) == Some("crash.test.span"))
-                })
-        }));
-        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(
+            stack_lines(&v),
+            [
+                "w1: outer(index=4 delta=-2) > inner()",
+                "w2: sibling(target=t8 ratio=0.5 hit=true)"
+            ]
+        );
+        let events = v.get("events").unwrap();
+        assert_eq!(u64_at(events, "recorded"), Some(3));
+        assert_eq!(u64_at(events, "unread_threads"), Some(0));
+        let tail = events.get("tail").and_then(|x| x.as_array()).unwrap();
+        let opened = tail
+            .iter()
+            .filter(|e| e.get("ev").and_then(|x| x.as_str()) == Some("open"));
+        assert_eq!(opened.count(), 3, "{tail:?}");
     }
 }

@@ -22,18 +22,19 @@
 //!   serializes), and the default state — no session — makes every hook a
 //!   single relaxed atomic load, so instrumented library code pays nothing
 //!   when observability is off.
-//! * **Spans are hierarchical per thread.** [`span!`] pushes onto a
-//!   thread-local stack; the returned [`SpanGuard`] pops and emits the close
-//!   event (with duration) on drop. Worker threads started by `diam-par`
-//!   tag themselves with [`set_worker`] and inherit the submitting thread's
-//!   open span via [`set_ambient_parent`], so per-target work nests under
-//!   the orchestrating span in the final tree while staying attributed to
-//!   its worker in every event.
-//! * **Events buffer per thread.** Each recording thread owns a buffer
-//!   registered with the session; an event append only touches that buffer's
-//!   (uncontended) lock. [`Session::finish`] drains all buffers, orders
-//!   events by a global sequence number, and writes the JSONL trace if
-//!   configured.
+//! * **One record per thread.** Each recording thread owns a buffer
+//!   registered with the session: its events and its open-span stack, both
+//!   updated under that buffer's (uncontended) lock. [`span!`] pushes onto
+//!   the stack; the returned [`SpanGuard`] pops and emits the close event
+//!   (with duration) on drop. Span parenting, crash dumps ([`crash`]) and
+//!   the live watchdog all read the buffers; [`Session::finish`] drains
+//!   them, orders events by a global sequence number, and writes the JSONL
+//!   trace if configured.
+//! * **Worker tags.** Worker threads started by `diam-par` tag themselves
+//!   with [`set_worker`] and inherit the submitting thread's open span via
+//!   [`set_ambient_parent`], so per-target work nests under the
+//!   orchestrating span in the final tree while staying attributed to its
+//!   worker in every event.
 //! * **SAT attribution.** Callers of `diam-sat` report per-solve statistic
 //!   deltas through [`charge_sat`]; every span automatically records the
 //!   SAT work (solves / conflicts / decisions / propagations) performed on
@@ -66,11 +67,10 @@ pub mod alloc;
 pub mod crash;
 pub mod json;
 mod live;
-pub mod ring;
 
 pub use live::LIVE_SCHEMA_VERSION;
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -410,6 +410,59 @@ impl EventKind {
             | EventKind::Point { name, .. } => name,
         }
     }
+
+    /// The event's fields.
+    pub(crate) fn fields(&self) -> &[Field] {
+        match self {
+            EventKind::Open { fields, .. }
+            | EventKind::Close { fields, .. }
+            | EventKind::Point { fields, .. } => fields,
+        }
+    }
+}
+
+/// The unsigned field `key`, if present.
+fn field_u64(fields: &[Field], key: &str) -> Option<u64> {
+    fields.iter().find_map(|(k, v)| match v {
+        Value::U64(n) if *k == key => Some(*n),
+        _ => None,
+    })
+}
+
+impl Event {
+    /// Appends this event as one JSONL trace object (no newline): the form
+    /// of [`Report::to_jsonl`]'s event lines and of a crash dump's event
+    /// tail.
+    fn write_json(&self, out: &mut String) {
+        let (ev, span, link, name, fields) = match &self.kind {
+            EventKind::Open {
+                span,
+                parent,
+                name,
+                fields,
+            } => ("open", span, format!(",\"parent\":{parent}"), name, fields),
+            EventKind::Close {
+                span,
+                name,
+                dur_ns,
+                fields,
+            } => ("close", span, format!(",\"dur_ns\":{dur_ns}"), name, fields),
+            EventKind::Point { span, name, fields } => ("point", span, String::new(), name, fields),
+        };
+        out.push_str(&format!(
+            "{{\"ts\":{},\"seq\":{},\"worker\":{},\"ev\":\"{ev}\",\"span\":{span}{link},\"name\":",
+            self.ts_ns, self.seq, self.worker
+        ));
+        json::write_escaped(out, name);
+        out.push_str(",\"fields\":{");
+        for (k, v) in fields.iter() {
+            json::comma(out);
+            json::write_escaped(out, k);
+            out.push(':');
+            v.write_json(out);
+        }
+        out.push_str("}}");
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -565,9 +618,56 @@ impl SatTotals {
 // Recorder internals
 // ---------------------------------------------------------------------------
 
+/// One span on a thread's open-span stack.
+struct OpenSpan {
+    id: u64,
+    /// Index of the span's open event in [`ThreadBuffer::events`].
+    open: usize,
+    /// The `depth` of the last `sat.solve` point recorded while this span
+    /// was the innermost one: the BMC progress the live watchdog shows.
+    depth: Option<u64>,
+}
+
+/// A recording thread's one record of what it did and is doing: its
+/// events, and the spans it has open. Only the owner thread writes it, and
+/// every reader (span parenting, the crash dump, the live watchdog,
+/// [`Session::finish`]) takes the same lock.
 #[derive(Default)]
 struct ThreadBuffer {
-    events: Mutex<Vec<Event>>,
+    events: Vec<Event>,
+    /// Open spans, outermost first.
+    stack: Vec<OpenSpan>,
+}
+
+impl ThreadBuffer {
+    /// The span new events nest under: the innermost open one, else the
+    /// thread's ambient parent.
+    fn current(&self, ambient: u64) -> u64 {
+        self.stack.last().map_or(ambient, |s| s.id)
+    }
+
+    fn push(&mut self, rec: &Recorder, kind: EventKind) -> usize {
+        self.events.push(Event {
+            seq: rec.seq.fetch_add(1, Ordering::Relaxed),
+            ts_ns: rec.start.elapsed().as_nanos() as u64,
+            worker: worker_tag().0,
+            kind,
+        });
+        self.events.len() - 1
+    }
+
+    /// The open spans, outermost first: each one's open event and its
+    /// last reported depth.
+    fn open_spans(&self) -> impl Iterator<Item = (&Event, Option<u64>)> {
+        self.stack
+            .iter()
+            .filter_map(|s| Some((self.events.get(s.open)?, s.depth)))
+    }
+
+    /// The worker tag of the thread's innermost open span.
+    fn stack_worker(&self) -> Option<u32> {
+        self.open_spans().last().map(|(e, _)| e.worker)
+    }
 }
 
 struct Recorder {
@@ -575,15 +675,15 @@ struct Recorder {
     start: Instant,
     seq: AtomicU64,
     next_span: AtomicU64,
-    buffers: Mutex<Vec<Arc<ThreadBuffer>>>,
+    buffers: Mutex<Vec<Arc<Mutex<ThreadBuffer>>>>,
     metrics: Mutex<BTreeMap<&'static str, Metric>>,
     /// Live sink state; present only when a live mode or a machine live
     /// stream ([`ObsConfig::live_out`]) is configured.
-    live: Option<Arc<live::LiveState>>,
+    live: Option<live::LiveState>,
 }
 
 impl Recorder {
-    fn new(epoch: u64, live: Option<Arc<live::LiveState>>) -> Recorder {
+    fn new(epoch: u64, live: Option<live::LiveState>) -> Recorder {
         Recorder {
             epoch,
             start: Instant::now(),
@@ -609,15 +709,30 @@ fn unpoison<T>(r: Result<T, PoisonError<T>>) -> T {
 struct Tls {
     epoch: u64,
     recorder: Option<Arc<Recorder>>,
-    buffer: Option<Arc<ThreadBuffer>>,
-    stack: Vec<u64>,
+    buffer: Option<Arc<Mutex<ThreadBuffer>>>,
     ambient_parent: u64,
-    worker: u32,
     sat: SatTotals,
+}
+
+impl Tls {
+    /// Runs `f` on the bound recorder and this thread's buffer, under the
+    /// buffer's lock.
+    fn record<R>(&self, f: impl FnOnce(&Recorder, &mut ThreadBuffer) -> R) -> R {
+        let rec = self.recorder.as_ref().expect("recorder bound");
+        let mut buf = unpoison(self.buffer.as_ref().expect("buffer bound").lock());
+        f(rec, &mut buf)
+    }
 }
 
 thread_local! {
     static TLS: RefCell<Tls> = RefCell::new(Tls::default());
+    /// This thread's worker tag and current job (see [`set_worker`]).
+    static TAG: Cell<(u32, Option<u64>)> = const { Cell::new((0, None)) };
+}
+
+/// This thread's worker tag and current job.
+fn worker_tag() -> (u32, Option<u64>) {
+    TAG.try_with(Cell::get).unwrap_or((0, None))
 }
 
 /// Whether a recording session is active. A single relaxed atomic load —
@@ -639,46 +754,16 @@ fn with_tls<R>(f: impl FnOnce(&mut Tls) -> R) -> Option<R> {
         let epoch = EPOCH.load(Ordering::Acquire);
         if t.epoch != epoch || t.recorder.is_none() {
             let rec = unpoison(RECORDER.lock()).clone()?;
-            let buf = Arc::new(ThreadBuffer::default());
+            let buf = Arc::new(Mutex::new(ThreadBuffer::default()));
             unpoison(rec.buffers.lock()).push(buf.clone());
             t.epoch = rec.epoch;
             t.recorder = Some(rec);
             t.buffer = Some(buf);
-            t.stack.clear();
             t.ambient_parent = 0;
             t.sat = SatTotals::default();
         }
         Some(f(&mut t))
     })
-}
-
-fn push_event(t: &mut Tls, kind: EventKind) {
-    let rec = t.recorder.as_ref().expect("recorder bound");
-    // Mirror the transition into the flight recorder so a crash dump can
-    // show the thread's recent history even when no trace file is written.
-    match &kind {
-        EventKind::Open { span, name, .. } => {
-            ring::note(ring::RingKind::SpanOpen, name, *span, 0);
-        }
-        EventKind::Close {
-            span, name, dur_ns, ..
-        } => {
-            ring::note(ring::RingKind::SpanClose, name, *span, *dur_ns);
-        }
-        EventKind::Point { span, name, .. } => {
-            ring::note(ring::RingKind::Point, name, *span, 0);
-        }
-    }
-    let ev = Event {
-        seq: rec.seq.fetch_add(1, Ordering::Relaxed),
-        ts_ns: rec.start.elapsed().as_nanos() as u64,
-        worker: t.worker,
-        kind,
-    };
-    if let Some(live) = &rec.live {
-        live.on_event(&ev);
-    }
-    unpoison(t.buffer.as_ref().expect("buffer bound").events.lock()).push(ev);
 }
 
 // ---------------------------------------------------------------------------
@@ -742,12 +827,6 @@ impl Drop for SpanGuard {
         // whenever `--mem` accounting is off.
         let alloc_delta = alloc::thread_totals().delta_since(&self.alloc_at_open);
         with_tls(|t| {
-            // Pop this span (defensively tolerate out-of-order drops).
-            if t.stack.last() == Some(&id) {
-                t.stack.pop();
-            } else {
-                t.stack.retain(|&s| s != id);
-            }
             let sat = t.sat.delta_since(&sat_at_open);
             if !sat.is_zero() {
                 fields.push(("sat_solves", Value::U64(sat.solves)));
@@ -765,16 +844,21 @@ impl Drop for SpanGuard {
                 fields.push(("alloc_bytes", Value::U64(alloc_delta.alloc_bytes)));
                 fields.push(("alloc_freed_bytes", Value::U64(alloc_delta.freed_bytes)));
             }
-            crash::on_span_close(id);
-            push_event(
-                t,
-                EventKind::Close {
-                    span: id,
-                    name,
-                    dur_ns,
-                    fields,
-                },
-            );
+            t.record(|rec, buf| {
+                // Pop this span (defensively tolerate out-of-order drops).
+                if let Some(pos) = buf.stack.iter().rposition(|s| s.id == id) {
+                    buf.stack.remove(pos);
+                }
+                buf.push(
+                    rec,
+                    EventKind::Close {
+                        span: id,
+                        name,
+                        dur_ns,
+                        fields,
+                    },
+                );
+            });
         });
         // Published outside the TLS borrow (the metrics path re-enters it);
         // never set from inside the allocator, which must stay lock-free.
@@ -788,20 +872,22 @@ impl Drop for SpanGuard {
 /// when recording is off).
 pub fn span_start(name: &'static str, fields: Vec<Field>) -> SpanGuard {
     with_tls(|t| {
-        let rec = t.recorder.as_ref().expect("recorder bound");
-        let id = rec.next_span.fetch_add(1, Ordering::Relaxed);
-        let parent = t.stack.last().copied().unwrap_or(t.ambient_parent);
-        crash::on_span_open(id, name, crash::format_detail(&fields));
-        push_event(
-            t,
-            EventKind::Open {
+        let id = t.record(|rec, buf| {
+            let id = rec.next_span.fetch_add(1, Ordering::Relaxed);
+            let kind = EventKind::Open {
                 span: id,
-                parent,
+                parent: buf.current(t.ambient_parent),
                 name,
                 fields,
-            },
-        );
-        t.stack.push(id);
+            };
+            let open = buf.push(rec, kind);
+            buf.stack.push(OpenSpan {
+                id,
+                open,
+                depth: None,
+            });
+            id
+        });
         SpanGuard {
             id,
             name,
@@ -817,8 +903,17 @@ pub fn span_start(name: &'static str, fields: Vec<Field>) -> SpanGuard {
 /// Emits a point event inside the current span (prefer [`event!`]).
 pub fn emit(name: &'static str, fields: Vec<Field>) {
     with_tls(|t| {
-        let span = t.stack.last().copied().unwrap_or(t.ambient_parent);
-        push_event(t, EventKind::Point { span, name, fields });
+        t.record(|rec, buf| {
+            if name == "sat.solve" {
+                if let (Some(depth), Some(top)) =
+                    (field_u64(&fields, "depth"), buf.stack.last_mut())
+                {
+                    top.depth = Some(depth);
+                }
+            }
+            let span = buf.current(t.ambient_parent);
+            buf.push(rec, EventKind::Point { span, name, fields });
+        });
     });
 }
 
@@ -856,7 +951,7 @@ macro_rules! event {
 /// The id of the innermost open span on this thread (0 if none). Used by
 /// executors to forward span context to worker threads.
 pub fn current_span() -> u64 {
-    with_tls(|t| t.stack.last().copied().unwrap_or(t.ambient_parent)).unwrap_or(0)
+    with_tls(|t| t.record(|_, buf| buf.current(t.ambient_parent))).unwrap_or(0)
 }
 
 /// Sets the parent span used by this thread's *root* spans (worker threads
@@ -875,12 +970,12 @@ pub fn worker_label(worker: u64) -> String {
     }
 }
 
-/// Tags this thread's events with a worker id (0 = main; `diam-par` workers
-/// use `index + 1`). The tag also sticks to the always-on flight recorder,
-/// so crash dumps name the worker even with `--obs off`.
-pub fn set_worker(worker: u32) {
-    ring::set_ring_worker(worker);
-    with_tls(|t| t.worker = worker);
+/// Tags this thread as worker `worker` (0 = main; `diam-par` workers use
+/// `index + 1`) running `job` (`None` outside a job). Every event the thread
+/// records carries the worker, and a crash dump written on the thread names
+/// both, whether or not a session records.
+pub fn set_worker(worker: u32, job: Option<u64>) {
+    let _ = TAG.try_with(|t| t.set((worker, job)));
 }
 
 // ---------------------------------------------------------------------------
@@ -1199,9 +1294,7 @@ impl Session {
             alloc::set_mem_enabled(true);
             manifest.options.push(("mem".to_string(), "on".to_string()));
         }
-        // Crash context: dumps from this point on name this run; span
-        // stacks left over from a previous session are invalidated.
-        crash::reset_span_stacks();
+        // Crash context: dumps from this point on name this run.
         crash::set_manifest_json(manifest.to_json_object());
         let machine = if config.mode.is_off() {
             None
@@ -1219,15 +1312,15 @@ impl Session {
             }
         };
         let human = config.mode == ObsMode::Live;
-        let live_state = if human || machine.is_some() {
-            Some(Arc::new(live::LiveState::new(config.live, human, machine)))
-        } else {
-            None
-        };
-        let recorder = Arc::new(Recorder::new(epoch, live_state.clone()));
+        let live_state =
+            (human || machine.is_some()).then(|| live::LiveState::new(config.live, human, machine));
+        let recorder = Arc::new(Recorder::new(epoch, live_state));
         *unpoison(RECORDER.lock()) = Some(recorder.clone());
         ENABLED.store(!config.mode.is_off(), Ordering::Release);
-        let watchdog = live_state.map(live::spawn_watchdog);
+        let watchdog = recorder
+            .live
+            .is_some()
+            .then(|| live::spawn_watchdog(recorder.clone()));
         Session {
             config,
             manifest,
@@ -1262,7 +1355,7 @@ impl Session {
 
         let mut events = Vec::new();
         for buf in unpoison(self.recorder.buffers.lock()).iter() {
-            events.append(&mut *unpoison(buf.events.lock()));
+            events.append(&mut unpoison(buf.lock()).events);
         }
         events.sort_by_key(|e| e.seq);
         self.manifest.wall_ns = self.recorder.start.elapsed().as_nanos() as u64;
@@ -1329,36 +1422,8 @@ impl Report {
         out.push_str("}}\n");
 
         for e in &self.events {
-            let (ev, span, link, name, fields) = match &e.kind {
-                EventKind::Open {
-                    span,
-                    parent,
-                    name,
-                    fields,
-                } => ("open", span, format!(",\"parent\":{parent}"), name, fields),
-                EventKind::Close {
-                    span,
-                    name,
-                    dur_ns,
-                    fields,
-                } => ("close", span, format!(",\"dur_ns\":{dur_ns}"), name, fields),
-                EventKind::Point { span, name, fields } => {
-                    ("point", span, String::new(), name, fields)
-                }
-            };
-            out.push_str(&format!(
-                "{{\"ts\":{},\"seq\":{},\"worker\":{},\"ev\":\"{ev}\",\"span\":{span}{link},\"name\":",
-                e.ts_ns, e.seq, e.worker
-            ));
-            json::write_escaped(&mut out, name);
-            out.push_str(",\"fields\":{");
-            for (k, v) in fields.iter() {
-                json::comma(&mut out);
-                json::write_escaped(&mut out, k);
-                out.push(':');
-                v.write_json(&mut out);
-            }
-            out.push_str("}}\n");
+            e.write_json(&mut out);
+            out.push('\n');
         }
 
         // Metrics line.
@@ -1410,7 +1475,8 @@ mod tests {
             .expect("span closed")
     }
 
-    fn quiet_session() -> Session {
+    /// A recording session without live sinks.
+    pub(crate) fn quiet_session() -> Session {
         Session::install(
             ObsConfig {
                 mode: ObsMode::Summary,

@@ -1,11 +1,10 @@
 //! The live sinks: a watchdog that makes long runs observable while they
 //! run, without touching stdout.
 //!
-//! When a session is installed with a live mode, every recorded event also
-//! streams through a [`LiveState`]: per-worker open-span stacks are mirrored
-//! as events arrive, the `par.queue_depth` gauge is mirrored into an atomic,
-//! and a background thread snapshots the stacks once per tick. Each live
-//! event is one frame (`live_start` / `heartbeat` / `progress` / `stall` /
+//! When a session is installed with a live mode, a background thread reads
+//! every recording thread's open-span stack from the recorder once per tick
+//! (the `par.queue_depth` gauge is mirrored into an atomic). Each live event
+//! is one frame (`live_start` / `heartbeat` / `progress` / `stall` /
 //! `finish`) built from that snapshot and handed to both sinks:
 //!
 //! * **human** ([`ObsMode::Live`](crate::ObsMode::Live)) — stderr lines:
@@ -20,15 +19,14 @@
 //!   same frames as schema-versioned JSONL lines (see
 //!   [`LIVE_SCHEMA_VERSION`]) that a server can relay verbatim.
 //!
-//! The sink costs one mutex-protected stack update per event and only
-//! exists in live modes; all other modes never allocate a [`LiveState`].
+//! Recording threads do no live work of their own; all other modes never
+//! allocate a [`LiveState`].
 
-use crate::{json, unpoison, Event, EventKind, Field, LiveOptions, Value};
-use std::collections::BTreeMap;
+use crate::{field_u64, json, unpoison, LiveOptions, Recorder};
 use std::io::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Version of the machine-readable live JSONL schema: every line is an
 /// object with `"v"` set to this, an `"ev"` discriminator
@@ -44,56 +42,35 @@ pub(crate) enum MachineSink {
     File(Mutex<std::fs::File>),
 }
 
-/// One mirrored open span on a worker's live stack.
-struct OpenSpan {
-    name: &'static str,
-    /// A short human label extracted from the open fields (target name,
-    /// engine, column, …), empty when none applies.
-    detail: String,
-    opened_ns: u64,
-    /// Last depth reported by a `sat.solve` point event under this span.
-    depth: Option<u64>,
-    /// Final depth, when the open fields advertise one (`max_depth`/`hi`).
-    max_depth: Option<u64>,
-}
-
 /// Depth/ETA annotation: `(depth, Some((max, eta_s)))` when the span
 /// advertises its range, `(depth, None)` otherwise.
 type Progress = (u64, Option<(u64, f64)>);
 
-impl OpenSpan {
-    fn progress(&self, now_ns: u64) -> Option<Progress> {
-        let depth = self.depth?;
-        match self.max_depth {
-            Some(max) if max > 0 && depth <= max => {
-                let frac = (depth + 1) as f64 / (max + 1) as f64;
-                let elapsed_s = now_ns.saturating_sub(self.opened_ns) as f64 / 1e9;
-                let eta_s = elapsed_s * (1.0 - frac) / frac.max(1e-9);
-                Some((depth, Some((max, eta_s))))
-            }
-            _ => Some((depth, None)),
+/// The progress of a span opened at `opened_ns` whose open fields
+/// advertise `max_depth`, at its last reported `depth`.
+fn progress(depth: u64, max_depth: Option<u64>, opened_ns: u64, now_ns: u64) -> Progress {
+    match max_depth {
+        Some(max) if max > 0 && depth <= max => {
+            let frac = (depth + 1) as f64 / (max + 1) as f64;
+            let elapsed_s = now_ns.saturating_sub(opened_ns) as f64 / 1e9;
+            let eta_s = elapsed_s * (1.0 - frac) / frac.max(1e-9);
+            (depth, Some((max, eta_s)))
         }
+        _ => (depth, None),
     }
 }
 
-/// Shared state between the recording threads and the watchdog thread.
+/// The live sinks and the watchdog's own state.
 pub(crate) struct LiveState {
     opts: LiveOptions,
     /// Human-readable stderr lines (`--obs live`).
     human: bool,
     /// The machine-readable JSONL stream, when configured.
     machine: Option<MachineSink>,
-    start: Instant,
-    /// `ts_ns` of the most recent event (nanoseconds since session start).
-    last_event_ns: AtomicU64,
-    /// Total events seen (heartbeats stay quiet until the first one).
-    events: AtomicU64,
     stop: AtomicBool,
     /// One-shot stall latch: set on the first stall detection, cleared when
     /// events resume (see [`LiveState::check_stall`]).
     stalled: AtomicBool,
-    /// Each worker's open spans, outermost first.
-    workers: Mutex<BTreeMap<u32, Vec<OpenSpan>>>,
     /// Mirror of the `par.queue_depth` gauge (see `with_metric` in the
     /// crate root).
     queue_depth: AtomicI64,
@@ -107,11 +84,47 @@ pub(crate) struct LiveState {
 /// preference order.
 const DETAIL_KEYS: [&str; 5] = ["target", "design", "engine", "column", "index"];
 
-fn field_u64(fields: &[Field], key: &str) -> Option<u64> {
-    fields.iter().find_map(|(k, v)| match v {
-        Value::U64(n) if *k == key => Some(*n),
-        _ => None,
-    })
+/// Reads every recording thread's open-span stack once: every worker with
+/// open spans, the depth frontier over all of them, and the event count.
+fn snapshot(rec: &Recorder, now_ns: u64) -> Snapshot {
+    let mut snap = Snapshot {
+        workers: Vec::new(),
+        frontier: None,
+        events: rec.seq.load(Ordering::Relaxed),
+        last_event_ns: 0,
+    };
+    for buf in unpoison(rec.buffers.lock()).iter() {
+        let buf = unpoison(buf.lock());
+        let last_ns = buf.events.last().map_or(0, |e| e.ts_ns);
+        snap.last_event_ns = snap.last_event_ns.max(last_ns);
+        let Some(worker) = buf.stack_worker() else {
+            continue;
+        };
+        let mut frame = WorkerFrame {
+            worker: u64::from(worker),
+            stack: Vec::new(),
+            progress: None,
+        };
+        for (open, depth) in buf.open_spans() {
+            let fields = open.kind.fields();
+            let detail = DETAIL_KEYS
+                .iter()
+                .find_map(|key| fields.iter().find(|(k, _)| k == key))
+                .map(|(_, v)| v.to_string());
+            frame
+                .stack
+                .push((open.kind.name(), detail.unwrap_or_default()));
+            if let Some(depth) = depth {
+                snap.frontier = snap.frontier.max(Some(depth));
+                // Depth + ETA from the innermost span that reports it.
+                let max_depth = field_u64(fields, "max_depth").or(field_u64(fields, "hi"));
+                frame.progress = Some(progress(depth, max_depth, open.ts_ns, now_ns));
+            }
+        }
+        snap.workers.push(frame);
+    }
+    snap.workers.sort_by_key(|w| w.worker);
+    snap
 }
 
 impl LiveState {
@@ -120,12 +133,8 @@ impl LiveState {
             opts,
             human,
             machine,
-            start: Instant::now(),
-            last_event_ns: AtomicU64::new(0),
-            events: AtomicU64::new(0),
             stop: AtomicBool::new(false),
             stalled: AtomicBool::new(false),
-            workers: Mutex::new(BTreeMap::new()),
             queue_depth: AtomicI64::new(0),
             rss_kb: AtomicU64::new(0),
         }
@@ -135,65 +144,11 @@ impl LiveState {
         self.stop.store(true, Ordering::Release);
     }
 
-    /// Mirrors one event into the per-worker stacks (called from
-    /// `push_event` on the recording threads).
-    pub(crate) fn on_event(&self, ev: &Event) {
-        self.last_event_ns.store(ev.ts_ns, Ordering::Relaxed);
-        self.events.fetch_add(1, Ordering::Relaxed);
-        let mut workers = unpoison(self.workers.lock());
-        let stack = workers.entry(ev.worker).or_default();
-        match &ev.kind {
-            EventKind::Open { name, fields, .. } => stack.push(OpenSpan {
-                name,
-                detail: DETAIL_KEYS
-                    .iter()
-                    .find_map(|key| fields.iter().find(|(k, _)| k == key))
-                    .map(|(_, v)| v.to_string())
-                    .unwrap_or_default(),
-                opened_ns: ev.ts_ns,
-                depth: None,
-                max_depth: field_u64(fields, "max_depth").or(field_u64(fields, "hi")),
-            }),
-            EventKind::Close { name, .. } => {
-                // Pop the innermost span with this name (defensive against
-                // out-of-order guard drops, mirroring the recorder).
-                if let Some(pos) = stack.iter().rposition(|s| s.name == *name) {
-                    stack.remove(pos);
-                }
-            }
-            EventKind::Point { name, fields, .. } if *name == "sat.solve" => {
-                if let (Some(depth), Some(top)) = (field_u64(fields, "depth"), stack.last_mut()) {
-                    top.depth = Some(depth);
-                }
-            }
-            EventKind::Point { .. } => {}
-        }
-    }
-
     /// Mirrors a counter/gauge update into the live atomics (called from
     /// `with_metric` with the post-update value).
     pub(crate) fn on_scalar(&self, name: &str, value: i64) {
         if name == "par.queue_depth" {
             self.queue_depth.store(value, Ordering::Relaxed);
-        }
-    }
-
-    /// Walks the per-worker stacks once: every worker with open spans, and
-    /// the depth frontier over all of them.
-    fn snapshot(&self, now_ns: u64) -> Snapshot {
-        let workers = unpoison(self.workers.lock());
-        Snapshot {
-            frontier: workers.values().flatten().filter_map(|s| s.depth).max(),
-            workers: workers
-                .iter()
-                .filter(|(_, stack)| !stack.is_empty())
-                .map(|(&worker, stack)| WorkerFrame {
-                    worker: u64::from(worker),
-                    stack: stack.iter().map(|s| (s.name, s.detail.clone())).collect(),
-                    // Depth + ETA from the innermost span that reports it.
-                    progress: stack.iter().rev().find_map(|s| s.progress(now_ns)),
-                })
-                .collect(),
         }
     }
 
@@ -217,12 +172,11 @@ impl LiveState {
     /// One-shot stall detection: returns the quiet time on the *first* tick
     /// past the threshold, `None` on subsequent ticks; the latch resets as
     /// soon as events resume, so a second distinct stall dumps again.
-    pub(crate) fn check_stall(&self, now_ns: u64) -> Option<f64> {
-        if self.events.load(Ordering::Relaxed) == 0 {
+    fn check_stall(&self, snap: &Snapshot, now_ns: u64) -> Option<f64> {
+        if snap.events == 0 {
             return None; // nothing recorded yet — stay quiet
         }
-        let last_ev = self.last_event_ns.load(Ordering::Relaxed);
-        let quiet_ns = now_ns.saturating_sub(last_ev);
+        let quiet_ns = now_ns.saturating_sub(snap.last_event_ns);
         if quiet_ns > self.opts.stall.as_nanos() as u64 {
             if !self.stalled.swap(true, Ordering::Relaxed) {
                 return Some(quiet_ns as f64 / 1e9);
@@ -262,12 +216,16 @@ impl LiveState {
     }
 }
 
-/// The per-worker stacks as one watchdog tick sees them.
+/// The recorder as one watchdog tick sees it.
 struct Snapshot {
     /// Every worker with open spans, by worker id.
     workers: Vec<WorkerFrame>,
     /// The deepest BMC depth any open span has reported.
     frontier: Option<u64>,
+    /// Events recorded so far.
+    events: u64,
+    /// `ts_ns` of the most recent event (0 before the first).
+    last_event_ns: u64,
 }
 
 /// One busy worker's open-span stack.
@@ -465,32 +423,34 @@ impl Frame<'_> {
     }
 }
 
-/// Spawns the watchdog thread for `state`; it runs until
+/// Spawns the watchdog thread for `rec`'s live state; it runs until
 /// [`LiveState::request_stop`] and is joined by `Session::finish`.
-pub(crate) fn spawn_watchdog(state: Arc<LiveState>) -> std::thread::JoinHandle<()> {
+pub(crate) fn spawn_watchdog(rec: Arc<Recorder>) -> std::thread::JoinHandle<()> {
+    let state = rec.live.as_ref().expect("live state");
     state.emit(&Frame::Start {
         heartbeat: state.opts.heartbeat,
         stall: state.opts.stall,
     });
     std::thread::Builder::new()
         .name("diam-obs-live".to_string())
-        .spawn(move || watchdog_loop(&state))
+        .spawn(move || watchdog_loop(&rec))
         .expect("spawn live watchdog")
 }
 
-fn watchdog_loop(state: &LiveState) {
+fn watchdog_loop(rec: &Recorder) {
+    let state = rec.live.as_ref().expect("live state");
     let tick = state.opts.heartbeat.min(state.opts.stall).div_f64(4.0);
     let tick = tick.max(Duration::from_millis(10));
     let mut last_beat_ns = 0u64;
     let mut last_progress = None;
     while !state.stop.load(Ordering::Acquire) {
         std::thread::sleep(tick);
-        let now_ns = state.start.elapsed().as_nanos() as u64;
-        if state.events.load(Ordering::Relaxed) == 0 {
+        let now_ns = rec.start.elapsed().as_nanos() as u64;
+        let snap = snapshot(rec, now_ns);
+        if snap.events == 0 {
             continue; // nothing recorded yet — stay quiet
         }
-        let snap = state.snapshot(now_ns);
-        if let Some(quiet_s) = state.check_stall(now_ns) {
+        if let Some(quiet_s) = state.check_stall(&snap, now_ns) {
             state.emit(&Frame::Stall {
                 ts_ns: now_ns,
                 quiet_s,
@@ -521,41 +481,24 @@ fn watchdog_loop(state: &LiveState) {
 mod tests {
     use super::*;
     use crate::json::JsonValue;
+    use crate::tests::quiet_session as session;
     use crate::{ObsConfig, ObsMode, RunManifest, Session};
 
-    fn open_ev(span: u64, ts_ns: u64, name: &'static str, fields: Vec<Field>) -> Event {
-        Event {
-            seq: 0,
-            ts_ns,
-            worker: 1,
-            kind: EventKind::Open {
-                span,
-                parent: 0,
-                name,
-                fields,
-            },
-        }
-    }
-
-    fn point_ev(span: u64, ts_ns: u64, name: &'static str, fields: Vec<Field>) -> Event {
-        Event {
-            seq: 0,
-            ts_ns,
-            worker: 1,
-            kind: EventKind::Point { span, name, fields },
-        }
+    /// The recorder's latest event timestamp.
+    fn last_event_ns(session: &Session) -> u64 {
+        snapshot(&session.recorder, 0).last_event_ns
     }
 
     /// The heartbeat at `now_ns`: its human lines and its machine line.
-    fn render_beat(state: &LiveState, now_ns: u64) -> (String, String) {
-        let snap = state.snapshot(now_ns);
+    fn render_beat(state: &LiveState, rec: &Recorder, now_ns: u64) -> (String, String) {
+        let snap = snapshot(rec, now_ns);
         let frame = state.heartbeat(now_ns, &snap);
         (frame.human().join("\n"), frame.json())
     }
 
     /// The stall frame at `now_ns`: its human lines and its machine line.
-    fn render_stall(state: &LiveState, now_ns: u64, quiet_s: f64) -> (String, String) {
-        let snap = state.snapshot(now_ns);
+    fn render_stall(rec: &Recorder, now_ns: u64, quiet_s: f64) -> (String, String) {
+        let snap = snapshot(rec, now_ns);
         let frame = Frame::Stall {
             ts_ns: now_ns,
             quiet_s,
@@ -598,63 +541,43 @@ mod tests {
         assert_eq!(report.mode, ObsMode::Live);
     }
 
-    /// The stack mirror pairs opens/closes and picks up depth from
-    /// `sat.solve` points; heartbeat and stall renderers see it.
+    /// A worker's recorded stack, with the depth of its `sat.solve` points,
+    /// is what heartbeat and stall frames show; closing the span clears it.
     #[test]
-    fn live_state_mirrors_stacks() {
+    fn frames_show_the_recorded_stacks() {
+        let session = session();
         let state = LiveState::new(LiveOptions::default(), true, None);
-        let fields = vec![
-            ("index", Value::U64(4)),
-            ("max_depth", Value::U64(49)),
-            ("target", Value::from("t4")),
-        ];
-        state.on_event(&open_ev(1, 1000, "bmc.check", fields));
-        state.on_event(&point_ev(
-            1,
-            2000,
-            "sat.solve",
-            vec![("depth", Value::U64(12))],
-        ));
-        let (beat, _) = render_beat(&state, 3000);
-        assert!(beat.contains("bmc.check(t4)"), "{beat}");
-        assert!(beat.contains("depth 12/49"), "{beat}");
-        let (stall, _) = render_stall(&state, 3000, 9.0);
-        assert!(stall.contains("STALL"), "{stall}");
-        assert!(stall.contains("w1: bmc.check"), "{stall}");
-        state.on_event(&Event {
-            seq: 2,
-            ts_ns: 4000,
-            worker: 1,
-            kind: EventKind::Close {
-                span: 1,
-                name: "bmc.check",
-                dur_ns: 3000,
-                fields: vec![],
-            },
+        let rec = &session.recorder;
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                crate::set_worker(1, Some(4));
+                let _sp = crate::span!("bmc.check", index = 4u64, max_depth = 49u64, target = "t4");
+                crate::event!("sat.solve", depth = 12u64);
+                let (beat, _) = render_beat(&state, rec, 3000);
+                assert!(beat.contains("w1    bmc.check(t4)"), "{beat}");
+                assert!(beat.contains("depth 12/49"), "{beat}");
+                let (stall, _) = render_stall(rec, 3000, 9.0);
+                assert!(stall.contains("STALL"), "{stall}");
+                assert!(stall.contains("w1: bmc.check"), "{stall}");
+            });
         });
-        assert!(render_beat(&state, 5000).0.is_empty());
-        assert!(render_stall(&state, 5000, 9.0).0.contains("no open spans"));
+        assert!(render_beat(&state, rec, 5000).0.is_empty());
+        assert!(render_stall(rec, 5000, 9.0).0.contains("no open spans"));
+        session.finish();
     }
 
-    /// Heartbeat ETA on a synthetic slow trace: a span opened at t=0 with
-    /// max depth 9 that reaches depth 4 by t=10 s is halfway — the linear
-    /// ETA is exactly the elapsed 10 s again.
+    /// Heartbeat ETA: a span with max depth 9 that reaches depth 4 ten
+    /// seconds after it opened is halfway — the linear ETA is exactly the
+    /// elapsed 10 s again.
     #[test]
     fn heartbeat_eta_extrapolates_linearly() {
+        let session = session();
         let state = LiveState::new(LiveOptions::default(), true, None);
-        let fields = vec![
-            ("target", Value::from("slow")),
-            ("max_depth", Value::U64(9)),
-        ];
-        state.on_event(&open_ev(1, 0, "bmc.check", fields));
-        state.on_event(&point_ev(
-            1,
-            1000,
-            "sat.solve",
-            vec![("depth", Value::U64(4))],
-        ));
-        let now_ns = 10_000_000_000; // 10 s in
-        let (beat, machine) = render_beat(&state, now_ns);
+        let _sp = crate::span!("bmc.check", target = "slow", max_depth = 9u64);
+        let opened_ns = last_event_ns(&session);
+        crate::event!("sat.solve", depth = 4u64);
+        let now_ns = opened_ns + 10_000_000_000; // 10 s in
+        let (beat, machine) = render_beat(&state, &session.recorder, now_ns);
         assert!(beat.contains("depth 4/9 eta 10.0s"), "{beat}");
         // Machine heartbeat carries the same numbers.
         let hb = json::parse(&machine).unwrap();
@@ -663,29 +586,38 @@ mod tests {
         assert_eq!(worker.get("max_depth").and_then(JsonValue::as_u64), Some(9));
         let eta = worker.get("eta_s").and_then(JsonValue::as_f64).unwrap();
         assert!((eta - 10.0).abs() < 1e-6, "eta {eta}");
+        drop(_sp);
+        session.finish();
     }
 
     /// Stall detection is one-shot: the first tick past the threshold dumps,
     /// later ticks stay quiet, and a resumed event re-arms the latch.
     #[test]
     fn stall_latch_is_one_shot_and_rearms() {
+        let session = session();
+        let rec = &session.recorder;
         let opts = LiveOptions {
             heartbeat: Duration::from_secs(1),
             stall: Duration::from_secs(1),
         };
         let state = LiveState::new(opts, true, None);
+        let stall_at = |now_ns| state.check_stall(&snapshot(rec, now_ns), now_ns);
         // No events yet → never stalls, however long the quiet time.
-        assert_eq!(state.check_stall(10_000_000_000), None);
-        state.on_event(&open_ev(1, 1_000, "bmc.check", vec![]));
+        assert_eq!(stall_at(10_000_000_000), None);
+        let sp = crate::span!("bmc.check");
+        let t = last_event_ns(&session);
         // Quiet for > 1 s: first check fires, second stays silent.
-        assert!(state.check_stall(2_000_000_000).is_some());
-        assert_eq!(state.check_stall(3_000_000_000), None);
+        assert!(stall_at(t + 2_000_000_000).is_some());
+        assert_eq!(stall_at(t + 3_000_000_000), None);
         // An event resumes; a short quiet window clears the latch...
-        state.on_event(&point_ev(1, 3_100_000_000, "sat.solve", vec![]));
-        assert_eq!(state.check_stall(3_200_000_000), None);
+        crate::event!("sat.solve");
+        let t = last_event_ns(&session);
+        assert_eq!(stall_at(t + 100_000_000), None);
         // ...so a second distinct stall dumps exactly once again.
-        assert!(state.check_stall(9_000_000_000).is_some());
-        assert_eq!(state.check_stall(9_500_000_000), None);
+        assert!(stall_at(t + 6_000_000_000).is_some());
+        assert_eq!(stall_at(t + 6_500_000_000), None);
+        drop(sp);
+        session.finish();
     }
 
     /// The `par.queue_depth` gauge mirrored from the metrics layer shows up
@@ -693,10 +625,12 @@ mod tests {
     /// progress and stall events carry exactly their documented keys.
     #[test]
     fn queue_depth_and_progress_surface_in_machine_events() {
+        let session = session();
+        let rec = &session.recorder;
         let state = LiveState::new(LiveOptions::default(), true, None);
-        state.on_event(&open_ev(1, 1000, "bmc.check", vec![]));
+        let sp = crate::span!("bmc.check");
         state.on_scalar("par.queue_depth", 2);
-        let hb = json::parse(&render_beat(&state, 2000).1).unwrap();
+        let hb = json::parse(&render_beat(&state, rec, 2000).1).unwrap();
         assert_eq!(keys(&hb), ["ev", "queue_depth", "ts_ns", "v", "workers"]);
         assert_eq!(hb.get("queue_depth").and_then(JsonValue::as_i64), Some(2));
         let progress = json::parse(&state.progress(2000, 7).json()).unwrap();
@@ -706,10 +640,12 @@ mod tests {
             ["depth", "ev", "queue_depth", "ts_ns", "v"]
         );
         assert_eq!(progress.get("depth").and_then(JsonValue::as_u64), Some(7));
-        let stall = json::parse(&render_stall(&state, 2000, 4.5).1).unwrap();
+        let stall = json::parse(&render_stall(rec, 2000, 4.5).1).unwrap();
         assert_eq!(stall.get("ev").unwrap().as_str(), Some("stall"));
         assert_eq!(keys(&stall), ["ev", "quiet_s", "stacks", "ts_ns", "v"]);
         assert!(stall.get("stacks").is_some_and(|s| s.as_array().is_some()));
+        drop(sp);
+        session.finish();
     }
 
     /// A sampled RSS shows up on the human heartbeat and as an additive
@@ -717,17 +653,20 @@ mod tests {
     /// neither surfaces, keeping pre-existing consumers byte-compatible.
     #[test]
     fn rss_sample_surfaces_in_heartbeats() {
+        let session = session();
         let state = LiveState::new(LiveOptions::default(), true, None);
-        state.on_event(&open_ev(1, 1000, "bmc.check", vec![]));
-        let (human, machine) = render_beat(&state, 2000);
+        let sp = crate::span!("bmc.check");
+        let (human, machine) = render_beat(&state, &session.recorder, 2000);
         assert!(!human.contains("rss"), "{human}");
         let hb = json::parse(&machine).unwrap();
         assert!(hb.get("rss_kb").is_none());
 
         state.rss_kb.store(2048, Ordering::Relaxed);
-        let (human, machine) = render_beat(&state, 2000);
+        let (human, machine) = render_beat(&state, &session.recorder, 2000);
         assert!(human.contains("rss 2.0 MiB"), "{human}");
         let hb = json::parse(&machine).unwrap();
         assert_eq!(hb.get("rss_kb").and_then(JsonValue::as_u64), Some(2048));
+        drop(sp);
+        session.finish();
     }
 }

@@ -24,8 +24,6 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, PoisonError};
 
-use diam_obs::ring::{self, RingKind};
-
 /// How many worker threads an orchestration layer may use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Parallelism {
@@ -95,9 +93,9 @@ fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 ///   bit-identical to any `Threads(n)` run as long as each job is
 ///   deterministic in isolation.
 /// * A panicking job stops the queue: no worker starts another job. The
-///   panic is recorded in the observability flight recorder (with a crash
-///   dump via [`diam_obs::crash`] unless the process panic hook already
-///   wrote one), and the first panic is re-raised after all workers join.
+///   panic leaves a crash dump naming the worker and job (through
+///   [`diam_obs::crash`], unless the process panic hook already wrote one),
+///   and the first panic is re-raised after all workers join.
 pub fn run<T, R, F>(par: Parallelism, jobs: Vec<T>, f: F) -> Vec<R>
 where
     T: Send,
@@ -146,25 +144,22 @@ where
                 (&next, &stopped, &results, &first_panic, &f);
             s.spawn(move || {
                 let wid = me as u32 + 1;
-                diam_obs::set_worker(wid);
                 diam_obs::set_ambient_parent(obs_parent);
-                ring::note(RingKind::Worker, "par.worker_start", u64::from(wid), 0);
                 let mut local: Vec<(usize, R)> = Vec::new();
                 while let Some((i, job)) = next() {
-                    ring::note(RingKind::Job, "par.job", i as u64, 0);
+                    diam_obs::set_worker(wid, Some(i as u64));
                     match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(i, job))) {
                         Ok(r) => local.push((i, r)),
                         Err(payload) => {
                             // Stop the queue before the crash dump exists, so
                             // no job starts once the panic is on record.
                             stopped.store(true, Ordering::SeqCst);
-                            diam_obs::crash::record_worker_panic(wid, i as u64, payload.as_ref());
+                            diam_obs::crash::record_worker_panic(payload.as_ref());
                             lock(first_panic).get_or_insert(payload);
                             break;
                         }
                     }
                 }
-                ring::note(RingKind::Worker, "par.worker_stop", u64::from(wid), 0);
                 lock(results).extend(local);
             });
         }
@@ -315,7 +310,7 @@ mod tests {
         assert!(body.contains("\"reason\":\"worker_panic\""), "{body}");
         assert!(body.contains("\"worker\":"), "{body}");
         assert!(body.contains("\"job\":0"), "{body}");
-        assert!(body.contains("\"ring\":"), "{body}");
+        assert!(body.contains("\"events\":"), "{body}");
     }
 
     /// The crash dump in `dir` whose body carries `message`, once written.

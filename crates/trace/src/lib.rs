@@ -21,8 +21,8 @@
 //!   verifier that checks the export against the span model.
 //! * [`postmortem`] — strict parser and human renderer for the crash dumps
 //!   written by `diam_obs::crash` (process panic hook and `diam-par` worker
-//!   panics): which worker died where, open-span stacks, the flight
-//!   recorder's last events, and allocator state at death.
+//!   panics): which worker died in which job, open-span stacks, the last
+//!   recorded events, and allocator state at death.
 //! * [`timeline`] — per-worker busy/idle lane rendering from merged span
 //!   intervals.
 //!

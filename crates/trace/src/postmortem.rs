@@ -2,19 +2,19 @@
 //!
 //! The `diam_obs::crash` module writes a schema-versioned JSON dump when a
 //! process panics (panic hook) or a `diam-par` worker job panics — manifest,
-//! per-thread open-span stacks, the tail of the flight recorder, allocator
+//! per-thread open-span stacks, the last recorded events, allocator
 //! counters, and the panic payload. This module is the reader side:
 //! [`CrashDump::parse`] strictly validates a dump against that schema and
 //! [`render_postmortem`] turns it into the human report behind
-//! `diam-trace postmortem <dump>` — which worker died, in which span stack
-//! (target / depth), what the recorder saw last, and what the
+//! `diam-trace postmortem <dump>` — which worker died in which job, in which
+//! span stack (target / depth), what the recorder saw last, and what the
 //! allocation state looked like at death.
 
 use diam_obs::json::{self, JsonValue};
 
 /// The crash-dump schema version this reader understands (must match
 /// `diam_obs::crash::CRASH_SCHEMA_VERSION`).
-pub const SUPPORTED_CRASH_SCHEMA: u64 = 1;
+pub const SUPPORTED_CRASH_SCHEMA: u64 = 2;
 
 /// The session manifest embedded in a dump (what run was executing).
 #[derive(Debug, Clone, PartialEq)]
@@ -40,35 +40,38 @@ pub struct DumpSpanStack {
     pub stack: Vec<(String, String)>,
 }
 
-/// One flight-recorder entry from the dump.
+/// One recorded event from the dump's tail, as the JSONL trace writes it.
 #[derive(Debug, Clone, PartialEq)]
-pub struct DumpRingEvent {
+pub struct DumpEvent {
     /// Global sequence number.
     pub seq: u64,
-    /// Nanoseconds since recorder start.
-    pub ts_ns: u64,
+    /// Nanoseconds since session start.
+    pub ts: u64,
     /// Worker tag of the recording thread.
     pub worker: u64,
-    /// Entry kind (`span_open`, `span_close`, `point`, `job`, `worker`,
-    /// `panic`, `note`).
-    pub kind: String,
-    /// Entry name.
+    /// `open`, `close` or `point`.
+    pub ev: String,
+    /// The span the event opens or closes, or (points) the one it is in.
+    pub span: u64,
+    /// The enclosing span of an `open` event.
+    pub parent: Option<u64>,
+    /// The duration of a `close` event's span.
+    pub dur_ns: Option<u64>,
+    /// Event name.
     pub name: String,
-    /// First payload word (meaning depends on `name`).
-    pub a: u64,
-    /// Second payload word.
-    pub b: u64,
+    /// The event's fields as `key=value`, in key order.
+    pub fields: Vec<String>,
 }
 
-/// The flight-recorder tail embedded in a dump.
+/// The recorded-event tail embedded in a dump.
 #[derive(Debug, Clone, PartialEq)]
-pub struct DumpRing {
-    /// Entries lost to ring overwrite or dump truncation.
-    pub dropped: u64,
-    /// Reads abandoned because a writer was mid-slot.
-    pub torn: u64,
-    /// The most recent entries, oldest first.
-    pub events: Vec<DumpRingEvent>,
+pub struct DumpEvents {
+    /// Events recorded by the threads the dump could read.
+    pub recorded: u64,
+    /// Threads whose record stayed locked at the crash, so it is missing.
+    pub unread_threads: u64,
+    /// The most recent events, oldest first.
+    pub tail: Vec<DumpEvent>,
 }
 
 /// Allocator counters at crash time.
@@ -105,7 +108,7 @@ pub struct CrashDump {
     pub thread: String,
     /// `diam-par` worker tag of the panicking thread (0 = untagged).
     pub worker: u64,
-    /// Job index, for `worker_panic` dumps.
+    /// Job index, when the thread was running a `diam-par` job.
     pub job: Option<u64>,
     /// Dump time, milliseconds since the Unix epoch.
     pub unix_ms: u64,
@@ -113,8 +116,8 @@ pub struct CrashDump {
     pub manifest: Option<DumpManifest>,
     /// Per-thread open-span stacks.
     pub open_spans: Vec<DumpSpanStack>,
-    /// The flight-recorder tail.
-    pub ring: DumpRing,
+    /// The last recorded events.
+    pub events: DumpEvents,
     /// Allocator counters.
     pub alloc: DumpAlloc,
     /// Resident set size at crash time, when readable.
@@ -193,28 +196,58 @@ fn parse_open_spans(v: &JsonValue) -> Result<Vec<DumpSpanStack>, String> {
     Ok(out)
 }
 
-fn parse_ring(v: &JsonValue) -> Result<DumpRing, String> {
-    let ring = req(v, "ring")?;
-    let events = req(ring, "events")?
+/// A field value as `key=value` shows it.
+fn show(v: &JsonValue) -> String {
+    match v {
+        JsonValue::Null => "null".to_string(),
+        JsonValue::Bool(b) => b.to_string(),
+        JsonValue::Int(i) => i.to_string(),
+        JsonValue::Float(f) => format!("{f}"),
+        JsonValue::Str(s) => s.clone(),
+        JsonValue::Array(_) => "[…]".to_string(),
+        JsonValue::Object(_) => "{…}".to_string(),
+    }
+}
+
+fn parse_event(e: &JsonValue) -> Result<DumpEvent, String> {
+    let ev = req_str(e, "ev")?;
+    let (parent, dur_ns) = match ev.as_str() {
+        "open" => (Some(req_u64(e, "parent")?), None),
+        "close" => (None, Some(req_u64(e, "dur_ns")?)),
+        "point" => (None, None),
+        _ => return Err(format!("unknown event kind `{ev}`")),
+    };
+    let JsonValue::Object(fields) = req(e, "fields")? else {
+        return Err("key `fields` must be an object".into());
+    };
+    Ok(DumpEvent {
+        seq: req_u64(e, "seq")?,
+        ts: req_u64(e, "ts")?,
+        worker: req_u64(e, "worker")?,
+        ev,
+        span: req_u64(e, "span")?,
+        parent,
+        dur_ns,
+        name: req_str(e, "name")?,
+        fields: fields
+            .iter()
+            .map(|(k, v)| format!("{k}={}", show(v)))
+            .collect(),
+    })
+}
+
+fn parse_events(v: &JsonValue) -> Result<DumpEvents, String> {
+    let events = req(v, "events")?;
+    let tail = req(events, "tail")?
         .as_array()
-        .ok_or("ring key `events` must be an array")?
+        .ok_or("events key `tail` must be an array")?
         .iter()
-        .map(|e| {
-            Ok(DumpRingEvent {
-                seq: req_u64(e, "seq")?,
-                ts_ns: req_u64(e, "ts_ns")?,
-                worker: req_u64(e, "worker")?,
-                kind: req_str(e, "kind")?,
-                name: req_str(e, "name")?,
-                a: req_u64(e, "a")?,
-                b: req_u64(e, "b")?,
-            })
-        })
-        .collect::<Result<Vec<DumpRingEvent>, String>>()?;
-    Ok(DumpRing {
-        dropped: req_u64(ring, "dropped")?,
-        torn: req_u64(ring, "torn")?,
-        events,
+        .map(parse_event)
+        .collect::<Result<Vec<DumpEvent>, String>>()?;
+    Ok(DumpEvents {
+        recorded: req_u64(events, "recorded")?,
+        unread_threads: req_u64(events, "unread_threads")?,
+        tail,
     })
 }
 
@@ -285,7 +318,7 @@ impl CrashDump {
             unix_ms: req_u64(&v, "unix_ms")?,
             manifest,
             open_spans: parse_open_spans(&v)?,
-            ring: parse_ring(&v)?,
+            events: parse_events(&v)?,
             alloc: parse_alloc(&v)?,
             rss_kb,
         })
@@ -309,7 +342,11 @@ pub fn render_postmortem(dump: &CrashDump) -> String {
             "reason    worker_panic — worker {} died\n",
             dump.worker
         )),
-        _ => out.push_str(&format!(
+        (_, Some(job)) => out.push_str(&format!(
+            "reason    panic on worker {} in job {} (thread `{}`)\n",
+            dump.worker, job, dump.thread
+        )),
+        (_, None) => out.push_str(&format!(
             "reason    panic on worker {} (thread `{}`)\n",
             dump.worker, dump.thread
         )),
@@ -371,20 +408,37 @@ pub fn render_postmortem(dump: &CrashDump) -> String {
         }
     }
 
+    let events = &dump.events;
     out.push_str(&format!(
-        "\nflight recorder ({} event(s), {} dropped, {} torn):\n",
-        dump.ring.events.len(),
-        dump.ring.dropped,
-        dump.ring.torn
+        "\nrecent events (last {} of {} recorded",
+        events.tail.len(),
+        events.recorded
     ));
-    if dump.ring.events.is_empty() {
-        out.push_str("  (empty)\n");
-    }
-    for e in &dump.ring.events {
+    if events.unread_threads > 0 {
         out.push_str(&format!(
-            "  seq {:>6}  {:>12}ns  w{}  {:<10} {} a={} b={}\n",
-            e.seq, e.ts_ns, e.worker, e.kind, e.name, e.a, e.b
+            "; {} thread(s) busy at the crash, not read",
+            events.unread_threads
         ));
+    }
+    out.push_str("):\n");
+    if events.tail.is_empty() {
+        out.push_str("  (none recorded)\n");
+    }
+    for e in &events.tail {
+        out.push_str(&format!(
+            "  seq {:>6}  {:>12}ns  w{}  {:<5}  {} span={}",
+            e.seq, e.ts, e.worker, e.ev, e.name, e.span
+        ));
+        if let Some(parent) = e.parent {
+            out.push_str(&format!(" parent={parent}"));
+        }
+        if let Some(dur_ns) = e.dur_ns {
+            out.push_str(&format!(" dur_ns={dur_ns}"));
+        }
+        if !e.fields.is_empty() {
+            out.push_str(&format!(" ({})", e.fields.join(" ")));
+        }
+        out.push('\n');
     }
     out
 }
@@ -395,14 +449,14 @@ mod tests {
 
     fn minimal_dump() -> String {
         concat!(
-            "{\"crash_schema\":1,\"id\":\"crash-1-2-0\",\"reason\":\"worker_panic\",",
+            "{\"crash_schema\":2,\"id\":\"crash-1-2-0\",\"reason\":\"worker_panic\",",
             "\"message\":\"boom\",\"location\":null,\"thread\":\"unnamed\",",
             "\"worker\":2,\"job\":7,\"unix_ms\":1000,\"manifest\":null,",
             "\"open_spans\":[{\"worker\":2,\"stack\":[{\"name\":\"bmc.check\",",
             "\"detail\":\"index=4 max_depth=20\"}]}],",
-            "\"ring\":{\"dropped\":0,\"torn\":0,\"events\":[",
-            "{\"seq\":1,\"ts_ns\":10,\"worker\":2,\"kind\":\"job\",",
-            "\"name\":\"par.job\",\"a\":7,\"b\":0}]},",
+            "\"events\":{\"recorded\":1,\"unread_threads\":0,\"tail\":[",
+            "{\"ts\":10,\"seq\":1,\"worker\":2,\"ev\":\"open\",\"span\":1,",
+            "\"parent\":0,\"name\":\"bmc.check\",\"fields\":{\"index\":4}}]},",
             "\"alloc\":{\"enabled\":false,\"live_bytes\":0,\"peak_live_bytes\":0,",
             "\"allocs\":0,\"frees\":0,\"alloc_bytes\":0,\"freed_bytes\":0}}"
         )
@@ -418,7 +472,10 @@ mod tests {
         let text = render_postmortem(&dump);
         assert!(text.contains("worker 2 died in job 7"), "{text}");
         assert!(text.contains("bmc.check (index=4 max_depth=20)"), "{text}");
-        assert!(text.contains("par.job"), "{text}");
+        assert!(
+            text.contains("w2  open   bmc.check span=1 parent=0 (index=4)"),
+            "{text}"
+        );
         assert!(text.contains("allocator accounting off"), "{text}");
     }
 
@@ -427,10 +484,16 @@ mod tests {
         assert!(CrashDump::parse("not json")
             .unwrap_err()
             .contains("invalid JSON"));
-        let wrong_schema = minimal_dump().replacen("\"crash_schema\":1", "\"crash_schema\":99", 1);
-        assert!(CrashDump::parse(&wrong_schema)
-            .unwrap_err()
-            .contains("unsupported crash schema 99"));
+        for schema in [1, 99] {
+            let wrong = minimal_dump().replacen(
+                "\"crash_schema\":2",
+                &format!("\"crash_schema\":{schema}"),
+                1,
+            );
+            assert!(CrashDump::parse(&wrong)
+                .unwrap_err()
+                .contains(&format!("unsupported crash schema {schema}")));
+        }
         let bad_reason = minimal_dump().replacen("worker_panic", "oom", 1);
         assert!(CrashDump::parse(&bad_reason)
             .unwrap_err()
@@ -439,6 +502,14 @@ mod tests {
         assert!(CrashDump::parse(&missing)
             .unwrap_err()
             .contains("missing key `message`"));
+        let bad_event = minimal_dump().replacen("\"ev\":\"open\"", "\"ev\":\"span_open\"", 1);
+        assert!(CrashDump::parse(&bad_event)
+            .unwrap_err()
+            .contains("unknown event kind `span_open`"));
+        let orphan = minimal_dump().replacen("\"parent\":0,", "", 1);
+        assert!(CrashDump::parse(&orphan)
+            .unwrap_err()
+            .contains("missing key `parent`"));
         let bad_alloc = minimal_dump().replacen("\"enabled\":false", "\"enabled\":3", 1);
         assert!(CrashDump::parse(&bad_alloc)
             .unwrap_err()

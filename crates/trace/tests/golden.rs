@@ -85,8 +85,8 @@ fn injected_2x_slowdown_is_flagged_and_matches_golden() {
 
 #[test]
 fn postmortem_matches_golden() {
-    // `crash_dump.json` is a representative worker-panic dump (schema 1,
-    // manifest + open-span stacks + flight-recorder tail + allocator state);
+    // `crash_dump.json` is a representative worker-panic dump (schema 2,
+    // manifest + open-span stacks + recorded-event tail + allocator state);
     // the `.txt` golden pins the `diam-trace postmortem` rendering byte for
     // byte.
     let dump =
@@ -118,19 +118,22 @@ fn postmortem_cli_exit_codes() {
         String::from_utf8_lossy(&ok.stdout),
         fixture("crash_dump.postmortem.txt")
     );
-    // Schema-invalid dump → exit 2 with a diagnostic.
+    // Schema-invalid dump (schema 1, or an unknown one) → exit 2 with a
+    // diagnostic.
     let dir = std::env::temp_dir().join(format!("diam_trace_pm_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let bad = dir.join("bad.json");
-    std::fs::write(&bad, "{\"crash_schema\":99}").unwrap();
-    let err = std::process::Command::new(bin)
-        .args(["postmortem", bad.to_str().unwrap()])
-        .output()
-        .expect("spawn diam-trace");
-    assert_eq!(err.status.code(), Some(2), "{err:?}");
-    assert!(
-        String::from_utf8_lossy(&err.stderr).contains("unsupported crash schema"),
-        "{err:?}"
-    );
+    for schema in [1, 99] {
+        std::fs::write(&bad, format!("{{\"crash_schema\":{schema}}}")).unwrap();
+        let err = std::process::Command::new(bin)
+            .args(["postmortem", bad.to_str().unwrap()])
+            .output()
+            .expect("spawn diam-trace");
+        assert_eq!(err.status.code(), Some(2), "{err:?}");
+        assert!(
+            String::from_utf8_lossy(&err.stderr).contains("unsupported crash schema"),
+            "{err:?}"
+        );
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }

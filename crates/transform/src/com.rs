@@ -39,7 +39,7 @@ use diam_netlist::sim::{eval_frame, next_state, simulate, SplitMix64, Stimulus};
 use diam_netlist::{Gate, Lit, Marks, Netlist};
 use diam_sat::{Lit as SatLit, SolveResult, Solver};
 
-use crate::unroll::{FrameZero, Unroller};
+use crate::unroll::{inprocess_traced, solve_traced, FrameZero, Unroller};
 
 /// Tuning knobs for [`sweep`].
 #[derive(Debug, Clone)]
@@ -386,37 +386,6 @@ pub fn sweep(n: &Netlist, opts: &SweepOptions) -> SweepResult {
     }
 }
 
-/// `solve_with` plus observability: when a session records, the per-call
-/// [`SolverStats`](diam_sat::SolverStats) delta is charged to the current
-/// thread so the enclosing span carries its SAT counters.
-fn solve_traced(solver: &mut Solver, assumptions: &[SatLit]) -> SolveResult {
-    if !diam_obs::enabled() {
-        return solver.solve_with(assumptions);
-    }
-    let before = *solver.stats_ref();
-    let r = solver.solve_with(assumptions);
-    let d = solver.stats_ref().delta_since(&before);
-    diam_obs::charge_sat(d.conflicts, d.decisions, d.propagations);
-    diam_obs::charge_sat_gc(d.gc_runs, d.gc_freed_bytes, d.arena_bytes);
-    for (i, &n) in d.lbd_hist.iter().enumerate() {
-        diam_obs::histogram_record_n("sat.lbd", (i + 1) as u64, n);
-    }
-    r
-}
-
-/// [`Solver::inprocess`] plus observability: arena-GC work at the level-0
-/// boundary between per-pair queries is charged to the open spans.
-fn inprocess_traced(solver: &mut Solver) {
-    if !diam_obs::enabled() {
-        solver.inprocess();
-        return;
-    }
-    let before = *solver.stats_ref();
-    solver.inprocess();
-    let d = solver.stats_ref().delta_since(&before);
-    diam_obs::charge_sat_gc(d.gc_runs, d.gc_freed_bytes, d.arena_bytes);
-}
-
 struct Cex {
     reg_vals: Vec<u64>,
     /// Input words per frame, frame 0 first (at least one frame).
@@ -459,7 +428,7 @@ fn check_classes(n: &Netlist, classes: &Classes, opts: &SweepOptions) -> CheckOu
             })
             .collect();
         for &d in &diffs {
-            match solve_traced(&mut solver, &[d]) {
+            match solve_traced(&mut solver, &[d]).0 {
                 SolveResult::Unsat => {
                     // Level-0 boundary between per-pair queries: self-gated
                     // simplification + arena GC for the shared solver.
@@ -509,7 +478,7 @@ fn check_classes(n: &Netlist, classes: &Classes, opts: &SweepOptions) -> CheckOu
             })
             .collect();
         for &d in &diffs {
-            match solve_traced(&mut solver, &[d]) {
+            match solve_traced(&mut solver, &[d]).0 {
                 SolveResult::Unsat => {
                     // Level-0 boundary between per-pair induction queries:
                     // self-gated simplification + arena GC.

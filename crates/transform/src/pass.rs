@@ -457,6 +457,21 @@ impl CertificateChain {
         Some(w)
     }
 
+    /// Back-translates a diameter bound `d̂` for target `index` of the
+    /// *final* netlist into a bound for the *original* netlist: the bound
+    /// steps replayed in reverse application order (Theorems 1–4). `None`
+    /// when the bound overflows `u64`.
+    pub fn back_translate(&self, index: usize, bound: u64) -> Option<u64> {
+        self.certs
+            .iter()
+            .rev()
+            .flat_map(|c| c.bound_steps(index).iter().rev())
+            .try_fold(bound, |b, step| match *step {
+                BoundStep::Add(k) => b.checked_add(k),
+                BoundStep::Mul(c) => b.checked_mul(c),
+            })
+    }
+
     /// The *proof-prefix obligation* for target `index`: when every bound
     /// step is an `Add`, the chain's bound map is `d̂ ↦ d̂ + p` with
     /// `p = Σ adds`, and "transformed netlist clean up to depth D" plus
@@ -818,6 +833,27 @@ impl Pass for ParametricPass {
 mod tests {
     use super::*;
     use diam_netlist::Init;
+
+    /// Bound steps are recorded in application order and replayed in
+    /// reverse; overflow saturates to `None`.
+    #[test]
+    fn composed_back_translation_order() {
+        let cert = |pass, step| Certificate {
+            pass,
+            bounds: vec![vec![step]],
+            lifter: Lifter::Identity,
+        };
+        let mut chain = CertificateChain::new();
+        assert_eq!(chain.back_translate(0, 7), Some(7));
+        chain.push(cert("FOLD", BoundStep::Mul(3)));
+        chain.push(cert("ENL", BoundStep::Add(2)));
+        // Applied order: fold(×3) then enlarge(+2). A bound b on the final
+        // netlist is first undone through the enlargement (b + 2), then
+        // through the folding (×3): (b + 2) · 3.
+        assert_eq!(chain.back_translate(0, 4), Some(18));
+        assert_eq!(chain.back_translate(0, u64::MAX / 3), None);
+        assert_eq!(chain.bound_steps(0), [BoundStep::Mul(3), BoundStep::Add(2)]);
+    }
 
     /// Brute-force search for a witness hitting `lit` at exactly `depth`
     /// (inputs only; nondet inits all false). Test-sized netlists only.

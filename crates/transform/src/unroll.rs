@@ -11,10 +11,12 @@
 //! the shape [`Netlist::xor_operands`] recognizes, three ANDs — gets one
 //! variable and the four XOR clauses over its two operands; its two inner
 //! ANDs are encoded only if a caller asks for them, and their ordinary
-//! clauses then agree with the XOR's. Every caller shares this one encoder.
+//! clauses then agree with the XOR's. Every caller shares this one encoder,
+//! and solves through [`solve_traced`] and [`inprocess_traced`], which charge
+//! each call's SAT work to the recording session.
 
 use diam_netlist::{GateKind, Init, Lit, Netlist};
-use diam_sat::{Lit as SatLit, Solver};
+use diam_sat::{Lit as SatLit, SolveResult, Solver, SolverStats};
 
 /// How frame-0 register values are constrained.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -210,6 +212,42 @@ impl<'a> Unroller<'a> {
         let row = self.frames.get(t)?;
         row[l.gate().index()].map(|v| if l.is_complement() { !v } else { v })
     }
+}
+
+/// `solve_with` plus observability: when a session records, the per-call
+/// [`SolverStats`] delta is charged to the current thread (so the enclosing
+/// span carries its SAT counters on close), counted in the `sat.*` metrics
+/// and the `sat.lbd` histogram, and returned; `None` when nothing records.
+pub fn solve_traced(
+    solver: &mut Solver,
+    assumptions: &[SatLit],
+) -> (SolveResult, Option<SolverStats>) {
+    if !diam_obs::enabled() {
+        return (solver.solve_with(assumptions), None);
+    }
+    let before = *solver.stats_ref();
+    let r = solver.solve_with(assumptions);
+    let d = solver.stats_ref().delta_since(&before);
+    diam_obs::charge_sat(d.conflicts, d.decisions, d.propagations);
+    diam_obs::charge_sat_gc(d.gc_runs, d.gc_freed_bytes, d.arena_bytes);
+    for (i, &n) in d.lbd_hist.iter().enumerate() {
+        diam_obs::histogram_record_n("sat.lbd", (i + 1) as u64, n);
+    }
+    (r, Some(d))
+}
+
+/// [`Solver::inprocess`] plus observability: arena-GC work performed at the
+/// level-0 boundary is charged to the open spans and the `sat.arena_bytes`
+/// gauge is refreshed.
+pub fn inprocess_traced(solver: &mut Solver) {
+    if !diam_obs::enabled() {
+        solver.inprocess();
+        return;
+    }
+    let before = *solver.stats_ref();
+    solver.inprocess();
+    let d = solver.stats_ref().delta_since(&before);
+    diam_obs::charge_sat_gc(d.gc_runs, d.gc_freed_bytes, d.arena_bytes);
 }
 
 #[cfg(test)]

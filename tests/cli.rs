@@ -186,8 +186,8 @@ fn bad_arguments_fail_cleanly() {
 }
 
 /// A reader that closes stdout before `diam` writes (`diam solve f | head`)
-/// ends the run cleanly: status 0, and no crash dump or `.diam/` store left
-/// behind.
+/// ends the run cleanly under every `--obs` mode: status 0, and nothing
+/// left behind in the working directory (no crash dump, no `.diam/` store).
 #[test]
 fn closed_stdout_exits_cleanly() {
     let dir = std::env::temp_dir().join(format!("diam_cli_epipe_{}", std::process::id()));
@@ -195,27 +195,34 @@ fn closed_stdout_exits_cleanly() {
     let crash = dir.join("crash");
     std::fs::create_dir_all(&crash).expect("sandbox");
     let f = fixture(&dir, "lockstep.aag", LOCKSTEP);
-    let (reader, writer) = std::io::pipe().expect("pipe");
-    drop(reader);
-    let status = Command::new(env!("CARGO_BIN_EXE_diam"))
-        .args(["solve", f.to_str().unwrap()])
-        .env("DIAM_CRASH_DIR", &crash)
-        .env_remove("DIAM_FORCE_PANIC")
-        .current_dir(&dir)
-        .stdout(writer)
-        .status()
-        .expect("binary runs");
+    for mode in ["off", "summary", "json", "live", "live-json"] {
+        let (reader, writer) = std::io::pipe().expect("pipe");
+        drop(reader);
+        let status = Command::new(env!("CARGO_BIN_EXE_diam"))
+            .args(["solve", "--obs", mode, f.to_str().unwrap()])
+            .env("DIAM_CRASH_DIR", &crash)
+            .env_remove("DIAM_FORCE_PANIC")
+            .current_dir(&dir)
+            .stdout(writer)
+            .stderr(std::process::Stdio::null())
+            .status()
+            .expect("binary runs");
+        assert!(status.success(), "--obs {mode}: {status}");
+    }
     let dumps: Vec<_> = std::fs::read_dir(&crash).expect("crash dir").collect();
-    let store = dir.join(".diam").exists();
+    let mut left: Vec<_> = std::fs::read_dir(&dir)
+        .expect("sandbox")
+        .map(|e| e.expect("dir entry").file_name())
+        .collect();
+    left.sort();
     let _ = std::fs::remove_dir_all(&dir);
-    assert!(status.success(), "{status}");
     assert!(dumps.is_empty(), "crash dumps written: {dumps:?}");
-    assert!(!store, "a .diam/ store appeared in the working directory");
+    assert_eq!(left, ["crash", "lockstep.aag"], "files left behind");
 }
 
-/// Two 23-byte headers whose counts overflow u32 arithmetic: `diam stats`
-/// reports a parse error and exits 1, with no panic, crash dump or `.diam/`
-/// store left behind.
+/// Headers whose counts overflow u32 arithmetic or promise gigabytes of
+/// body that is not there: `diam stats` reports a parse error and exits 1,
+/// with no panic, abort, crash dump or `.diam/` store left behind.
 #[test]
 fn overflowing_aiger_headers_fail_cleanly() {
     let dir = std::env::temp_dir().join(format!("diam_cli_header_{}", std::process::id()));
@@ -225,6 +232,12 @@ fn overflowing_aiger_headers_fail_cleanly() {
     for (name, header) in [
         ("huge_m.aag", "aag 4294967295 0 0 0 0\n"),
         ("wrapped_sum.aig", "aig 5 4294967295 2 0 0\n"),
+        // Counts a binary reader must not size buffers from: no body
+        // follows, so each ends at EOF.
+        ("huge_o.aig", "aig 0 0 0 4294967295 0\n"),
+        ("huge_b.aig", "aig 0 0 0 0 0 4294967295\n"),
+        ("huge_l.aig", "aig 2147483647 0 2147483647 0 0\n"),
+        ("huge_a.aig", "aig 2147483647 0 0 0 2147483647\n"),
     ] {
         let f = fixture(&dir, name, header);
         let out = Command::new(env!("CARGO_BIN_EXE_diam"))

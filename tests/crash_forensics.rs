@@ -1,7 +1,8 @@
 //! End-to-end crash forensics: a forced panic deep inside a BMC solve must
-//! leave a schema-valid crash dump behind (open-span stack, flight-recorder
-//! tail, allocation counters), `diam-trace`'s postmortem model must accept
-//! it, and allocator accounting must never change the tool's output.
+//! leave a schema-valid crash dump behind (open-span stack, recorded-event
+//! tail, allocation counters) under every `--obs` mode, `diam-trace`'s
+//! postmortem model must accept it, and allocator accounting must never
+//! change the tool's output.
 //!
 //! The panic is injected with `DIAM_FORCE_PANIC=<depth>` (a test-only hook
 //! in `diam-bmc`), so these tests exercise the same process panic hook and
@@ -60,27 +61,22 @@ impl Drop for Sandbox {
     }
 }
 
-/// The headline contract: a panic mid-solve writes exactly one dump that
-/// `CrashDump::parse` (the same validator behind `diam-trace postmortem`)
-/// accepts, and the dump carries the three forensic payloads — the open-span
-/// stack of the panicking thread, the flight-recorder tail, and the
-/// allocation counters.
-#[test]
-fn forced_panic_writes_a_schema_valid_dump() {
-    let sb = Sandbox::new("dump");
-    let out = sb.run(&["prove", "--obs", "json", "--mem", "on"], Some("1"));
+/// Runs a forced-panic `diam prove` with `args` and returns the one dump it
+/// wrote, parsed by `CrashDump::parse` (the same validator behind
+/// `diam-trace postmortem`).
+fn forced_panic_dump(tag: &str, args: &[&str]) -> CrashDump {
+    let sb = Sandbox::new(tag);
+    let out = sb.run(args, Some("1"));
     assert!(!out.status.success(), "forced panic must fail the run");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(
         stderr.contains("diam-obs: crash dump written to"),
         "panic hook announces the dump path: {stderr}"
     );
-
     let dumps = sb.dumps();
     assert_eq!(dumps.len(), 1, "exactly one dump: {dumps:?}");
     let raw = std::fs::read_to_string(&dumps[0]).expect("read dump");
-    let dump = CrashDump::parse(&raw).expect("dump validates against schema 1");
-
+    let dump = CrashDump::parse(&raw).expect("dump validates against schema 2");
     assert_eq!(dump.reason, "panic");
     assert!(
         dump.message.contains("DIAM_FORCE_PANIC: injected failure"),
@@ -92,7 +88,18 @@ fn forced_panic_writes_a_schema_valid_dump() {
         "panic location points into the BMC crate: {:?}",
         dump.location
     );
+    // `diam prove` runs on the main thread, outside any `diam-par` job.
+    assert_eq!((dump.worker, dump.job), (0, None));
+    dump
+}
 
+/// The headline contract: a panic mid-solve writes exactly one dump, and
+/// the dump carries the three forensic payloads — the open-span stack of
+/// the panicking thread, the recorded-event tail, and the allocation
+/// counters.
+#[test]
+fn forced_panic_writes_a_schema_valid_dump() {
+    let dump = forced_panic_dump("dump", &["prove", "--obs", "json", "--mem", "on"]);
     // Manifest: the session context a postmortem needs first.
     let manifest = dump.manifest.as_ref().expect("manifest present");
     assert_eq!(manifest.tool, "diam-prove");
@@ -107,13 +114,14 @@ fn forced_panic_writes_a_schema_valid_dump() {
         dump.open_spans
     );
 
-    // Flight recorder: pipeline spans recorded before the crash survive in
-    // the ring tail.
-    assert!(!dump.ring.events.is_empty(), "ring tail non-empty");
+    // Event tail: the recorder's last events include the open event of the
+    // BMC span the panic left open.
+    let tail = &dump.events.tail;
+    assert!(!tail.is_empty(), "event tail non-empty");
+    assert!(dump.events.recorded >= tail.len() as u64);
     assert!(
-        dump.ring.events.iter().any(|e| e.kind == "span_open"),
-        "ring captured span traffic: {:?}",
-        dump.ring.events
+        tail.iter().any(|e| e.ev == "open" && e.name == "bmc.check"),
+        "event tail holds the open of bmc.check: {tail:?}"
     );
 
     // Allocator: `--mem on` means live accounting was running at the crash.
@@ -124,12 +132,29 @@ fn forced_panic_writes_a_schema_valid_dump() {
     // The report renderer accepts the real dump end to end.
     let rendered = render_postmortem(&dump);
     assert!(rendered.contains(&dump.id), "{rendered}");
-    assert!(rendered.contains("flight recorder"), "{rendered}");
+    assert!(rendered.contains("recent events"), "{rendered}");
+}
+
+/// Under `--obs off` nothing records, but a panic still writes a valid dump:
+/// message, location, worker and allocator state, the session manifest, and
+/// no open spans or events.
+#[test]
+fn forced_panic_without_recording_still_dumps() {
+    let dump = forced_panic_dump("off", &["prove", "--obs", "off"]);
+    assert_eq!(
+        dump.manifest.as_ref().map(|m| m.tool.as_str()),
+        Some("diam-prove")
+    );
+    assert!(dump.open_spans.is_empty(), "{:?}", dump.open_spans);
+    assert_eq!(dump.events.recorded, 0);
+    assert!(dump.events.tail.is_empty(), "{:?}", dump.events.tail);
+    assert!(!dump.alloc.enabled);
+    let rendered = render_postmortem(&dump);
+    assert!(rendered.contains("(none recorded)"), "{rendered}");
 }
 
 /// Without the injection hook the same invocation succeeds and writes
-/// nothing — the always-armed panic hook and flight recorder are invisible
-/// on the happy path.
+/// nothing — the always-armed panic hook is invisible on the happy path.
 #[test]
 fn clean_run_writes_no_dump() {
     let sb = Sandbox::new("clean");
