@@ -245,12 +245,12 @@ fn column(
     let mut col_sp = diam_obs::span!("suite.column", column = name);
     let start = Instant::now();
     let result = transform();
-    // The class counts and the bounds share one classifier: the whole
+    // The class counts and the bounds share one bounding pass: the whole
     // netlist's classification fills its table-cell memo for every cone.
-    let cx = Classifier::new(&result.netlist, &opts.classify);
+    let cx = Classifier::new(&result.netlist, opts);
     let regs = result.netlist.regs();
     let counts = cx.classify(regs).counts();
-    let bounds = result.bound_targets_in(&cx, opts);
+    let bounds = result.bound_targets_in(&cx);
     let useful: Vec<u64> = bounds
         .iter()
         .filter_map(|b| match b.original {

@@ -48,7 +48,7 @@ pub mod strategy;
 
 pub use random::{random_search, RandomSearchOptions};
 
-use diam_core::{Bound, Pipeline, PipelineResult, StructuralOptions};
+use diam_core::{Bound, Classifier, Pipeline, PipelineResult, StructuralOptions};
 use diam_netlist::rebuild::{slice_target, Rebuilt};
 use diam_netlist::sim::Witness;
 use diam_netlist::{GateKind, Init, Lit, Netlist};
@@ -640,8 +640,9 @@ impl ProveOutcome {
 /// A clean BMC of that depth covers every reachable valuation of the
 /// target's cone, so the result is a proof.
 pub fn prove(n: &Netlist, index: usize, pipeline: &Pipeline, opts: &ProveOptions) -> ProveOutcome {
-    let bounds = pipeline.bound_targets(n, &opts.structural);
-    match opts.dischargeable(bounds[index].original) {
+    let result = pipeline.run(n);
+    let pb = result.bound_target(&Classifier::new(&result.netlist, &opts.structural), index);
+    match opts.dischargeable(pb.original) {
         Ok(bound) => ProveOutcome::from_bmc(check(n, index, &opts.bmc(bound)), bound),
         Err(decided) => decided,
     }

@@ -20,19 +20,22 @@
 //!   makes the same pessimistic choice "for speed").
 //!
 //! A bounding pass classifies every target cone of one netlist. What
-//! depends only on the netlist — the constant registers, and each
-//! register's table-cell test with its hold condition — is computed once
-//! per [`Classifier`] and shared by the cones. What depends on the register
-//! set — the dependency graph, its condensation, the component kinds and
-//! the memory clusters with their row counts — is computed per cone.
+//! depends only on the netlist — the constant registers, each register's
+//! table-cell test with its hold condition, and each general component's
+//! eccentricity certificate — is computed once per [`Classifier`] and
+//! shared by the cones. What depends on the register set — the dependency
+//! graph, its condensation, the component kinds and the memory clusters
+//! with their row counts — is computed per cone.
 
+use crate::eccentricity::{component_cert, EccCert};
+use crate::structural::StructuralOptions;
 use diam_bdd::{Bdd, Manager};
 use diam_netlist::analysis::{condense, reg_graph, support, Condensation};
 use diam_netlist::csr::NodeKind;
 use diam_netlist::{Gate, GateKind, Init, Lit, Netlist};
 use diam_transform::bridge::cone_to_bdd;
 use std::collections::HashMap;
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// The structural class of a register.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -259,11 +262,17 @@ pub fn constant_registers(n: &Netlist) -> Vec<(Gate, bool)> {
 /// influence): a one-shot [`Classifier`]. To classify several register
 /// sets of one netlist, build one [`Classifier`] and reuse it.
 pub fn classify(n: &Netlist, regs: &[Gate], opts: &ClassifyOptions) -> Classification {
-    Classifier::new(n, opts).classify(regs)
+    let opts = StructuralOptions {
+        classify: opts.clone(),
+        ..StructuralOptions::default()
+    };
+    Classifier::new(n, &opts).classify(regs)
 }
 
-/// Classification against one netlist, for every register set of one
-/// bounding pass (the target cones of a table column, or of `diam bound`).
+/// The context of one bounding pass over one netlist: it classifies every
+/// register set of the pass (the target cones of a table column, or of
+/// `diam bound`) and bounds its targets under the [`StructuralOptions`] it
+/// was built with (see [`crate::structural`]).
 ///
 /// What depends only on the netlist is computed once and shared:
 ///
@@ -271,7 +280,10 @@ pub fn classify(n: &Netlist, regs: &[Gate], opts: &ClassifyOptions) -> Classific
 ///   whole netlist, run by the first [`Classifier::classify`] call (so the
 ///   time lands in that call's span);
 /// * each register's table-cell test, run at most once: its hold condition,
-///   kept as a BDD in one manager shared by every cell, and its cluster key.
+///   kept as a BDD in one manager shared by every cell, and its cluster key;
+/// * each general component's eccentricity certificate, computed at most
+///   once under the pass's [`EccOptions`](crate::EccOptions), declines
+///   included (obs counters `ecc.cache_miss` and `ecc.cache_hit`).
 ///
 /// What depends on the register set is recomputed per call: the dependency
 /// graph, its condensation, the component kinds, and the clusters with
@@ -280,14 +292,16 @@ pub fn classify(n: &Netlist, regs: &[Gate], opts: &ClassifyOptions) -> Classific
 /// [`classify`] of the same registers returns.
 ///
 /// The context is `Sync`, so parallel bounding jobs share it. Which job
-/// fills the cell memo first changes nothing: hold conditions live in one
-/// manager, where equal handles mean equal functions, and the cluster key
-/// is read off the hold condition's support.
+/// fills a memo first changes nothing: hold conditions live in one
+/// manager, where equal handles mean equal functions, the cluster key is
+/// read off the hold condition's support, and a certificate depends only on
+/// the component. A job that needs a certificate another job is computing
+/// waits for it; if that job panics, the next one computes it again.
 ///
 /// # Examples
 ///
 /// ```
-/// use diam_core::classify::{ClassifyOptions, Classifier, RegClass};
+/// use diam_core::{Classifier, RegClass, StructuralOptions};
 /// use diam_netlist::{Init, Netlist};
 ///
 /// // Two one-bit cells written through one port, each seen by one target.
@@ -301,7 +315,7 @@ pub fn classify(n: &Netlist, regs: &[Gate], opts: &ClassifyOptions) -> Classific
 ///     n.set_next(r, next);
 ///     cells.push(r);
 /// }
-/// let cx = Classifier::new(&n, &ClassifyOptions::default());
+/// let cx = Classifier::new(&n, &StructuralOptions::default());
 /// for &cell in &cells {
 ///     let cone = cx.classify(&[cell]);
 ///     assert_eq!(cone.class_of[&cell], RegClass::Table);
@@ -312,10 +326,15 @@ pub fn classify(n: &Netlist, regs: &[Gate], opts: &ClassifyOptions) -> Classific
 #[derive(Debug)]
 pub struct Classifier<'n> {
     n: &'n Netlist,
-    opts: ClassifyOptions,
+    opts: StructuralOptions,
     constants: OnceLock<HashMap<Gate, bool>>,
     cells: Mutex<CellMemo>,
+    /// One slot per general component, keyed by its sorted registers.
+    certs: Mutex<HashMap<Vec<Gate>, CertSlot>>,
 }
+
+/// A general component's certificate, once its first request computed it.
+type CertSlot = Arc<OnceLock<Option<EccCert>>>;
 
 /// The table-cell test per register, with the manager holding every hold
 /// condition and a dense index per distinct cluster key.
@@ -336,9 +355,9 @@ struct Cell {
 }
 
 impl<'n> Classifier<'n> {
-    /// A classifier of `n`; computes nothing until the first
-    /// [`Classifier::classify`].
-    pub fn new(n: &'n Netlist, opts: &ClassifyOptions) -> Classifier<'n> {
+    /// A bounding pass over `n` under `opts`; computes nothing until the
+    /// first [`Classifier::classify`].
+    pub fn new(n: &'n Netlist, opts: &StructuralOptions) -> Classifier<'n> {
         Classifier {
             n,
             opts: opts.clone(),
@@ -348,16 +367,17 @@ impl<'n> Classifier<'n> {
                 cell_of: HashMap::new(),
                 keys: HashMap::new(),
             }),
+            certs: Mutex::default(),
         }
     }
 
-    /// The netlist this classifier classifies.
+    /// The netlist this pass classifies.
     pub fn netlist(&self) -> &'n Netlist {
         self.n
     }
 
-    /// The options this classifier was built with.
-    pub fn options(&self) -> &ClassifyOptions {
+    /// The options this pass was built with.
+    pub fn options(&self) -> &StructuralOptions {
         &self.opts
     }
 
@@ -462,13 +482,43 @@ impl<'n> Classifier<'n> {
             keys,
         } = &mut *memo;
         *cell_of.entry(r).or_insert_with(|| {
-            let hold = table_cell_hold(manager, self.n, r, self.opts.max_cell_support)?;
+            let hold = table_cell_hold(manager, self.n, r, self.opts.classify.max_cell_support)?;
             let fresh = keys.len();
             let key = *keys
                 .entry(cluster_key(manager, self.n, hold))
                 .or_insert(fresh);
             Some(Cell { hold, key })
         })
+    }
+
+    /// The eccentricity certificate of the general component `comp`,
+    /// computed on its first request ([`component_cert`]).
+    pub(crate) fn certificate(&self, comp: &[Gate]) -> Option<EccCert> {
+        let ecc = &self.opts.ecc;
+        if !ecc.enabled || comp.len() > ecc.cutoff {
+            return None;
+        }
+        let mut regs = comp.to_vec();
+        regs.sort();
+        let slot = Arc::clone(
+            self.certs
+                .lock()
+                .expect("no job panics while it holds the certificate map")
+                .entry(regs)
+                .or_default(),
+        );
+        let mut computed = false;
+        let cert = *slot.get_or_init(|| {
+            computed = true;
+            component_cert(self.n, comp, ecc)
+        });
+        let counter = if computed {
+            "ecc.cache_miss"
+        } else {
+            "ecc.cache_hit"
+        };
+        diam_obs::counter_add(counter, 1);
+        cert
     }
 }
 
@@ -910,8 +960,11 @@ mod tests {
     /// on most seeds.
     #[test]
     fn archetype_soup_reaches_the_shapes_that_matter() {
-        let opts = ClassifyOptions {
-            max_cell_support: 8,
+        let opts = StructuralOptions {
+            classify: ClassifyOptions {
+                max_cell_support: 8,
+            },
+            ..StructuralOptions::default()
         };
         let (mut split_rows, mut constants, mut sccs, mut failed_hold, mut too_wide) =
             (0, 0, 0, 0, 0);
@@ -943,7 +996,8 @@ mod tests {
                     comp.len() == 1
                         && whole.cond.cyclic[c]
                         && whole.kinds[c] == ComponentKind::General
-                        && (sup.regs.len() + sup.inputs.len() > opts.max_cell_support) == wide
+                        && (sup.regs.len() + sup.inputs.len() > opts.classify.max_cell_support)
+                            == wide
                 })
             };
             failed_hold += usize::from(singletons_general(false));
@@ -966,17 +1020,22 @@ mod tests {
         /// Every register set of a bounding pass, classified through one
         /// shared [`Classifier`] in index order and through a fresh one in
         /// reverse order, equals the per-call reference field for field,
-        /// and so does its bound.
+        /// and so do its bound factors.
         #[test]
         fn classifier_matches_the_per_call_reference(
             seed in proptest::prelude::any::<u64>(),
             max_cell_support in 2usize..=12,
         ) {
             let n = archetype_soup(seed);
-            let opts = ClassifyOptions { max_cell_support };
+            let opts = StructuralOptions {
+                classify: ClassifyOptions { max_cell_support },
+                ..StructuralOptions::default()
+            };
             let sets = pass_register_sets(&n);
-            let want: Vec<Classification> =
-                sets.iter().map(|regs| classify_reference(&n, regs, &opts)).collect();
+            let want: Vec<Classification> = sets
+                .iter()
+                .map(|regs| classify_reference(&n, regs, &opts.classify))
+                .collect();
             let forward = Classifier::new(&n, &opts);
             let backward = Classifier::new(&n, &opts);
             let order: Vec<(usize, &Classifier, &str)> = (0..sets.len())
@@ -986,10 +1045,7 @@ mod tests {
             for (i, cx, pass) in order {
                 let got = cx.classify(&sets[i]);
                 assert_same(&got, &want[i], &format!("{pass} set {i}"));
-                proptest::prop_assert_eq!(
-                    crate::structural::serialized_bound(&got),
-                    crate::structural::serialized_bound(&want[i])
-                );
+                proptest::prop_assert_eq!(cx.factors(&got), cx.factors(&want[i]));
             }
         }
     }

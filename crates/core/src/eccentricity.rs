@@ -35,20 +35,18 @@
 //! bounds. Exhausting the budget therefore still yields a valid certified
 //! diameter — `exact` merely records whether `DU == DL` was reached.
 //!
-//! Certificates are memoized in a process-wide cache keyed by the netlist
-//! CSR fingerprint, the component's register set, and the engine options,
-//! so `bound_targets` sweeps and repeated targets that share a component
-//! pay for enumeration once.
+//! Certificates are memoized per bounding pass, in its
+//! [`Classifier`](crate::classify::Classifier), so the targets of one pass
+//! that share a component pay for its enumeration once.
 
 use crate::state_graph::{StateGraph, StateGraphLimits};
 use diam_netlist::visit::bfs_graph;
 use diam_netlist::{Gate, Netlist};
-use std::collections::HashMap;
-use std::sync::{Condvar, Mutex, OnceLock};
 
 /// Eccentricity-engine configuration. The `Default` is **disabled** so that
 /// existing `StructuralOptions::default()` call sites keep the blanket
-/// bound; enable with [`EccOptions::on`] or [`EccOptions::parse`].
+/// bound; enable with [`EccOptions::on`] or [`EccOptions::parse`]. The
+/// free-signal cap and the sweep budget ([`MAX_SWEEPS`]) are fixed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EccOptions {
     /// Master switch; when off, [`component_cert`] always returns `None`.
@@ -56,10 +54,6 @@ pub struct EccOptions {
     /// Component register-count cutoff `k`: only components with
     /// `|regs| ≤ k` are enumerated (`--ecc k=<N>` on the CLI).
     pub cutoff: usize,
-    /// Free-signal cutoff (cone inputs + out-of-component registers).
-    pub max_free: usize,
-    /// SumSweep pivot budget; exhausting it keeps the last certified bound.
-    pub max_sweeps: usize,
 }
 
 /// Default cutoff: components up to 2^16 packed states.
@@ -70,8 +64,6 @@ impl Default for EccOptions {
         EccOptions {
             enabled: false,
             cutoff: DEFAULT_CUTOFF,
-            max_free: 10,
-            max_sweeps: 16,
         }
     }
 }
@@ -85,54 +77,33 @@ impl EccOptions {
         }
     }
 
-    /// Parses a CLI value: `off`, or a comma-separated list of `on`,
-    /// `k=<N>` (register cutoff, ≥ 1), `mf=<N>` (free-signal cap), and
-    /// `ms=<N>` (sweep budget). Any assignment implies the engine is on,
-    /// so `k=8,ms=4` and `on,mf=6` are both valid.
+    /// Parses a CLI value: `off`, `on`, or `k=<N>` (the engine on with
+    /// register cutoff `N ≥ 1`).
     pub fn parse(s: &str) -> Result<EccOptions, String> {
-        if s == "off" {
-            return Ok(EccOptions::default());
+        let cutoff = |v: &str| v.parse::<usize>().ok().filter(|&k| k >= 1);
+        match s {
+            "off" => Ok(EccOptions::default()),
+            "on" => Ok(EccOptions::on()),
+            _ => match s.strip_prefix("k=").and_then(cutoff) {
+                Some(cutoff) => Ok(EccOptions {
+                    cutoff,
+                    ..EccOptions::on()
+                }),
+                None => Err(format!("invalid --ecc value: {s} (want on|off|k=<N>)")),
+            },
         }
-        let mut opts = EccOptions::on();
-        for part in s.split(',') {
-            if part == "on" {
-                continue;
-            }
-            let err = || format!("invalid --ecc value: {part} (want on|off|k=<N>|mf=<N>|ms=<N>)");
-            let (field, num) = part.split_once('=').ok_or_else(err)?;
-            let v: usize = num.parse().map_err(|_| err())?;
-            match field {
-                "k" if v >= 1 => opts.cutoff = v,
-                "mf" => opts.max_free = v,
-                "ms" => opts.max_sweeps = v,
-                _ => return Err(err()),
-            }
-        }
-        Ok(opts)
     }
 
-    /// Renders the option back to its CLI form, losslessly: every field
-    /// that differs from the default is emitted (`parse(render(o)) == o`),
-    /// so run manifests record the limits actually used.
+    /// Renders the option back to its CLI form, losslessly
+    /// (`parse(render(o)) == o`), so run manifests record the cutoff
+    /// actually used.
     pub fn render(&self) -> String {
         if !self.enabled {
-            return "off".to_string();
-        }
-        let d = EccOptions::default();
-        let mut parts: Vec<String> = Vec::new();
-        if self.cutoff != d.cutoff {
-            parts.push(format!("k={}", self.cutoff));
-        }
-        if self.max_free != d.max_free {
-            parts.push(format!("mf={}", self.max_free));
-        }
-        if self.max_sweeps != d.max_sweeps {
-            parts.push(format!("ms={}", self.max_sweeps));
-        }
-        if parts.is_empty() {
+            "off".to_string()
+        } else if self.cutoff == DEFAULT_CUTOFF {
             "on".to_string()
         } else {
-            parts.join(",")
+            format!("k={}", self.cutoff)
         }
     }
 }
@@ -404,162 +375,32 @@ fn check_certificate(g: &StateGraph, s: &SweepSummary) {
     );
 }
 
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct CacheKey {
-    fingerprint: u64,
-    regs: Vec<u32>,
-    cutoff: u32,
-    max_free: u32,
-    max_sweeps: u32,
-}
+/// A no-op: certificates are memoized per bounding pass and die with it.
+/// Kept for callers that cleared the process-wide cache this replaced.
+pub fn cache_clear() {}
 
-/// A memo slot is either a published result or an in-progress sentinel;
-/// concurrent probes of a sentinel wait on the cache condvar instead of
-/// recomputing, so one component costs one enumeration even when
-/// `bound_targets` workers race on a shared component.
-enum Slot {
-    InProgress,
-    Done(Option<EccCert>),
-}
+/// The sweep budget of [`component_cert`]; exhausting it keeps the last
+/// certified bound.
+pub const MAX_SWEEPS: usize = 16;
 
-struct CacheEntry {
-    slot: Slot,
-    hits: u64,
-}
-
-fn cache() -> &'static (Mutex<HashMap<CacheKey, CacheEntry>>, Condvar) {
-    static CACHE: OnceLock<(Mutex<HashMap<CacheKey, CacheEntry>>, Condvar)> = OnceLock::new();
-    CACHE.get_or_init(|| (Mutex::new(HashMap::new()), Condvar::new()))
-}
-
-/// Publishes the computed slot on drop — including on unwind, so threads
-/// waiting on the in-progress sentinel can never hang on a panicked
-/// computation (a panic removes the sentinel and the waiters recompute).
-struct Publish<'a> {
-    key: &'a CacheKey,
-    cert: Option<EccCert>,
-}
-
-impl Drop for Publish<'_> {
-    fn drop(&mut self) {
-        let (map, cvar) = cache();
-        let mut guard = map.lock().unwrap();
-        if std::thread::panicking() {
-            guard.remove(self.key);
-        } else {
-            match guard.get_mut(self.key) {
-                Some(e) => e.slot = Slot::Done(self.cert),
-                // cache_clear() raced the computation: keep the result.
-                None => {
-                    guard.insert(
-                        self.key.clone(),
-                        CacheEntry {
-                            slot: Slot::Done(self.cert),
-                            hits: 0,
-                        },
-                    );
-                }
-            }
-        }
-        cvar.notify_all();
-    }
-}
-
-/// Cache introspection for one netlist fingerprint: `(entries, total
-/// hits)`. Keyed per fingerprint so concurrent tests on other netlists
-/// cannot perturb the counts.
-pub fn cache_stats_for(fingerprint: u64) -> (usize, u64) {
-    let map = cache().0.lock().unwrap();
-    let mut entries = 0;
-    let mut hits = 0;
-    for (k, e) in map.iter() {
-        if k.fingerprint == fingerprint {
-            entries += 1;
-            hits += e.hits;
-        }
-    }
-    (entries, hits)
-}
-
-/// Drops every memoized certificate (bench harnesses use this to time cold
-/// enumeration honestly).
-pub fn cache_clear() {
-    cache().0.lock().unwrap().clear();
-}
-
-/// Computes (or recalls) the certified diameter bound for the component
-/// `comp` of `n`. Returns `None` when the engine is disabled, the
-/// component exceeds the cutoff or free-signal limit, or enumeration blows
-/// the budget — in all cases the caller keeps the blanket `2^|regs|`.
-///
-/// Declines are memoized too, so a component that exceeds the free-signal
-/// limit is probed once per netlist, not once per target.
+/// Computes the certified diameter bound for the component `comp` of `n`.
+/// Returns `None` when the engine is disabled, the component exceeds the
+/// cutoff or the free-signal limit ([`StateGraphLimits`]'s default), or
+/// enumeration blows the budget — in all cases the caller keeps the blanket
+/// `2^|regs|`. The bounding pass memoizes the result per component.
 pub fn component_cert(n: &Netlist, comp: &[Gate], opts: &EccOptions) -> Option<EccCert> {
     if !opts.enabled {
         return None;
     }
-    let mut regs: Vec<Gate> = comp.to_vec();
-    regs.sort();
-    regs.dedup();
-    if regs.is_empty() || regs.len() > opts.cutoff {
-        return None;
-    }
-    let key = CacheKey {
-        fingerprint: n.csr().fingerprint(),
-        regs: regs.iter().map(|r| r.index() as u32).collect(),
-        cutoff: opts.cutoff as u32,
-        max_free: opts.max_free as u32,
-        max_sweeps: opts.max_sweeps as u32,
-    };
-    let (map, cvar) = cache();
-    let mut guard = map.lock().unwrap();
-    loop {
-        match guard.get_mut(&key) {
-            Some(CacheEntry {
-                slot: Slot::Done(cert),
-                hits,
-            }) => {
-                *hits += 1;
-                let cert = *cert;
-                drop(guard);
-                diam_obs::counter_add("ecc.cache_hit", 1);
-                return cert;
-            }
-            // Another worker is enumerating this component right now —
-            // wait for its publication instead of paying again.
-            Some(CacheEntry {
-                slot: Slot::InProgress,
-                ..
-            }) => guard = cvar.wait(guard).unwrap(),
-            None => {
-                guard.insert(
-                    key.clone(),
-                    CacheEntry {
-                        slot: Slot::InProgress,
-                        hits: 0,
-                    },
-                );
-                break;
-            }
-        }
-    }
-    drop(guard);
-    diam_obs::counter_add("ecc.cache_miss", 1);
-
-    let mut publish = Publish {
-        key: &key,
-        cert: None,
-    };
     let limits = StateGraphLimits {
         max_regs: opts.cutoff,
-        max_free: opts.max_free,
         ..StateGraphLimits::default()
     };
-    let cert = StateGraph::build(n, &regs, &limits).map(|g| {
+    StateGraph::build(n, comp, &limits).map(|g| {
         let mut span = diam_obs::span!("ecc.sweep", states = g.num_states() as u64,);
-        let s = sum_sweep(&g, opts.max_sweeps);
+        let s = sum_sweep(&g, MAX_SWEEPS);
         check_certificate(&g, &s);
-        let blanket = 1u64 << regs.len().min(63);
+        let blanket = 1u64 << g.regs().len().min(63);
         let factor = (s.diameter + 1).min(blanket);
         span.record("sweeps", s.sweeps as u64);
         span.record("bound", factor);
@@ -571,21 +412,22 @@ pub fn component_cert(n: &Netlist, comp: &[Gate], opts: &EccOptions) -> Option<E
             states: g.num_states() as u64,
             sweeps: s.sweeps,
         }
-    });
-    publish.cert = cert;
-    drop(publish);
-    cert
+    })
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::classify::Classifier;
+    use crate::structural::StructuralOptions;
     use diam_netlist::sim::SplitMix64;
     use diam_netlist::Init;
+    use diam_obs::{Metric, ObsConfig, ObsMode, RunManifest, Session};
     use proptest::prelude::*;
 
-    /// `len`-stage one-hot token ring: exactly `len` reachable states on a
-    /// directed cycle, diameter `len − 1`.
+    /// `len`-stage one-hot token ring with one target per stage: exactly
+    /// `len` reachable states on a directed cycle, diameter `len − 1`, and
+    /// every target's cone is the whole ring.
     fn ring(len: usize) -> Netlist {
         let mut n = Netlist::new();
         let regs: Vec<Gate> = (0..len)
@@ -593,9 +435,36 @@ mod tests {
             .collect();
         for k in 0..len {
             n.set_next(regs[k], regs[(k + len - 1) % len].lit());
+            n.add_target(regs[k].lit(), format!("t{k}"));
         }
-        n.add_target(regs[len - 1].lit(), "t");
         n
+    }
+
+    /// Runs `f` under a recording session and returns the memo counters it
+    /// bumped: `(ecc.cache_miss, ecc.cache_hit)`. Sessions are exclusive,
+    /// and every test of this crate that bounds with the engine on runs
+    /// under this function, so no other test's lookups land in the counts.
+    pub(crate) fn memo_counts(f: impl FnOnce()) -> (u64, u64) {
+        let config = ObsConfig {
+            mode: ObsMode::Summary,
+            ..ObsConfig::default()
+        };
+        let session = Session::install(config, RunManifest::capture("test-memo"));
+        f();
+        let metrics = session.finish().metrics;
+        let count = |name| match metrics.get(name) {
+            Some(Metric::Counter(v)) => *v,
+            _ => 0,
+        };
+        (count("ecc.cache_miss"), count("ecc.cache_hit"))
+    }
+
+    /// Structural options with the engine on.
+    fn ecc_on() -> StructuralOptions {
+        StructuralOptions {
+            ecc: EccOptions::on(),
+            ..StructuralOptions::default()
+        }
     }
 
     #[test]
@@ -779,40 +648,51 @@ mod tests {
         assert!(msg.contains("below the true diameter 3"), "{msg}");
     }
 
-    /// Concurrent probes of one uncached component enumerate it once: the
-    /// in-progress sentinel makes every other worker wait and record a
-    /// cache hit, so `hits` lands at exactly `threads − 1`.
+    /// Concurrent jobs of one bounding pass enumerate a shared component
+    /// once: eight threads bound eight targets whose cones are one ring;
+    /// one computes the certificate, and the other seven wait for it or
+    /// recall it, each counting a hit.
     #[test]
     fn concurrent_probes_enumerate_once() {
-        let n = ring(7);
-        let fp = n.csr().fingerprint();
-        let (entries0, hits0) = cache_stats_for(fp);
-        assert_eq!(entries0, 0, "ring(7) is unique to this test");
-        let opts = EccOptions::on();
-        const THREADS: usize = 8;
-        let barrier = std::sync::Barrier::new(THREADS);
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..THREADS)
-                .map(|_| {
-                    s.spawn(|| {
-                        barrier.wait();
-                        component_cert(&n, n.regs(), &opts).unwrap()
+        let n = ring(8);
+        let cx = Classifier::new(&n, &ecc_on());
+        let barrier = std::sync::Barrier::new(n.targets().len());
+        let (misses, hits) = memo_counts(|| {
+            std::thread::scope(|s| {
+                let handles: Vec<_> = n
+                    .targets()
+                    .iter()
+                    .map(|t| {
+                        s.spawn(|| {
+                            barrier.wait();
+                            cx.diameter_bound(t.lit).bound
+                        })
                     })
-                })
-                .collect();
-            let certs: Vec<EccCert> = handles.into_iter().map(|h| h.join().unwrap()).collect();
-            for c in &certs {
-                assert_eq!(*c, certs[0]);
-            }
-            assert_eq!(certs[0].diameter, 6);
+                    .collect();
+                for h in handles {
+                    assert_eq!(h.join().unwrap(), crate::Bound::Finite(8));
+                }
+            });
         });
-        let (entries, hits) = cache_stats_for(fp);
-        assert_eq!(entries, 1);
-        assert_eq!(hits, hits0 + (THREADS as u64 - 1));
+        assert_eq!((misses, hits), (1, 7));
+    }
+
+    /// The memo lives and dies with its pass: two passes over one netlist
+    /// each enumerate the ring, and neither recalls the other's certificate.
+    #[test]
+    fn each_pass_enumerates_its_own_components() {
+        let n = ring(6);
+        let (misses, hits) = memo_counts(|| {
+            for t in &n.targets()[..2] {
+                let cx = Classifier::new(&n, &ecc_on());
+                assert_eq!(cx.diameter_bound(t.lit).bound, crate::Bound::Finite(6));
+            }
+        });
+        assert_eq!((misses, hits), (2, 0));
     }
 
     #[test]
-    fn component_cert_respects_cutoff_and_caches() {
+    fn component_cert_respects_cutoff() {
         let n = ring(6);
         let opts = EccOptions::on();
         let cert = component_cert(&n, n.regs(), &opts).unwrap();
@@ -820,14 +700,6 @@ mod tests {
         assert_eq!(cert.diameter, 5);
         assert!(cert.exact);
         assert_eq!(cert.states, 6);
-        let fp = n.csr().fingerprint();
-        let (entries, _) = cache_stats_for(fp);
-        assert_eq!(entries, 1);
-        let again = component_cert(&n, n.regs(), &opts).unwrap();
-        assert_eq!(cert, again);
-        let (entries, hits) = cache_stats_for(fp);
-        assert_eq!(entries, 1);
-        assert!(hits >= 1, "second call must hit the cache");
         let tight = EccOptions {
             cutoff: 4,
             ..EccOptions::on()
@@ -844,28 +716,22 @@ mod tests {
         assert!(k8.enabled);
         assert_eq!(k8.cutoff, 8);
         assert_eq!(k8.render(), "k=8");
+        assert_eq!(EccOptions::parse(&k8.render()).unwrap(), k8);
         assert_eq!(EccOptions::on().render(), "on");
         assert_eq!(EccOptions::default().render(), "off");
-        assert!(EccOptions::parse("k=zero").is_err());
-        assert!(EccOptions::parse("k=0").is_err());
-        assert!(EccOptions::parse("maybe").is_err());
-        assert!(EccOptions::parse("k=8,wat=3").is_err());
-
-        // Non-default limits render losslessly and round-trip.
-        let tuned = EccOptions {
-            cutoff: 8,
-            max_free: 6,
-            max_sweeps: 4,
-            ..EccOptions::on()
-        };
-        assert_eq!(tuned.render(), "k=8,mf=6,ms=4");
-        assert_eq!(EccOptions::parse(&tuned.render()).unwrap(), tuned);
-        let mf_only = EccOptions {
-            max_free: 12,
-            ..EccOptions::on()
-        };
-        assert_eq!(mf_only.render(), "mf=12");
-        assert_eq!(EccOptions::parse("mf=12").unwrap(), mf_only);
-        assert_eq!(EccOptions::parse("on,ms=2").unwrap().max_sweeps, 2);
+        // The free-signal cap and the sweep budget are no longer options.
+        for bad in [
+            "k=zero",
+            "k=0",
+            "maybe",
+            "k=8,wat=3",
+            "mf=12",
+            "ms=2",
+            "on,ms=2",
+            "k=8,mf=6,ms=4",
+        ] {
+            let err = EccOptions::parse(bad).expect_err(bad);
+            assert!(err.starts_with("invalid --ecc value"), "{bad}: {err}");
+        }
     }
 }

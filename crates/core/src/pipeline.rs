@@ -40,7 +40,7 @@
 
 use crate::bound::Bound;
 use crate::classify::Classifier;
-use crate::structural::{diameter_bound_in, StructuralOptions, TargetBound};
+use crate::structural::StructuralOptions;
 use diam_netlist::sim::Witness;
 use diam_netlist::stats::fingerprint;
 use diam_netlist::{Lit, Netlist};
@@ -493,62 +493,65 @@ impl PipelineResult {
     /// [`StructuralOptions::parallelism`] workers in target order and
     /// merged back in that order — the output is identical for every
     /// parallelism setting, because each bound is a pure function of the
-    /// (immutable) transformed netlist. The jobs classify their cones
-    /// through one [`Classifier`] of that netlist ([`diameter_bound_in`]),
-    /// whose results do not depend on which job fills its memo first.
+    /// (immutable) transformed netlist. The jobs bound their cones through
+    /// one [`Classifier`] of that netlist, whose results do not depend on
+    /// which job fills its memos first.
     pub fn bound_targets(&self, opts: &StructuralOptions) -> Vec<PipelinedBound> {
-        self.bound_targets_in(&Classifier::new(&self.netlist, &opts.classify), opts)
+        self.bound_targets_in(&Classifier::new(&self.netlist, opts))
     }
 
-    /// [`PipelineResult::bound_targets`] through `cx`, a classifier of
-    /// [`PipelineResult::netlist`] built with `opts.classify`, so a caller
-    /// that also classifies the whole netlist (a table column's counts)
-    /// shares its constants and table-cell tests with the bounds.
+    /// [`PipelineResult::bound_targets`] through `cx`, a bounding pass over
+    /// [`PipelineResult::netlist`] (with its options), so a caller that also
+    /// classifies the whole netlist (a table column's counts) or explains
+    /// targets shares the pass's memos with the bounds.
+    pub fn bound_targets_in(&self, cx: &Classifier<'_>) -> Vec<PipelinedBound> {
+        let jobs: Vec<usize> = (0..self.original_targets).collect();
+        diam_par::run(cx.options().parallelism, jobs, |_, i| {
+            self.bound_target(cx, i)
+        })
+    }
+
+    /// The back-translated bound of original target `index` alone, through
+    /// `cx`, a bounding pass over [`PipelineResult::netlist`]: one job of
+    /// [`PipelineResult::bound_targets_in`].
     ///
     /// # Panics
     ///
-    /// Panics if `cx` classifies another netlist or uses other options.
-    pub fn bound_targets_in(
-        &self,
-        cx: &Classifier<'_>,
-        opts: &StructuralOptions,
-    ) -> Vec<PipelinedBound> {
+    /// Panics if `cx` bounds another netlist.
+    pub fn bound_target(&self, cx: &Classifier<'_>, index: usize) -> PipelinedBound {
         assert!(
-            std::ptr::eq(cx.netlist(), &self.netlist) && *cx.options() == opts.classify,
-            "the classifier must be built on this result's netlist with opts.classify"
+            std::ptr::eq(cx.netlist(), &self.netlist),
+            "the bounding pass must run on this result's netlist"
         );
-        let jobs: Vec<usize> = (0..self.original_targets).collect();
-        diam_par::run(opts.parallelism, jobs, |_, i| {
-            let t = &self.netlist.targets()[i];
-            let mut sp = diam_obs::span!("bound.target", index = i, target = t.name.as_str());
-            let tb: TargetBound = diameter_bound_in(cx, t.lit, &opts.ecc);
-            let pb = PipelinedBound {
-                name: t.name.clone(),
-                transformed: tb.bound,
-                original: tb
-                    .bound
-                    .finite()
-                    .and_then(|d| self.chain.back_translate(i, d))
-                    .map_or(Bound::Exponential, Bound::Finite),
-                counts: tb.classification.counts(),
-            };
-            if diam_obs::enabled() {
-                // Back-translation totals = the per-target transform
-                // delta (Theorems 2–4 contributions for this target).
-                let (mut bt_add, mut bt_mul) = (0u64, 1u64);
-                for step in self.chain.bound_steps(i) {
-                    match step {
-                        BoundStep::Add(k) => bt_add += k,
-                        BoundStep::Mul(c) => bt_mul *= c,
-                    }
+        let t = &self.netlist.targets()[index];
+        let mut sp = diam_obs::span!("bound.target", index = index, target = t.name.as_str());
+        let tb = cx.diameter_bound(t.lit);
+        let pb = PipelinedBound {
+            name: t.name.clone(),
+            transformed: tb.bound,
+            original: tb
+                .bound
+                .finite()
+                .and_then(|d| self.chain.back_translate(index, d))
+                .map_or(Bound::Exponential, Bound::Finite),
+            counts: tb.classification.counts(),
+        };
+        if diam_obs::enabled() {
+            // Back-translation totals = the per-target transform
+            // delta (Theorems 2–4 contributions for this target).
+            let (mut bt_add, mut bt_mul) = (0u64, 1u64);
+            for step in self.chain.bound_steps(index) {
+                match step {
+                    BoundStep::Add(k) => bt_add += k,
+                    BoundStep::Mul(c) => bt_mul *= c,
                 }
-                sp.record("bt_add", bt_add);
-                sp.record("bt_mul", bt_mul);
-                sp.record("transformed", pb.transformed.to_string());
-                sp.record("original", pb.original.to_string());
             }
-            pb
-        })
+            sp.record("bt_add", bt_add);
+            sp.record("bt_mul", bt_mul);
+            sp.record("transformed", pb.transformed.to_string());
+            sp.record("original", pb.original.to_string());
+        }
+        pb
     }
 
     /// The transformed literal of original target `index`.

@@ -37,15 +37,16 @@
 //! within `d̂(t) − 1` time-steps**, so a bounded model check of depth
 //! `d̂(t) − 1` is complete (Section 1 of the paper).
 //!
-//! To bound or explain several targets of one netlist, build one
-//! [`Classifier`] and pass it to [`diameter_bound_in`] and [`explain_in`]:
-//! the targets then share its constant pass and table-cell tests, while each
-//! cone still gets its own condensation. [`diameter_bound`] and [`explain`]
-//! are the one-shot forms.
+//! A target's bound is the product of its cone's [`Factor`]s, and its
+//! [`Explanation`] renders the same factors. To bound or explain several
+//! targets of one netlist, build one [`Classifier`], the bounding pass: the
+//! targets then share its constant pass, table-cell tests and eccentricity
+//! certificates, while each cone still gets its own condensation.
+//! [`diameter_bound`] and [`explain`] are the one-shot forms.
 
 use crate::bound::Bound;
 use crate::classify::{Classification, Classifier, ClassifyOptions, ComponentKind};
-use crate::eccentricity::{component_cert, EccCert, EccOptions};
+use crate::eccentricity::{EccCert, EccOptions};
 use diam_netlist::analysis::coi;
 use diam_netlist::{Gate, Lit, Netlist};
 use diam_par::Parallelism;
@@ -96,109 +97,171 @@ pub struct TargetBound {
 /// assert_eq!(tb.bound, Bound::Finite(4));
 /// ```
 pub fn diameter_bound(n: &Netlist, target: Lit, opts: &StructuralOptions) -> TargetBound {
-    diameter_bound_in(&Classifier::new(n, &opts.classify), target, &opts.ecc)
+    Classifier::new(n, opts).diameter_bound(target)
 }
 
-/// [`diameter_bound`] of a target of `cx`'s netlist, classifying its cone
-/// through `cx`: the targets of one bounding pass share the constant
-/// registers and table-cell tests, and each cone keeps its own condensation.
-pub fn diameter_bound_in(cx: &Classifier<'_>, target: Lit, ecc: &EccOptions) -> TargetBound {
-    let n = cx.netlist();
-    let cone = coi(n, [target]);
-    let classification = cx.classify(&cone.regs);
-    let certs = gc_certificates(n, &classification, ecc);
-    let bound = serialized_bound_with(&classification, &certs);
-    TargetBound {
-        bound,
-        classification,
+/// One factor of a target's serialized bound (see the module docs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Factor {
+    /// The longest chain of acyclic components, `levels` long (≥ 1):
+    /// `levels + 1`.
+    AcyclicChain {
+        /// Acyclic components along the longest chain.
+        levels: u64,
+    },
+    /// A memory cluster of `regs` table cells: `rows + 1`.
+    Memory {
+        /// Atomically updated rows.
+        rows: usize,
+        /// Table cells in the cluster.
+        regs: usize,
+        /// A representative cell.
+        witness: Gate,
+    },
+    /// A general component: its certificate's factor, else `2^regs`.
+    General {
+        /// Registers in the component.
+        regs: usize,
+        /// The eccentricity certificate, when the engine produced one.
+        cert: Option<EccCert>,
+        /// A representative register.
+        witness: Gate,
+    },
+}
+
+impl Factor {
+    /// The factor's value.
+    pub fn value(&self) -> Bound {
+        match *self {
+            Factor::AcyclicChain { levels } => Bound::ONE.add_const(levels),
+            Factor::Memory { rows, .. } => Bound::Finite(rows as u64 + 1),
+            Factor::General { cert: Some(c), .. } => Bound::Finite(c.factor),
+            Factor::General { regs, .. } => Bound::pow2(regs as u64),
+        }
     }
 }
 
-/// Certified eccentricity bounds per condensation component: `Some` for
-/// every general component the engine tightened, `None` elsewhere (acyclic
-/// and table components, components past the cutoff, engine disabled).
-///
-/// Certificates are memoized per `(fingerprint, register set, options)` in
-/// [`crate::eccentricity`], so `bound_targets` sweeps that reach a shared
-/// component from many targets enumerate it once.
-pub fn gc_certificates(n: &Netlist, cl: &Classification, ecc: &EccOptions) -> Vec<Option<EccCert>> {
-    let num = cl.cond.comps.len();
-    if !ecc.enabled {
-        return vec![None; num];
+impl std::fmt::Display for Factor {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {
+            Factor::AcyclicChain { levels } => write!(f, "acyclic chain ({levels} levels)"),
+            Factor::Memory { rows, .. } => write!(f, "memory({rows} rows)"),
+            // A certificate that actually tightened the blanket names the
+            // certified diameter and the sweeps that earned it; the generic
+            // exponential blame line survives only untightened components.
+            Factor::General {
+                regs,
+                cert: Some(c),
+                ..
+            } if self.value() < Bound::pow2(regs as u64) => write!(
+                f,
+                "general({regs} regs, ecc diameter {}, {} sweeps)",
+                c.diameter, c.sweeps
+            ),
+            Factor::General { regs, .. } => write!(f, "general({regs} regs)"),
+        }
     }
-    (0..num)
-        .map(|c| {
-            if !matches!(cl.kinds[c], ComponentKind::General) {
-                return None;
+}
+
+impl Classifier<'_> {
+    /// [`diameter_bound`] of a target of this pass's netlist: the product
+    /// of its cone's [`Classifier::factors`]. Every factor is at least 1, so
+    /// the product saturates only when the true product overflows, in any
+    /// order.
+    pub fn diameter_bound(&self, target: Lit) -> TargetBound {
+        let classification = self.classify(&coi(self.netlist(), [target]).regs);
+        let bound = self
+            .factors(&classification)
+            .iter()
+            .fold(Bound::ONE, |b, f| b.mul(f.value()));
+        TargetBound {
+            bound,
+            classification,
+        }
+    }
+
+    /// [`explain`] for a target of this pass's netlist: its factors, with
+    /// their registers' names and the running product.
+    pub fn explain(&self, target: Lit) -> Explanation {
+        let n = self.netlist();
+        let mut bound = Bound::ONE;
+        let steps = self
+            .factors(&self.classify(&coi(n, [target]).regs))
+            .into_iter()
+            .map(|factor| {
+                bound = bound.mul(factor.value());
+                let witness_reg = match factor {
+                    Factor::AcyclicChain { .. } => String::new(),
+                    Factor::Memory { witness, .. } | Factor::General { witness, .. } => {
+                        n.name(witness).unwrap_or("?").to_string()
+                    }
+                };
+                ExplainStep {
+                    factor,
+                    witness_reg,
+                    bound,
+                }
+            })
+            .collect();
+        Explanation { bound, steps }
+    }
+
+    /// The factors of the serialized bound over `cl`, a classification of
+    /// this pass's netlist, in explanation order: the acyclic chain (when
+    /// it has a level), the memory clusters, then the general components,
+    /// smallest first so the big culprit lands last, with the pass's
+    /// certificates.
+    pub fn factors(&self, cl: &Classification) -> Vec<Factor> {
+        // Longest AC chain: AC components count 1, others 0, maximized
+        // along the condensation's topological numbering (edges `c → d`
+        // have `c < d`).
+        let num = cl.cond.comps.len();
+        let mut depth = vec![0u64; num];
+        let mut levels = 0u64;
+        let mut gcs: Vec<&[usize]> = Vec::new();
+        for (c, comp) in cl.cond.comps.iter().enumerate() {
+            match cl.kinds[c] {
+                ComponentKind::Acyclic => depth[c] += 1,
+                ComponentKind::General => gcs.push(comp),
+                ComponentKind::Table { .. } => {}
             }
-            let regs: Vec<Gate> = cl.cond.comps[c].iter().map(|&i| cl.regs[i]).collect();
-            component_cert(n, &regs, ecc)
-        })
-        .collect()
-}
-
-/// The factor one general component contributes: the certified diameter
-/// bound when present (already clamped to `2^|regs|`), else the blanket.
-fn gc_factor(cl: &Classification, certs: &[Option<EccCert>], c: usize) -> Bound {
-    match certs.get(c).copied().flatten() {
-        Some(cert) => Bound::Finite(cert.factor),
-        None => Bound::pow2(cl.cond.comps[c].len() as u64),
-    }
-}
-
-/// The serialized compositional bound over a (cone-restricted)
-/// classification with the blanket `2^|regs|` GC factors; see the module
-/// docs for the formula and its rationale. [`serialized_bound_with`] takes
-/// eccentricity certificates.
-pub fn serialized_bound(cl: &Classification) -> Bound {
-    serialized_bound_with(cl, &[])
-}
-
-/// [`serialized_bound`] with per-component eccentricity certificates
-/// (as computed by [`gc_certificates`]; missing entries fall back to the
-/// blanket factor).
-pub fn serialized_bound_with(cl: &Classification, certs: &[Option<EccCert>]) -> Bound {
-    let num = cl.cond.comps.len();
-    // Longest AC-chain: AC components count 1, others 0, maximized along
-    // the condensation's topological order (which the component numbering
-    // already is).
-    let mut preds: Vec<Vec<usize>> = vec![Vec::new(); num];
-    for (c, succs) in cl.cond.succs.iter().enumerate() {
-        for &d in succs {
-            preds[d].push(c);
+            levels = levels.max(depth[c]);
+            for &d in &cl.cond.succs[c] {
+                depth[d] = depth[d].max(depth[c]);
+            }
         }
-    }
-    let mut ac_depth = vec![0u64; num];
-    for c in 0..num {
-        let up = preds[c].iter().map(|&p| ac_depth[p]).max().unwrap_or(0);
-        ac_depth[c] = up + u64::from(matches!(cl.kinds[c], ComponentKind::Acyclic));
-    }
-    let levels = ac_depth.iter().copied().max().unwrap_or(0);
-
-    let mut bound = Bound::Finite(1).add_const(levels);
-    for cluster in &cl.clusters {
-        if !cluster.comps.is_empty() {
-            bound = bound.mul_const(cluster.rows as u64 + 1);
+        let mut factors = Vec::with_capacity(1 + cl.clusters.len() + gcs.len());
+        if levels > 0 {
+            factors.push(Factor::AcyclicChain { levels });
         }
-    }
-    for (c, kind) in cl.kinds.iter().enumerate() {
-        if matches!(kind, ComponentKind::General) {
-            bound = bound.mul(gc_factor(cl, certs, c));
+        for cluster in cl.clusters.iter().filter(|m| !m.comps.is_empty()) {
+            factors.push(Factor::Memory {
+                rows: cluster.rows,
+                regs: cluster.comps.len(),
+                witness: cl.regs[cl.cond.comps[cluster.comps[0]][0]],
+            });
         }
+        gcs.sort_by_key(|comp| comp.len());
+        for comp in gcs {
+            let regs: Vec<Gate> = comp.iter().map(|&i| cl.regs[i]).collect();
+            factors.push(Factor::General {
+                regs: regs.len(),
+                cert: self.certificate(&regs),
+                witness: regs[0],
+            });
+        }
+        factors
     }
-    bound
 }
 
 /// One factor of a bound explanation.
 #[derive(Debug, Clone)]
 pub struct ExplainStep {
-    /// Factor description (`acyclic chain (L levels)`, `memory(R rows)`,
-    /// `general(k regs)`).
-    pub kind: String,
-    /// A representative register name (empty for the acyclic chain entry).
+    /// The factor; it renders as `acyclic chain (L levels)`,
+    /// `memory(R rows)` or `general(k regs)`.
+    pub factor: Factor,
+    /// Its witness register's name (empty for the acyclic chain).
     pub witness_reg: String,
-    /// Registers involved.
-    pub regs: usize,
     /// The running bound after applying this factor.
     pub bound: Bound,
 }
@@ -217,14 +280,13 @@ impl std::fmt::Display for Explanation {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         writeln!(f, "d̂ = {}", self.bound)?;
         for (i, s) in self.steps.iter().enumerate() {
-            if s.witness_reg.is_empty() {
-                writeln!(f, "  {i}: {} → {}", s.kind, s.bound)?;
-            } else {
-                writeln!(
+            match s.factor {
+                Factor::AcyclicChain { .. } => writeln!(f, "  {i}: {} → {}", s.factor, s.bound)?,
+                Factor::Memory { regs, .. } | Factor::General { regs, .. } => writeln!(
                     f,
-                    "  {i}: {} ({} regs, e.g. {}) → {}",
-                    s.kind, s.regs, s.witness_reg, s.bound
-                )?;
+                    "  {i}: {} ({regs} regs, e.g. {}) → {}",
+                    s.factor, s.witness_reg, s.bound
+                )?,
             }
         }
         Ok(())
@@ -236,90 +298,7 @@ impl std::fmt::Display for Explanation {
 /// are the usual culprits for an exponential bound — typically a large
 /// general (GC) component that a transformation might shrink.
 pub fn explain(n: &Netlist, target: Lit, opts: &StructuralOptions) -> Explanation {
-    explain_in(&Classifier::new(n, &opts.classify), target, &opts.ecc)
-}
-
-/// [`explain`] for a target of `cx`'s netlist, classifying its cone through
-/// `cx` (see [`diameter_bound_in`]).
-pub fn explain_in(cx: &Classifier<'_>, target: Lit, ecc: &EccOptions) -> Explanation {
-    let n = cx.netlist();
-    let cone = coi(n, [target]);
-    let cl = cx.classify(&cone.regs);
-    let certs = gc_certificates(n, &cl, ecc);
-    let num = cl.cond.comps.len();
-    let mut preds: Vec<Vec<usize>> = vec![Vec::new(); num];
-    for (c, succs) in cl.cond.succs.iter().enumerate() {
-        for &d in succs {
-            preds[d].push(c);
-        }
-    }
-    let mut ac_depth = vec![0u64; num];
-    let mut ac_regs = 0usize;
-    for c in 0..num {
-        let up = preds[c].iter().map(|&p| ac_depth[p]).max().unwrap_or(0);
-        let is_ac = matches!(cl.kinds[c], ComponentKind::Acyclic);
-        ac_depth[c] = up + u64::from(is_ac);
-        if is_ac {
-            ac_regs += cl.cond.comps[c].len();
-        }
-    }
-    let levels = ac_depth.iter().copied().max().unwrap_or(0);
-
-    let mut steps = Vec::new();
-    let mut bound = Bound::Finite(1).add_const(levels);
-    if levels > 0 {
-        steps.push(ExplainStep {
-            kind: format!("acyclic chain ({levels} levels)"),
-            witness_reg: String::new(),
-            regs: ac_regs,
-            bound,
-        });
-    }
-    for cluster in &cl.clusters {
-        if cluster.comps.is_empty() {
-            continue;
-        }
-        bound = bound.mul_const(cluster.rows as u64 + 1);
-        let witness = cl.regs[cl.cond.comps[cluster.comps[0]][0]];
-        steps.push(ExplainStep {
-            kind: format!("memory({} rows)", cluster.rows),
-            witness_reg: n.name(witness).unwrap_or("?").to_string(),
-            regs: cluster.comps.len(),
-            bound,
-        });
-    }
-    // General components, smallest first so the big culprit lands last.
-    let mut gcs: Vec<usize> = (0..num)
-        .filter(|&c| matches!(cl.kinds[c], ComponentKind::General))
-        .collect();
-    gcs.sort_by_key(|&c| cl.cond.comps[c].len());
-    for c in gcs {
-        let k = cl.cond.comps[c].len();
-        // A certificate that actually tightened the blanket names the
-        // certified diameter and the sweeps that earned it; the generic
-        // exponential blame line survives only untightened components.
-        let kind = match certs.get(c).copied().flatten() {
-            Some(cert) if k >= 64 || cert.factor < 1u64 << k => {
-                bound = bound.mul(Bound::Finite(cert.factor));
-                format!(
-                    "general({k} regs, ecc diameter {}, {} sweeps)",
-                    cert.diameter, cert.sweeps
-                )
-            }
-            _ => {
-                bound = bound.mul(Bound::pow2(k as u64));
-                format!("general({k} regs)")
-            }
-        };
-        let witness = cl.regs[cl.cond.comps[c][0]];
-        steps.push(ExplainStep {
-            kind,
-            witness_reg: n.name(witness).unwrap_or("?").to_string(),
-            regs: k,
-            bound,
-        });
-    }
-    Explanation { bound, steps }
+    Classifier::new(n, opts).explain(target)
 }
 
 #[cfg(test)]
@@ -499,9 +478,12 @@ mod tests {
         assert_eq!(e.bound, Bound::Finite(9));
         assert_eq!(e.steps.len(), 2, "{e}");
         let last = e.steps.last().unwrap();
-        assert!(last.kind.starts_with("memory"), "{e}");
+        assert!(matches!(last.factor, Factor::Memory { rows: 2, .. }), "{e}");
         assert_eq!(last.bound, Bound::Finite(9));
-        assert!(e.steps[0].kind.contains("acyclic"), "{e}");
+        assert!(
+            matches!(e.steps[0].factor, Factor::AcyclicChain { levels: 2 }),
+            "{e}"
+        );
         // The rendering mentions the witness registers.
         let text = e.to_string();
         assert!(text.contains("m0") || text.contains("m1"), "{text}");
@@ -524,7 +506,7 @@ mod tests {
         n.add_target(t, "t");
         let e = explain(&n, t, &StructuralOptions::default());
         let last = e.steps.last().unwrap();
-        assert_eq!(last.kind, "general(10 regs)");
+        assert_eq!(last.factor.to_string(), "general(10 regs)");
         assert!(last.witness_reg.starts_with("ring"));
     }
 
@@ -551,12 +533,20 @@ mod tests {
             ..StructuralOptions::default()
         };
         assert_eq!(diameter_bound(&n, t, &off).bound, Bound::Finite(2048));
-        assert_eq!(diameter_bound(&n, t, &on).bound, Bound::Finite(40));
-        let e = explain(&n, t, &on);
-        assert_eq!(e.bound, Bound::Finite(40));
-        let last = e.steps.last().unwrap();
-        assert_eq!(last.kind, "general(10 regs, ecc diameter 19, 1 sweeps)");
-        assert!(last.witness_reg.starts_with("ring"));
+        let counts = crate::eccentricity::tests::memo_counts(|| {
+            assert_eq!(diameter_bound(&n, t, &on).bound, Bound::Finite(40));
+            let e = explain(&n, t, &on);
+            assert_eq!(e.bound, Bound::Finite(40));
+            let last = e.steps.last().unwrap();
+            let label = last.factor.to_string();
+            assert_eq!(label, "general(10 regs, ecc diameter 19, 1 sweeps)");
+            assert!(last.witness_reg.starts_with("ring"));
+            // Explaining through the bounding pass recalls its certificate.
+            let cx = Classifier::new(&n, &on);
+            assert_eq!(cx.diameter_bound(t).bound, Bound::Finite(40));
+            assert_eq!(cx.explain(t).to_string(), e.to_string());
+        });
+        assert_eq!(counts, (3, 1), "one miss per pass, then one hit");
     }
 
     #[test]

@@ -8,13 +8,16 @@
 //! reachable sets under exhaustive free inputs. On top of that, the
 //! end-to-end `d̂` with `--ecc on` must stay sound (hittable targets hit
 //! within `d̂ − 1`) and never exceed the blanket `d̂` with `--ecc off`.
+//! Bounding a netlist's targets through one pass, whose certificate memo
+//! they share, must give each target its one-shot bound and explanation.
 
-use diam_core::eccentricity::{cache_stats_for, component_cert, EccOptions};
+use diam_core::eccentricity::{component_cert, EccOptions};
 use diam_core::exact::{explore, state_diameter, ExploreLimits};
-use diam_core::structural::{diameter_bound, StructuralOptions};
-use diam_core::Bound;
+use diam_core::structural::{diameter_bound, explain, StructuralOptions};
+use diam_core::{Bound, Classifier};
 use diam_netlist::sim::SplitMix64;
 use diam_netlist::{Gate, Init, Lit, Netlist};
+use diam_obs::{EventKind, ObsConfig, ObsMode, RunManifest, Session};
 use proptest::prelude::*;
 
 /// Random sequential netlist with free inputs, mixed inits (no `Init::Fn`,
@@ -132,8 +135,80 @@ proptest! {
     }
 }
 
-/// One component probed by several targets costs one enumeration: the
-/// second `diameter_bound` call recalls the memoized certificate.
+/// Runs `f` under a recording session and counts the components it
+/// enumerated on this thread (its `ecc.enumerate` spans; other tests'
+/// threads record theirs under other parents).
+fn enumerations(f: impl FnOnce()) -> usize {
+    let config = ObsConfig {
+        mode: ObsMode::Json,
+        ..ObsConfig::default()
+    };
+    let session = Session::install(config, RunManifest::capture("test-ecc-memo"));
+    let root = {
+        let sp = diam_obs::span!("test.pass");
+        f();
+        sp.id()
+    };
+    let report = session.finish();
+    report
+        .events
+        .iter()
+        .filter(|e| {
+            matches!(e.kind, EventKind::Open { name: "ecc.enumerate", parent, .. } if parent == root)
+        })
+        .count()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// One pass over a multi-target netlist — every register is a target
+    /// too, so cones overlap and share components — bounds and explains
+    /// each target exactly as a one-shot call does, whichever target
+    /// fills the certificate memo first.
+    #[test]
+    fn one_pass_matches_one_shot_bounds(
+        seed in proptest::arbitrary::any::<u64>(),
+        ni in 1usize..=3,
+        nr in 1usize..=8,
+        na in 0usize..=40,
+    ) {
+        let mut n = build_netlist(seed, ni, nr, na);
+        for (k, r) in n.regs().to_vec().into_iter().enumerate() {
+            n.add_target(r.lit(), format!("r{k}"));
+        }
+        let opts = StructuralOptions {
+            ecc: EccOptions {
+                cutoff: 8,
+                ..EccOptions::on()
+            },
+            ..StructuralOptions::default()
+        };
+        let lits: Vec<Lit> = n.targets().iter().map(|t| t.lit).collect();
+        let one_shot: Vec<_> = lits
+            .iter()
+            .map(|&t| {
+                let tb = diameter_bound(&n, t, &opts);
+                let why = explain(&n, t, &opts).to_string();
+                (tb.bound, tb.classification.counts(), why)
+            })
+            .collect();
+        let forward: Vec<usize> = (0..lits.len()).collect();
+        let backward: Vec<usize> = forward.iter().rev().copied().collect();
+        for order in [forward, backward] {
+            let cx = Classifier::new(&n, &opts);
+            for &i in &order {
+                let tb = cx.diameter_bound(lits[i]);
+                prop_assert_eq!(tb.bound, one_shot[i].0, "target {}", i);
+                prop_assert_eq!(tb.classification.counts(), one_shot[i].1, "target {}", i);
+                prop_assert_eq!(&cx.explain(lits[i]).to_string(), &one_shot[i].2);
+            }
+        }
+    }
+}
+
+/// One component probed by several targets of one pass costs one
+/// enumeration: the second target recalls the pass's certificate.
 #[test]
 fn certificates_are_memoized_across_targets() {
     let mut n = Netlist::new();
@@ -151,17 +226,17 @@ fn certificates_are_memoized_across_targets() {
         ecc: EccOptions::on(),
         ..StructuralOptions::default()
     };
-    let fp = n.csr().fingerprint();
-    let before = cache_stats_for(fp);
-    let head = diameter_bound(&n, n.targets()[0].lit, &opts);
-    let tail = diameter_bound(&n, n.targets()[1].lit, &opts);
-    let after = cache_stats_for(fp);
+    let cx = Classifier::new(&n, &opts);
+    let (mut head, mut tail) = (None, None);
+    let enumerated = enumerations(|| {
+        head = Some(cx.diameter_bound(n.targets()[0].lit));
+        tail = Some(cx.diameter_bound(n.targets()[1].lit));
+    });
     assert_eq!(
-        after.0 - before.0,
-        1,
-        "one shared component, one cache entry"
+        enumerated, 1,
+        "one pass, one shared component, one enumeration"
     );
-    assert!(after.1 > before.1, "second target recalls the certificate");
+    let (head, tail) = (head.unwrap(), tail.unwrap());
     // Both targets see the same tightened factor: 9 reachable states on a
     // cycle, certified diameter 8, factor 9 ≪ 2^9.
     assert_eq!(head.bound, tail.bound);

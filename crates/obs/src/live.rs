@@ -25,7 +25,7 @@
 use crate::{field_u64, json, unpoison, LiveOptions, Recorder};
 use std::io::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 /// Version of the machine-readable live JSONL schema: every line is an
@@ -67,7 +67,9 @@ pub(crate) struct LiveState {
     human: bool,
     /// The machine-readable JSONL stream, when configured.
     machine: Option<MachineSink>,
-    stop: AtomicBool,
+    /// Set by [`LiveState::request_stop`], which wakes the watchdog's
+    /// wait on the condvar.
+    stop: (Mutex<bool>, Condvar),
     /// One-shot stall latch: set on the first stall detection, cleared when
     /// events resume (see [`LiveState::check_stall`]).
     stalled: AtomicBool,
@@ -133,7 +135,7 @@ impl LiveState {
             opts,
             human,
             machine,
-            stop: AtomicBool::new(false),
+            stop: (Mutex::new(false), Condvar::new()),
             stalled: AtomicBool::new(false),
             queue_depth: AtomicI64::new(0),
             rss_kb: AtomicU64::new(0),
@@ -141,7 +143,16 @@ impl LiveState {
     }
 
     pub(crate) fn request_stop(&self) {
-        self.stop.store(true, Ordering::Release);
+        *unpoison(self.stop.0.lock()) = true;
+        self.stop.1.notify_all();
+    }
+
+    /// Waits one watchdog tick, or less when [`LiveState::request_stop`]
+    /// comes first; returns whether it did.
+    fn stopped_within(&self, tick: Duration) -> bool {
+        let (stop, wake) = &self.stop;
+        let waited = wake.wait_timeout_while(unpoison(stop.lock()), tick, |stop| !*stop);
+        *unpoison(waited).0
     }
 
     /// Mirrors a counter/gauge update into the live atomics (called from
@@ -443,8 +454,7 @@ fn watchdog_loop(rec: &Recorder) {
     let tick = tick.max(Duration::from_millis(10));
     let mut last_beat_ns = 0u64;
     let mut last_progress = None;
-    while !state.stop.load(Ordering::Acquire) {
-        std::thread::sleep(tick);
+    while !state.stopped_within(tick) {
         let now_ns = rec.start.elapsed().as_nanos() as u64;
         let snap = snapshot(rec, now_ns);
         if snap.events == 0 {
@@ -539,6 +549,36 @@ mod tests {
         let report = session.finish();
         assert_eq!(report.events.len(), 3); // open + point + close
         assert_eq!(report.mode, ObsMode::Live);
+    }
+
+    /// `finish` wakes the watchdog instead of waiting out its tick: with a
+    /// 10 s heartbeat (a 2.5 s tick), a session that records one span
+    /// still finishes at once.
+    #[test]
+    fn finish_does_not_wait_for_the_next_tick() {
+        let session = Session::install(
+            ObsConfig {
+                mode: ObsMode::Live,
+                live: LiveOptions {
+                    heartbeat: Duration::from_secs(10),
+                    stall: Duration::from_secs(10),
+                },
+                ..ObsConfig::default()
+            },
+            RunManifest::capture("live-test"),
+        );
+        drop(crate::span!("live.once"));
+        // Let the watchdog enter its first 2.5 s wait, which `finish` must
+        // cut short.
+        std::thread::sleep(Duration::from_millis(100));
+        let start = std::time::Instant::now();
+        let report = session.finish();
+        assert!(
+            start.elapsed() < Duration::from_secs(1),
+            "{:?}",
+            start.elapsed()
+        );
+        assert_eq!(report.events.len(), 2);
     }
 
     /// A worker's recorded stack, with the depth of its `sat.solve` points,

@@ -19,12 +19,11 @@
 //!                    com* or (com,ret)*:2       (default com-ret-com)
 //!   --threshold <N>  usefulness threshold       (default 50)
 //!   --depth-cap <N>  refuse BMC beyond N        (default 10000)
-//!   --ecc <V>        on | off | k=<N>[,mf=<N>,ms=<N>] — eccentricity
-//!                    engine: replace the blanket 2^|regs| factor of
-//!                    general components with a certified state-graph
-//!                    diameter, for components up to k registers (default
-//!                    on, cutoff 16; mf caps free signals, ms the sweep
-//!                    budget). Sound either way; `off` reproduces the
+//!   --ecc <V>        on | off | k=<N> — eccentricity engine: replace
+//!                    the blanket 2^|regs| factor of general components
+//!                    with a certified state-graph diameter, for
+//!                    components up to k registers (default on, cutoff
+//!                    16). Sound either way; `off` reproduces the
 //!                    paper's blanket bounds
 //!   --explain        for `bound`: print the dominant component chain of
 //!                    every target that stays over the threshold
@@ -40,7 +39,6 @@
 
 use diam::bmc::{prove_all, ProveOptions, ProveOutcome};
 use diam::core::classify::{classify, Classifier, ClassifyOptions};
-use diam::core::structural::explain_in;
 use diam::core::{EccOptions, Pipeline, StructuralOptions};
 use diam::netlist::{aiger, Netlist};
 use diam::transform::com::{sweep, SweepOptions};
@@ -167,9 +165,8 @@ fn cmd_bound(opts: &Options) -> Result<(), String> {
         opts.pipeline_name
     );
     let result = opts.pipeline.run(&n);
-    let structural = opts.structural();
-    let cx = Classifier::new(&result.netlist, &structural.classify);
-    let bounds = result.bound_targets_in(&cx, &structural);
+    let cx = Classifier::new(&result.netlist, &opts.structural());
+    let bounds = result.bound_targets_in(&cx);
     let mut useful = 0;
     for b in &bounds {
         let mark = if b.original.is_useful(opts.threshold) {
@@ -196,7 +193,7 @@ fn cmd_bound(opts: &Options) -> Result<(), String> {
         for (i, b) in bounds.iter().enumerate() {
             if !b.original.is_useful(opts.threshold) {
                 let t = result.netlist.targets()[i].lit;
-                let e = explain_in(&cx, t, &structural.ecc);
+                let e = cx.explain(t);
                 out!("\nwhy {} is unboundable:\n{e}", b.name);
             }
         }

@@ -6,7 +6,7 @@
 //! across all `Parallelism` settings**, because jobs are pure functions of
 //! the immutable netlist merged in original target order. The all-target
 //! BMC entry points, `check_all` and `prove_all`, agree with their
-//! single-target counterparts.
+//! single-target counterparts, and `prove` bounds only its own target.
 
 use diam::bmc::{
     check, check_all, prove, prove_all, BmcOptions, BmcOutcome, ProveOptions, ProveOutcome,
@@ -14,6 +14,7 @@ use diam::bmc::{
 use diam::core::{Pipeline, StructuralOptions};
 use diam::gen::random::{random_netlist, RandomDesignOptions};
 use diam::netlist::Netlist;
+use diam::obs::{EventKind, ObsConfig, ObsMode, RunManifest, Session, Value};
 use diam::par::Parallelism;
 
 /// 24 seeded multi-target designs (deterministic per seed).
@@ -120,4 +121,37 @@ fn prove_agrees_with_prove_all_target_by_target() {
             }
         }
     }
+}
+
+/// `prove` of one target bounds that target alone: a recording session
+/// around it sees one `bound.target` span, not one per target.
+#[test]
+fn prove_bounds_only_its_own_target() {
+    let n = &designs()[0];
+    assert!(n.targets().len() > 1);
+    let config = ObsConfig {
+        mode: ObsMode::Json,
+        ..ObsConfig::default()
+    };
+    let session = Session::install(config, RunManifest::capture("test-prove"));
+    let root = {
+        let sp = diam::obs::span!("test.prove");
+        prove(n, 1, &Pipeline::com(), &ProveOptions::default());
+        sp.id()
+    };
+    let report = session.finish();
+    let bounded: Vec<&Value> = report
+        .events
+        .iter()
+        .filter_map(|e| match &e.kind {
+            EventKind::Open {
+                name: "bound.target",
+                parent,
+                fields,
+                ..
+            } if *parent == root => fields.iter().find(|f| f.0 == "index").map(|f| &f.1),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(bounded, [&Value::U64(1)]);
 }
