@@ -255,7 +255,7 @@ impl Pipeline {
         self.resume(PipelineResult {
             original_targets: n.targets().len(),
             netlist: n.clone(),
-            fp: fingerprint(n),
+            fp: None,
             chain: CertificateChain::new(),
             log: Vec::new(),
         })
@@ -311,7 +311,7 @@ impl PipelineResult {
             return false;
         };
         let fp = fingerprint(&out.netlist);
-        if fp == self.fp {
+        if fp == *self.fp.get_or_insert_with(|| fingerprint(&self.netlist)) {
             return false;
         }
         self.log.push(StepLog {
@@ -325,7 +325,7 @@ impl PipelineResult {
         });
         self.chain.push(out.cert);
         self.netlist = out.netlist;
-        self.fp = fp;
+        self.fp = Some(fp);
         true
     }
 }
@@ -457,8 +457,10 @@ pub struct PipelineResult {
     original_targets: usize,
     /// The transformed netlist.
     pub netlist: Netlist,
-    /// [`fingerprint`] of `netlist` (kept for [`Pipeline::resume`]).
-    fp: u64,
+    /// [`fingerprint`] of `netlist` (kept for [`Pipeline::resume`]); `None`
+    /// until the first applied pass needs it, so an empty pipeline never
+    /// hashes its input.
+    fp: Option<u64>,
     /// The composed certificate chain: bound maps *and* witness lifters for
     /// every applied pass, in application order.
     pub chain: CertificateChain,

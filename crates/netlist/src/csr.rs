@@ -11,11 +11,12 @@
 //! AND evaluation plan for the simulator.
 //!
 //! A [`Csr`] is built once per netlist via [`Netlist::csr`](crate::Netlist::csr)
-//! and cached; every structural mutation invalidates the cache. The cache is
-//! *fingerprint-aware*: the CSR records the
+//! and cached; every structural mutation invalidates the cache. Debug builds
+//! watch that contract: there the CSR records the
 //! [`stats::fingerprint`](crate::stats::fingerprint) of the netlist it was
-//! built from, and the accessor debug-asserts that the cached fingerprint
-//! still matches — a cheap watchdog for the invalidation contract.
+//! built from, and the accessor asserts that it still matches. Release
+//! builds skip the fingerprint, a full pass over the netlist that nothing
+//! else reads.
 //!
 //! Traversal membership uses [`Marks`], a dense bitvec with O(1) contains —
 //! the replacement for the ad-hoc `vec![false; n]` / `HashSet` marks the
@@ -149,6 +150,7 @@ pub struct Csr {
     fanout_off: Vec<u32>,
     fanout: Vec<u32>,
     and_plan: Vec<AndStep>,
+    #[cfg(debug_assertions)]
     fingerprint: u64,
 }
 
@@ -157,7 +159,9 @@ impl Csr {
     pub fn build(n: &Netlist) -> Csr {
         let num = n.num_gates();
         let mut kinds = Vec::with_capacity(num);
-        let mut fanin_off = vec![0u32; num + 1];
+        let mut fanin_off = Vec::with_capacity(num + 1);
+        fanin_off.push(0u32);
+        let mut edges = 0u32;
         let mut and_count = 0usize;
         for g in n.gates() {
             let (kind, deg) = match n.kind(g) {
@@ -177,25 +181,19 @@ impl Csr {
                 ),
             };
             kinds.push(kind);
-            fanin_off[g.index() + 1] = deg;
+            edges += deg;
+            fanin_off.push(edges);
         }
-        for i in 1..=num {
-            fanin_off[i] += fanin_off[i - 1];
-        }
-        let edges = fanin_off[num] as usize;
 
-        let mut fanin = vec![0u32; edges];
+        // Gates fill their fanin runs in index order, so the runs come out
+        // at the offsets just computed.
+        let mut fanin = Vec::with_capacity(edges as usize);
         let mut and_plan = Vec::with_capacity(and_count);
-        let mut pos = fanin_off.clone();
-        let push = |pos: &mut Vec<u32>, fanin: &mut Vec<u32>, g: usize, w: u32| {
-            fanin[pos[g] as usize] = w;
-            pos[g] += 1;
-        };
         for g in n.gates() {
             match n.kind(g) {
                 GateKind::And(a, b) => {
-                    push(&mut pos, &mut fanin, g.index(), a.gate().index() as u32);
-                    push(&mut pos, &mut fanin, g.index(), b.gate().index() as u32);
+                    fanin.push(a.gate().index() as u32);
+                    fanin.push(b.gate().index() as u32);
                     and_plan.push(AndStep {
                         gate: g.index() as u32,
                         a: a.code(),
@@ -203,32 +201,33 @@ impl Csr {
                     });
                 }
                 GateKind::Reg => {
-                    let nx = n.reg_next(g);
-                    push(&mut pos, &mut fanin, g.index(), nx.gate().index() as u32);
+                    fanin.push(n.reg_next(g).gate().index() as u32);
                     if let Init::Fn(l) = n.reg_init(g) {
-                        push(&mut pos, &mut fanin, g.index(), l.gate().index() as u32);
+                        fanin.push(l.gate().index() as u32);
                     }
                 }
                 GateKind::Const0 | GateKind::Input => {}
             }
         }
 
-        // Transpose: fanout lists come out sorted by consumer index because
-        // the fill pass walks gates in index order.
+        // Transpose: `fanout_off[w]` first counts w's fanouts, then holds the
+        // end of w's run; filling from the last consumer back moves it to
+        // the start, and leaves each run sorted by consumer index.
         let mut fanout_off = vec![0u32; num + 1];
         for &w in &fanin {
-            fanout_off[w as usize + 1] += 1;
+            fanout_off[w as usize] += 1;
         }
-        for i in 1..=num {
-            fanout_off[i] += fanout_off[i - 1];
+        let mut sum = 0;
+        for off in &mut fanout_off {
+            sum += *off;
+            *off = sum;
         }
-        let mut fanout = vec![0u32; edges];
-        let mut pos = fanout_off.clone();
-        for g in 0..num {
+        let mut fanout = vec![0u32; fanin.len()];
+        for g in (0..num).rev() {
             for &f in &fanin[fanin_off[g] as usize..fanin_off[g + 1] as usize] {
                 let w = f as usize;
-                fanout[pos[w] as usize] = g as u32;
-                pos[w] += 1;
+                fanout_off[w] -= 1;
+                fanout[fanout_off[w] as usize] = g as u32;
             }
         }
 
@@ -239,6 +238,7 @@ impl Csr {
             fanout_off,
             fanout,
             and_plan,
+            #[cfg(debug_assertions)]
             fingerprint: crate::stats::fingerprint(n),
         }
     }
@@ -284,9 +284,9 @@ impl Csr {
     }
 
     /// The [`stats::fingerprint`](crate::stats::fingerprint) of the netlist
-    /// this CSR was built from.
-    #[inline]
-    pub fn fingerprint(&self) -> u64 {
+    /// this CSR was built from (debug builds only).
+    #[cfg(debug_assertions)]
+    pub(crate) fn fingerprint(&self) -> u64 {
         self.fingerprint
     }
 }
@@ -339,6 +339,7 @@ mod tests {
         assert_eq!(csr.fanouts(x.gate().index() as u32), &[r.index() as u32]);
         assert_eq!(csr.and_plan().len(), 1);
         assert_eq!(csr.and_plan()[0].gate, x.gate().index() as u32);
+        #[cfg(debug_assertions)]
         assert_eq!(csr.fingerprint(), crate::stats::fingerprint(&n));
     }
 

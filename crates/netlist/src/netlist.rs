@@ -5,8 +5,11 @@
 //! Safety properties are expressed as *targets* — literals that must never
 //! evaluate to 1 in any trace (`AG ¬t`).
 //!
-//! AND gates are structurally hashed at construction time, so trivially
-//! redundant logic is never created. Registers carry an initial-value
+//! AND gates are structurally hashed by [`Netlist::and`], so trivially
+//! redundant logic is never created. The structural-hash index is built on
+//! the first `and` call: a netlist that is only read, such as one loaded
+//! from AIGER and then analysed, never builds it, and cloning such a netlist
+//! copies an empty map. Registers carry an initial-value
 //! *function* ([`Init`]): besides the usual constant and nondeterministic
 //! resets this allows an arbitrary combinational cone over primary inputs,
 //! which is how the retiming engine expresses its *retiming stump* (Section
@@ -106,7 +109,11 @@ pub struct Netlist {
     regs: Vec<Gate>,
     targets: Vec<Target>,
     names: HashMap<Gate, String>,
+    /// Structural-hash index: the AND gates of `gates[..strashed]`, keyed by
+    /// their canonical operand pair. [`Netlist::and`] extends it over the
+    /// rest of the table before its lookup.
     strash: HashMap<(Lit, Lit), Gate>,
+    strashed: usize,
     /// Lazily built CSR adjacency (see [`Netlist::csr`]); cleared by every
     /// structural mutation. Cloning a netlist shares the cached `Arc`.
     csr: OnceLock<Arc<Csr>>,
@@ -162,6 +169,7 @@ impl Netlist {
             targets: Vec::new(),
             names: HashMap::new(),
             strash: HashMap::new(),
+            strashed: 0,
             csr: OnceLock::new(),
         }
     }
@@ -179,15 +187,15 @@ impl Netlist {
     /// [`set_next`](Netlist::set_next), [`set_init`](Netlist::set_init),
     /// [`add_target`](Netlist::add_target),
     /// [`clear_targets`](Netlist::clear_targets) — clears the cache, so the
-    /// returned CSR always describes the current structure; its
-    /// [`fingerprint`](Csr::fingerprint) equals
-    /// [`stats::fingerprint`](crate::stats::fingerprint) of `self` (checked
-    /// by a debug assertion on every access). Debug-name changes do not
-    /// invalidate. Concurrent first accesses race benignly: one builder
-    /// wins, the rest share its `Arc`.
+    /// returned CSR always describes the current structure. Debug builds
+    /// check this on every access: the CSR's recorded
+    /// [`stats::fingerprint`](crate::stats::fingerprint) must equal that of
+    /// `self`. Debug-name changes do not invalidate. Concurrent first
+    /// accesses race benignly: one builder wins, the rest share its `Arc`.
     pub fn csr(&self) -> &Csr {
         let csr = self.csr.get_or_init(|| Arc::new(Csr::build(self)));
-        debug_assert_eq!(
+        #[cfg(debug_assertions)]
+        assert_eq!(
             csr.fingerprint(),
             crate::stats::fingerprint(self),
             "cached CSR is stale: a structural mutation missed invalidation"
@@ -197,26 +205,38 @@ impl Netlist {
 
     /// Adds a primary input.
     pub fn input(&mut self, name: impl Into<String>) -> Gate {
+        let g = self.unnamed_input();
+        self.names.insert(g, name.into());
+        g
+    }
+
+    /// Adds a primary input without a debug name.
+    pub(crate) fn unnamed_input(&mut self) -> Gate {
         let g = self.push(GateData {
             kind: GateKind::Input,
             next: Lit::FALSE,
             init: Init::Zero,
         });
         self.inputs.push(g);
-        self.names.insert(g, name.into());
         g
     }
 
     /// Adds a register with the given initial value. Its next-state function
     /// defaults to constant 0 until [`set_next`](Netlist::set_next) is called.
     pub fn reg(&mut self, name: impl Into<String>, init: Init) -> Gate {
+        let g = self.unnamed_reg(init);
+        self.names.insert(g, name.into());
+        g
+    }
+
+    /// Adds a register without a debug name.
+    pub(crate) fn unnamed_reg(&mut self, init: Init) -> Gate {
         let g = self.push(GateData {
             kind: GateKind::Reg,
             next: Lit::FALSE,
             init,
         });
         self.regs.push(g);
-        self.names.insert(g, name.into());
         g
     }
 
@@ -254,7 +274,9 @@ impl Netlist {
     ///
     /// Structural hashing and local simplification are applied: constants are
     /// folded, `x ∧ x = x`, `x ∧ ¬x = 0`, and operand order is canonicalized,
-    /// so equal cones built twice share gates.
+    /// so equal cones built twice share gates. The first call indexes every
+    /// AND gate already in the netlist; later calls index only what was
+    /// added since.
     pub fn and(&mut self, a: Lit, b: Lit) -> Lit {
         // Local simplification rules.
         if a == Lit::FALSE || b == Lit::FALSE || a == !b {
@@ -267,16 +289,37 @@ impl Netlist {
             return a;
         }
         let (a, b) = if a.code() <= b.code() { (a, b) } else { (b, a) };
+        // Index the gates created since the last call: all of a netlist's
+        // ANDs on the first call, none or a few inputs and registers later.
+        for (k, gate) in self.gates.iter().enumerate().skip(self.strashed) {
+            if let GateKind::And(x, y) = gate.kind {
+                self.strash.entry((x, y)).or_insert(Gate::from_index(k));
+            }
+        }
+        self.strashed = self.gates.len();
         if let Some(&g) = self.strash.get(&(a, b)) {
             return g.lit();
         }
-        let g = self.push(GateData {
+        let g = self.append_and(a, b);
+        self.strash.insert((a, b), g);
+        self.strashed = self.gates.len();
+        g.lit()
+    }
+
+    /// Appends `And(a, b)` without consulting the structural-hash index. The
+    /// caller has checked what [`and`](Netlist::and) would: `a` and `b` are
+    /// existing, non-constant literals over two different gates, in
+    /// canonical order, and no AND gate has these operands yet.
+    pub(crate) fn append_and(&mut self, a: Lit, b: Lit) -> Gate {
+        debug_assert!(
+            !a.is_const() && a.gate() < b.gate() && b.gate().index() < self.gates.len(),
+            "append_and({a}, {b}) is not a canonical fresh AND"
+        );
+        self.push(GateData {
             kind: GateKind::And(a, b),
             next: Lit::FALSE,
             init: Init::Zero,
-        });
-        self.strash.insert((a, b), g);
-        g.lit()
+        })
     }
 
     /// The OR of two literals (lowered to AND/inverters).
